@@ -20,7 +20,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -43,16 +42,6 @@ EXIT_IO = 3
 EXIT_CONSISTENCY = 4
 
 OUT_DIR_ENV = "BCCONF_OUT"
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    command: str
-    scenario_path: str
-    output_dir: str
-    seed: int
-    tool_version: str
-    wall_time_s: float
 
 
 def _parse_weights_flag(text: str) -> QosWeights:
@@ -195,21 +184,13 @@ def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> N
 
 
 def _write_manifest(out_dir: Path, args: argparse.Namespace, started: float) -> None:
-    manifest = RunManifest(
-        command=args.command,
-        scenario_path=str(args.scenario),
-        output_dir=str(out_dir),
-        seed=args.seed,
-        tool_version=__version__,
-        wall_time_s=time.perf_counter() - started,
-    )
     payload = {
-        "command": manifest.command,
-        "scenario_path": manifest.scenario_path,
-        "output_dir": manifest.output_dir,
-        "seed": manifest.seed,
-        "tool_version": manifest.tool_version,
-        "wall_time_s": manifest.wall_time_s,
+        "command": args.command,
+        "scenario_path": str(args.scenario),
+        "output_dir": str(out_dir),
+        "seed": args.seed,
+        "tool_version": __version__,
+        "wall_time_s": time.perf_counter() - started,
     }
     with open(out_dir / "manifest.json", "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2)
@@ -274,15 +255,10 @@ def _cmd_optimize(args: argparse.Namespace, scenario: ScenarioParams, out_dir: P
 
 def _cmd_sweep(args: argparse.Namespace, scenario: ScenarioParams, out_dir: Path) -> None:
     effective, weights = _resolve_directive_and_weights(scenario, args)
-    if effective.grid_size > args.grid_cap:
-        raise optimizer.GridCapError(
-            f"feasible grid has {effective.grid_size} points, above the cap of {args.grid_cap}"
-        )
-    rows = []
-    for m in range(effective.min_verifiers, effective.max_verifiers + 1):
-        for theta in range(effective.min_txn_per_block, effective.max_txn_per_block + 1):
-            breakdown = metrics.utility(effective, weights, BlockchainConfig(m, theta))
-            rows.append([m, theta, *_breakdown_cells(breakdown), breakdown.utility])
+    rows = [
+        [config.num_verifiers, config.txns_per_block, *_breakdown_cells(breakdown), breakdown.utility]
+        for config, breakdown in optimizer.evaluate_grid(effective, weights, grid_cap=args.grid_cap)
+    ]
     _write_csv(out_dir / "surface.csv", ["m", "theta", *_BREAKDOWN_COLUMNS, "utility"], rows)
 
 
@@ -354,23 +330,16 @@ def _cmd_simulate(args: argparse.Namespace, scenario: ScenarioParams, out_dir: P
         config = _prior_result_config(out_dir)
     else:
         raise ConstraintError("--m and --theta must be given together")
-    report = dpos_sim.run(
-        SimConfig(
-            scenario=effective,
-            config=config,
-            rounds=args.rounds,
-            jitter=args.jitter,
-            rng_seed=args.seed,
-            rotate_bm=args.rotate_bm,
-        )
+    sim = SimConfig(
+        scenario=effective,
+        config=config,
+        rounds=args.rounds,
+        jitter=args.jitter,
+        rng_seed=args.seed,
+        rotate_bm=args.rotate_bm,
     )
-    analytic = report.analytic_latency_s
-    deviations = [abs(l - analytic) / analytic for l in report.per_round_latency_s]
-    if not args.jitter.active and max(deviations) > dpos_sim.SIM_REL_TOL:
-        raise ModelMismatchError(
-            f"config (m={config.num_verifiers}, theta={config.txns_per_block}): simulated latency "
-            f"deviates from the closed form by {max(deviations):.3e}"
-        )
+    report = dpos_sim.run(sim)
+    deviations = dpos_sim.closed_form_deviations(sim, report)  # raises before any write
     with open(out_dir / "events.csv", "w", encoding="utf-8", newline="") as handle:
         handle.write(dpos_sim.events_to_csv(report.events))
     with open(out_dir / "events.ndjson", "w", encoding="utf-8", newline="") as handle:
@@ -379,7 +348,7 @@ def _cmd_simulate(args: argparse.Namespace, scenario: ScenarioParams, out_dir: P
         out_dir / "sim_report.csv",
         ["round", "latency_s", "analytic_latency_s", "abs_rel_deviation"],
         [
-            [k, latency, analytic, deviations[k]]
+            [k, latency, report.analytic_latency_s, deviations[k]]
             for k, latency in enumerate(report.per_round_latency_s)
         ],
     )

@@ -26,9 +26,9 @@ from . import metrics
 from .model import (
     DEFAULT_GRID_CAP,
     BlockchainConfig,
-    GridCapError,
     ScenarioParams,
     ValidationError,
+    feasible_grid,
     require_feasible,
 )
 
@@ -195,6 +195,24 @@ def run(sim: SimConfig) -> SimReport:
     )
 
 
+def closed_form_deviations(sim: SimConfig, report: SimReport) -> list[float]:
+    """Per-round ``|simulated - analytic| / analytic`` latency of a finished run.
+
+    Without active jitter, a round deviating by more than ``SIM_REL_TOL``
+    raises :class:`ModelMismatchError` naming the configuration.
+    """
+    analytic = report.analytic_latency_s
+    deviations = [abs(latency - analytic) / analytic for latency in report.per_round_latency_s]
+    jittered = sim.jitter is not None and sim.jitter.active
+    if not jittered and max(deviations) > SIM_REL_TOL:
+        raise ModelMismatchError(
+            f"config (m={sim.config.num_verifiers}, theta={sim.config.txns_per_block}): "
+            f"simulated latency deviates from the closed form by {max(deviations):.3e} "
+            f"(tolerance {SIM_REL_TOL})"
+        )
+    return deviations
+
+
 @dataclass(frozen=True)
 class SimSweepCell:
     config: BlockchainConfig
@@ -221,48 +239,25 @@ def sweep_sim(
 ) -> SimSweepReport:
     """Run the simulator at every feasible configuration.
 
-    Without jitter, any cell whose per-round latency deviates from the
-    closed form by more than ``SIM_REL_TOL`` (relative) raises
-    :class:`ModelMismatchError`; with jitter the deviations are only
-    reported.
+    Each cell is checked by :func:`closed_form_deviations`: without jitter a
+    deviation above ``SIM_REL_TOL`` raises :class:`ModelMismatchError`; with
+    jitter the deviations are only reported.
     """
-    if scenario.grid_size > grid_cap:
-        raise GridCapError(
-            f"feasible grid has {scenario.grid_size} points, above the cap of {grid_cap}"
-        )
-    enforce = jitter is None or not jitter.active
     cells: list[SimSweepCell] = []
     worst = 0.0
-    for m in range(scenario.min_verifiers, scenario.max_verifiers + 1):
-        for theta in range(scenario.min_txn_per_block, scenario.max_txn_per_block + 1):
-            config = BlockchainConfig(m, theta)
-            report = run(
-                SimConfig(
-                    scenario=scenario,
-                    config=config,
-                    rounds=rounds,
-                    jitter=jitter,
-                    rng_seed=seed,
-                )
+    for config in feasible_grid(scenario, grid_cap):
+        sim = SimConfig(scenario=scenario, config=config, rounds=rounds, jitter=jitter, rng_seed=seed)
+        report = run(sim)
+        deviation = max(closed_form_deviations(sim, report))
+        cells.append(
+            SimSweepCell(
+                config=config,
+                analytic_latency_s=report.analytic_latency_s,
+                mean_latency_s=report.mean_latency_s,
+                max_abs_rel_deviation=deviation,
             )
-            analytic = report.analytic_latency_s
-            deviation = max(
-                abs(latency - analytic) / analytic for latency in report.per_round_latency_s
-            )
-            if enforce and deviation > SIM_REL_TOL:
-                raise ModelMismatchError(
-                    f"config (m={m}, theta={theta}): simulated latency deviates "
-                    f"from the closed form by {deviation:.3e} (tolerance {SIM_REL_TOL})"
-                )
-            cells.append(
-                SimSweepCell(
-                    config=config,
-                    analytic_latency_s=analytic,
-                    mean_latency_s=report.mean_latency_s,
-                    max_abs_rel_deviation=deviation,
-                )
-            )
-            worst = max(worst, deviation)
+        )
+        worst = max(worst, deviation)
     return SimSweepReport(cells=tuple(cells), max_abs_rel_deviation=worst)
 
 

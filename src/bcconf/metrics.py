@@ -131,10 +131,13 @@ def cost(scenario: ScenarioParams, config: BlockchainConfig) -> float:
 
 
 @lru_cache(maxsize=None)
-def _normalization(scenario: ScenarioParams) -> NormalizationConstants:
-    # Closed-form corners of the feasible box: latency and security peak at
-    # (M, N) by monotonicity; cost peaks at (M, t) since it scales with the
-    # selected payment sum and inversely with theta.
+def normalization(scenario: ScenarioParams) -> NormalizationConstants:
+    """Exact per-metric maxima over the feasible box, read from its corners.
+
+    Latency and security peak at (M, N) by monotonicity; cost peaks at
+    (M, t) since it scales with the selected payment sum and inversely
+    with theta.
+    """
     corner_high = BlockchainConfig(scenario.max_verifiers, scenario.max_txn_per_block)
     corner_cost = BlockchainConfig(scenario.max_verifiers, scenario.min_txn_per_block)
     max_cost = cost(scenario, corner_cost)
@@ -148,32 +151,6 @@ def _normalization(scenario: ScenarioParams) -> NormalizationConstants:
         max_security=security(scenario, scenario.max_verifiers),
         max_cost=max_cost,
     )
-
-
-def normalization(scenario: ScenarioParams, *, verify: bool = False) -> NormalizationConstants:
-    """Exact per-metric maxima over the feasible box.
-
-    With ``verify=True`` the closed-form corners are cross-checked against an
-    exhaustive grid scan; a mismatch raises :class:`ValidationError`.
-    """
-    constants = _normalization(scenario)
-    if verify:
-        worst_l = worst_s = worst_c = 0.0
-        for m in range(scenario.min_verifiers, scenario.max_verifiers + 1):
-            for theta in range(scenario.min_txn_per_block, scenario.max_txn_per_block + 1):
-                config = BlockchainConfig(m, theta)
-                worst_l = max(worst_l, latency(scenario, config))
-                worst_c = max(worst_c, cost(scenario, config))
-            worst_s = max(worst_s, security(scenario, m))
-        if (worst_l, worst_s, worst_c) != (
-            constants.max_latency,
-            constants.max_security,
-            constants.max_cost,
-        ):
-            raise ValidationError(
-                "normalization corners disagree with the exhaustive grid maxima"
-            )
-    return constants
 
 
 def utility(

@@ -10,7 +10,7 @@ import math
 import os
 import re
 from dataclasses import dataclass
-from typing import Any, Mapping, Optional, TextIO, Union
+from typing import Any, Iterator, Mapping, Optional, TextIO, Union
 
 import yaml
 
@@ -291,6 +291,8 @@ def _parse_quantity(name: str, value: Any, kind: str) -> float:
 
     Accepts a bare number (already in base units) or a string with a unit
     suffix: b/kb/Mb/Gb for sizes, the same plus '/s' or 'ps' for rates.
+    A rate unit on a size field is rejected; a size unit on a rate field
+    means per second, so '1.2 Mb' there reads as 1.2e6 bits/second.
     """
     if isinstance(value, bool):
         raise ParseError(f"field '{name}': expected a number, got a boolean")
@@ -312,9 +314,6 @@ def _parse_quantity(name: str, value: Any, kind: str) -> float:
         raise ParseError(f"field '{name}': unknown unit {unit!r}")
     if kind == "bits" and is_rate:
         raise ParseError(f"field '{name}': got a rate unit {unit!r} for a size field")
-    if kind == "bps" and not is_rate:
-        # Tolerate '1.2 Mb' for a rate field; per-second is implied.
-        pass
     return magnitude * _SIZE_SCALE[base]
 
 
@@ -515,6 +514,27 @@ def validate_config(scenario: ScenarioParams, config: BlockchainConfig) -> bool:
     return (
         scenario.min_verifiers <= config.num_verifiers <= scenario.max_verifiers
         and scenario.min_txn_per_block <= config.txns_per_block <= scenario.max_txn_per_block
+    )
+
+
+def feasible_grid(
+    scenario: ScenarioParams, grid_cap: int = DEFAULT_GRID_CAP
+) -> Iterator[BlockchainConfig]:
+    """Every feasible configuration in row-major order (m outer, theta inner).
+
+    The one enumeration of the feasible box. Raises :class:`GridCapError`
+    at call time if the grid has more than ``grid_cap`` points; otherwise
+    returns a lazy iterator.
+    """
+    if scenario.grid_size > grid_cap:
+        raise GridCapError(
+            f"feasible grid has {scenario.grid_size} points, above the cap of {grid_cap}"
+        )
+    thetas = range(scenario.min_txn_per_block, scenario.max_txn_per_block + 1)
+    return (
+        BlockchainConfig(m, theta)
+        for m in range(scenario.min_verifiers, scenario.max_verifiers + 1)
+        for theta in thetas
     )
 
 

@@ -11,19 +11,19 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from operator import attrgetter
+from typing import Iterator, Optional, Sequence
 
 from . import metrics
 from .model import (
     DEFAULT_GRID_CAP,
     BlockchainConfig,
-    GridCapError,
     OptimizationTrace,
     QosWeights,
     ScenarioParams,
     TraceEntry,
+    feasible_grid,
 )
 
 GREEDY = "greedy"
@@ -89,11 +89,19 @@ class _Tracer:
         )
 
 
-def _check_grid_cap(scenario: ScenarioParams, grid_cap: int) -> None:
-    if scenario.grid_size > grid_cap:
-        raise GridCapError(
-            f"feasible grid has {scenario.grid_size} points, above the cap of {grid_cap}"
-        )
+def evaluate_grid(
+    scenario: ScenarioParams, weights: QosWeights, *, grid_cap: int
+) -> Iterator[tuple[BlockchainConfig, metrics.MetricBreakdown]]:
+    """Lazily pair every feasible configuration with its utility breakdown.
+
+    Row-major order, as :func:`bcconf.model.feasible_grid`, whose cap check
+    runs at call time. Lazy, so that consumers keep only what they need of
+    each breakdown and the whole grid of breakdowns is never held at once.
+    """
+    return (
+        (config, metrics.utility(scenario, weights, config))
+        for config in feasible_grid(scenario, grid_cap)
+    )
 
 
 def solve_greedy(scenario: ScenarioParams, weights: QosWeights) -> SolverResult:
@@ -145,21 +153,17 @@ def solve_exhaustive(
 
     Returns the global minimizer; ties go to the smaller m, then smaller theta.
     """
-    _check_grid_cap(scenario, grid_cap)
-    tracer = _Tracer(scenario, weights)
-    best_config: Optional[BlockchainConfig] = None
-    best_value = math.inf
-    for m in range(scenario.min_verifiers, scenario.max_verifiers + 1):
-        for theta in range(scenario.min_txn_per_block, scenario.max_txn_per_block + 1):
-            value = tracer.evaluate(m, theta)
-            if best_config is None or value < best_value:
-                best_config = BlockchainConfig(m, theta)
-                best_value = value
-    assert best_config is not None
+    entries = tuple(
+        TraceEntry(k, config, breakdown.utility)
+        for k, (config, breakdown) in enumerate(
+            evaluate_grid(scenario, weights, grid_cap=grid_cap), start=1
+        )
+    )
+    best = min(entries, key=attrgetter("utility"))  # the first minimum wins ties
     return SolverResult(
-        best_config=best_config,
-        best_utility=best_value,
-        trace=tracer.finish(best_config),
+        best_config=best.config,
+        best_utility=best.utility,
+        trace=OptimizationTrace(entries=entries, result=best.config, evaluations=len(entries)),
         solver_name=EXHAUSTIVE,
     )
 
@@ -196,19 +200,13 @@ def scan_unimodality(
     scenario: ScenarioParams, weights: QosWeights, *, grid_cap: int = DEFAULT_GRID_CAP
 ) -> UnimodalityReport:
     """Full-grid valley-shape check used as the greedy-exactness pre-scan."""
-    _check_grid_cap(scenario, grid_cap)
-    ms = range(scenario.min_verifiers, scenario.max_verifiers + 1)
-    thetas = range(scenario.min_txn_per_block, scenario.max_txn_per_block + 1)
-    grid = {
-        (m, theta): metrics.utility(scenario, weights, BlockchainConfig(m, theta)).utility
-        for m in ms
-        for theta in thetas
-    }
-    rows = all(_is_unimodal([grid[(m, theta)] for theta in thetas]) for m in ms)
-    cols = all(_is_unimodal([grid[(m, theta)] for m in ms]) for theta in thetas)
-    row_minima = _is_unimodal([min(grid[(m, theta)] for theta in thetas) for m in ms])
+    width = scenario.max_txn_per_block - scenario.min_txn_per_block + 1
+    values = [b.utility for _, b in evaluate_grid(scenario, weights, grid_cap=grid_cap)]
+    rows = [values[i:i + width] for i in range(0, len(values), width)]
     return UnimodalityReport(
-        rows_unimodal=rows, columns_unimodal=cols, row_minima_unimodal=row_minima
+        rows_unimodal=all(_is_unimodal(row) for row in rows),
+        columns_unimodal=all(_is_unimodal(column) for column in zip(*rows)),
+        row_minima_unimodal=_is_unimodal([min(row) for row in rows]),
     )
 
 

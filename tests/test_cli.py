@@ -158,15 +158,20 @@ def test_simulate_jitter_bounds(tmp_path):
         assert float(row["abs_rel_deviation"]) <= 0.1 + 1e-9
 
 
-def test_simulate_model_mismatch_exits_4(tmp_path, monkeypatch):
+def test_simulate_model_mismatch_exits_4(tmp_path, monkeypatch, capsys):
     from bcconf import metrics
 
     monkeypatch.setattr(metrics, "latency", lambda s, c: 1e9)
+    out = tmp_path / "x"
     code = run_cli(
-        "simulate", "--scenario", SCENARIO, "--out", str(tmp_path / "x"),
+        "simulate", "--scenario", SCENARIO, "--out", str(out),
         "--m", "2", "--theta", "2",
     )
     assert code == 4
+    assert "m=2, theta=2" in capsys.readouterr().err
+    # The mismatch is detected before any simulation artifact is written.
+    for name in ("events.csv", "events.ndjson", "sim_report.csv"):
+        assert not (out / name).exists()
 
 
 def test_rerun_is_byte_identical(tmp_path):

@@ -197,8 +197,9 @@ def test_normalization_security_corner():
 
 def test_normalization_matches_bruteforce_on_random_scenarios():
     rng = random.Random(123)
-    for _ in range(100):
-        scenario = random_scenario(rng, max_m=6, max_n=8)
+    scenarios = [load_scenario(TABLE2_PATH)]
+    scenarios += [random_scenario(rng, max_m=6, max_n=8) for _ in range(100)]
+    for scenario in scenarios:
         constants = normalization(scenario)
         # Exact agreement with a scan through the library's own metric functions.
         assert constants.max_latency == max(
@@ -220,14 +221,6 @@ def test_normalization_matches_bruteforce_on_random_scenarios():
         assert constants.max_cost == pytest.approx(
             max(oracle_cost(scenario, m, t) for m, t in oracle_grid(scenario)), rel=1e-14
         )
-
-
-def test_normalization_self_verification_path():
-    scenario = load_scenario(TABLE2_PATH)
-    constants = normalization(scenario, verify=True)
-    assert constants.max_latency == latency(
-        scenario, BlockchainConfig(scenario.max_verifiers, scenario.max_txn_per_block)
-    )
 
 
 def test_normalization_rejects_all_free_verifiers():

@@ -69,7 +69,14 @@ def test_size_unit_normalization(text, expected):
 
 @pytest.mark.parametrize(
     "text,expected",
-    [("1.2 Mb/s", 1.2e6), ("1.3Mb/s", 1.3e6), ("500 kb/s", 5e5), ("2 Mbps", 2e6), (9600, 9600.0)],
+    [
+        ("1.2 Mb/s", 1.2e6),
+        ("1.3Mb/s", 1.3e6),
+        ("500 kb/s", 5e5),
+        ("2 Mbps", 2e6),
+        (9600, 9600.0),
+        ("1.2 Mb", 1.2e6),  # a size unit on a rate field means per second
+    ],
 )
 def test_rate_unit_normalization(text, expected):
     doc = MINIMAL_DOC.replace("downlink_rate_bps: 1000", f"downlink_rate_bps: {text!r}")

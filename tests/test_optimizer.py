@@ -14,8 +14,10 @@ from bcconf import (
     scan_unimodality,
     solve_exhaustive,
     solve_greedy,
+    sweep_sim,
 )
-from bcconf import metrics
+from bcconf import cli, metrics
+from bcconf.model import feasible_grid
 from bcconf.optimizer import trace_to_csv
 from helpers import (
     ADVERSARIAL_SCENARIO,
@@ -120,11 +122,37 @@ def test_exhaustive_tie_break_prefers_smaller_config():
     assert greedy.best_config == BlockchainConfig(3, 5)  # flat rows sweep to the bound
 
 
-def test_grid_cap_refusal():
+# Every entry point that enumerates the feasible grid; a string names a CLI command.
+# feasible_grid must refuse when called, before anything iterates it.
+GRID_CAP_ENTRY_POINTS = {
+    "feasible_grid": feasible_grid,
+    "solve_exhaustive": lambda s, cap: solve_exhaustive(s, EQUAL_WEIGHTS, grid_cap=cap),
+    "scan_unimodality": lambda s, cap: scan_unimodality(s, EQUAL_WEIGHTS, grid_cap=cap),
+    "compare": lambda s, cap: compare(s, EQUAL_WEIGHTS, grid_cap=cap),
+    "sweep_sim": lambda s, cap: sweep_sim(s, rounds=1, seed=0, grid_cap=cap),
+    "cli_sweep": "sweep",
+    "cli_compare": "compare",
+}
+
+
+@pytest.mark.parametrize("entry_point", list(GRID_CAP_ENTRY_POINTS))
+def test_grid_cap_refusal(entry_point, tmp_path, capsys):
     scenario = load_scenario(TABLE2_PATH)
-    with pytest.raises(GridCapError):
-        solve_exhaustive(scenario, EQUAL_WEIGHTS, grid_cap=170)
-    assert solve_exhaustive(scenario, EQUAL_WEIGHTS, grid_cap=171).trace.evaluations == 171
+    assert scenario.grid_size == 171
+    call = GRID_CAP_ENTRY_POINTS[entry_point]
+    if isinstance(call, str):
+        def run_cli(cap):
+            return cli.main(
+                [call, "--scenario", str(TABLE2_PATH), "--out", str(tmp_path), "--grid-cap", str(cap)]
+            )
+
+        assert run_cli(170) == 2
+        assert "above the cap of 170" in capsys.readouterr().err
+        assert run_cli(171) == 0
+    else:
+        with pytest.raises(GridCapError, match="above the cap of 170"):
+            call(scenario, 170)
+        call(scenario, 171)
 
 
 def test_greedy_never_evaluates_more_than_exhaustive():
