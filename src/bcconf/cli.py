@@ -104,6 +104,8 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="P,S",
             help="priority,security_need pair mapped to a mode directive (overrides the file's qos_class)",
         )
+
+    def add_grid_cap(sub: argparse.ArgumentParser) -> None:
         sub.add_argument(
             "--grid-cap",
             type=int,
@@ -116,11 +118,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub_sweep = subparsers.add_parser("sweep", help="evaluate the whole grid; writes surface.csv")
     add_common(sub_sweep)
+    add_grid_cap(sub_sweep)
 
     sub_compare = subparsers.add_parser(
         "compare", help="greedy vs exhaustive; writes compare.csv and summary.csv"
     )
     add_common(sub_compare)
+    add_grid_cap(sub_compare)
 
     sub_simulate = subparsers.add_parser(
         "simulate", help="discrete-event round simulation; writes events.csv, events.ndjson, sim_report.csv"
@@ -246,11 +250,8 @@ def _cmd_optimize(args: argparse.Namespace, scenario: ScenarioParams, out_dir: P
             ]
         ],
     )
-    _write_csv(
-        out_dir / "trace.csv",
-        ["iteration", "m", "theta", "utility", "best_so_far"],
-        optimizer.trace_rows(result.trace),
-    )
+    with open(out_dir / "trace.csv", "w", encoding="utf-8", newline="") as handle:
+        handle.write(optimizer.trace_to_csv(result.trace))
 
 
 def _cmd_sweep(args: argparse.Namespace, scenario: ScenarioParams, out_dir: Path) -> None:

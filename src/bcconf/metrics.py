@@ -1,13 +1,14 @@
 """Closed-form evaluation of latency, security, cost, and the weighted utility.
 
 Everything here is a pure function of immutable inputs: results are
-bitwise-identical regardless of evaluation order, and per-scenario
-constants (verifier ranking, normalization maxima) are cached.
+bitwise-identical regardless of evaluation order. Each evaluation is O(1):
+it reads the verifier ranking and payment prefix sums that the scenario
+derived once when it was built, and takes the normalization maxima from
+the corners of the feasible box.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .model import (
     BlockchainConfig,
@@ -19,9 +20,6 @@ from .model import (
     VerifierProfile,
     require_feasible,
 )
-
-# Relative slack allowed between a recomputed latency and the sum of its terms.
-TERM_DECOMPOSITION_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -52,31 +50,22 @@ class NormalizedTerms:
 class MetricBreakdown:
     """One configuration's metrics, their normalized forms, and the utility."""
 
-    latency_s: float
     latency_terms: LatencyTerms
     security: float
     cost: float
     utility: float
     normalized: NormalizedTerms
 
+    @property
+    def latency_s(self) -> float:
+        return self.latency_terms.total_s
+
     def __post_init__(self):
-        total = self.latency_terms.total_s
-        if abs(self.latency_s - total) > TERM_DECOMPOSITION_TOL * max(abs(total), 1.0):
-            raise ValidationError("latency_s must equal the sum of its four terms")
         if not self.security > 0:
             raise ValidationError("security must be positive")
         for name, value in (("latency_s", self.latency_s), ("cost", self.cost), ("utility", self.utility)):
             if value < 0:
                 raise ValidationError(f"{name} must be non-negative")
-
-
-@lru_cache(maxsize=None)
-def _ranked_verifiers(scenario: ScenarioParams) -> tuple[VerifierProfile, ...]:
-    # Ascending per-verifier verification time K/x; ties broken by ascending id.
-    workload = scenario.verification_workload
-    return tuple(
-        sorted(scenario.verifiers, key=lambda p: (workload / p.compute_capacity, p.id))
-    )
 
 
 def select_verifiers(scenario: ScenarioParams, m: int) -> tuple[VerifierProfile, ...]:
@@ -88,13 +77,7 @@ def select_verifiers(scenario: ScenarioParams, m: int) -> tuple[VerifierProfile,
         raise ConstraintError(
             f"m={m} outside [{scenario.min_verifiers}, {scenario.max_verifiers}]"
         )
-    return _ranked_verifiers(scenario)[:m]
-
-
-def verification_time(scenario: ScenarioParams, m: int) -> float:
-    """Processing time of the slowest among the m selected verifiers."""
-    selected = select_verifiers(scenario, m)
-    return max(scenario.verification_workload / p.compute_capacity for p in selected)
+    return scenario.ranked_verifiers[:m]
 
 
 def latency_terms(scenario: ScenarioParams, config: BlockchainConfig) -> LatencyTerms:
@@ -104,7 +87,8 @@ def latency_terms(scenario: ScenarioParams, config: BlockchainConfig) -> Latency
     block_bits = theta * scenario.transaction_size_bits
     return LatencyTerms(
         downlink_s=block_bits / scenario.downlink_rate_bps,
-        verify_s=verification_time(scenario, m),
+        # The ranking ascends in K/x, so the slowest of the first m is the m-th.
+        verify_s=scenario.verification_workload / scenario.ranked_verifiers[m - 1].compute_capacity,
         broadcast_s=scenario.broadcast_coeff * block_bits * m,
         feedback_s=scenario.feedback_size_bits / scenario.uplink_rate_bps,
     )
@@ -125,12 +109,9 @@ def security(scenario: ScenarioParams, m: int) -> float:
 def cost(scenario: ScenarioParams, config: BlockchainConfig) -> float:
     """Per-transaction verification cost: selected capacity payments over theta."""
     require_feasible(scenario, config)
-    selected = select_verifiers(scenario, config.num_verifiers)
-    total = sum(p.unit_price * p.compute_capacity for p in selected)
-    return total / config.txns_per_block
+    return scenario.payment_prefix[config.num_verifiers] / config.txns_per_block
 
 
-@lru_cache(maxsize=None)
 def normalization(scenario: ScenarioParams) -> NormalizationConstants:
     """Exact per-metric maxima over the feasible box, read from its corners.
 
@@ -177,7 +158,6 @@ def utility(
         + weights.cost_weight * normalized.cost_ratio
     )
     return MetricBreakdown(
-        latency_s=total_latency,
         latency_terms=terms,
         security=sec,
         cost=per_txn_cost,

@@ -1,15 +1,18 @@
 """Domain types and scenario-file handling.
 
 All types are immutable after construction (frozen dataclasses) and safe
-to share across threads. This module does no metric computation beyond
-invariant checks; see :mod:`bcconf.metrics` for the closed forms.
+to share across threads. Beyond invariant checks, this module computes only
+what a scenario derives from itself once, when it is built: the verifier
+ranking and the running sums of its payments. See :mod:`bcconf.metrics` for
+the closed forms.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Iterator, Mapping, Optional, TextIO, Union
 
 import yaml
@@ -129,6 +132,12 @@ class ScenarioParams:
     compute-units; unit suffixes in scenario files are normalized at load
     time. The verifier list may exceed ``max_verifiers``: the bound caps
     selection, not the population.
+
+    Two fields are derived at construction and take no part in equality,
+    hashing or ``repr``: ``ranked_verifiers`` orders the population by
+    ascending verification time K/x, ties by ascending id, and
+    ``payment_prefix[m]`` is the summed capacity payment (price * x) of the
+    first m of that ranking, added left to right from 0.
     """
 
     transaction_size_bits: float
@@ -148,6 +157,8 @@ class ScenarioParams:
     weights: Optional[QosWeights] = None
     qos_class: Optional[DataClass] = None
     mode_table: Optional[tuple[ModeTableRule, ...]] = None
+    ranked_verifiers: tuple[VerifierProfile, ...] = field(init=False, repr=False, compare=False)
+    payment_prefix: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "verifiers", tuple(self.verifiers))
@@ -185,6 +196,16 @@ class ScenarioParams:
         if len(set(ids)) != len(ids):
             dup = next(i for i in ids if ids.count(i) > 1)
             raise ValidationError(f"duplicate verifier id {dup}")
+        workload = self.verification_workload
+        ranked = tuple(
+            sorted(self.verifiers, key=lambda p: (workload / p.compute_capacity, p.id))
+        )
+        object.__setattr__(self, "ranked_verifiers", ranked)
+        object.__setattr__(
+            self,
+            "payment_prefix",
+            tuple(itertools.accumulate((p.unit_price * p.compute_capacity for p in ranked), initial=0)),
+        )
 
     @property
     def grid_size(self) -> int:

@@ -210,20 +210,13 @@ def scan_unimodality(
     )
 
 
-def trace_rows(trace: OptimizationTrace) -> list[tuple[int, int, int, float, float]]:
-    """Trace as (iteration, m, theta, utility, best_so_far) tuples."""
-    running = trace.best_so_far()
-    return [
-        (e.iteration, e.config.num_verifiers, e.config.txns_per_block, e.utility, running[i])
-        for i, e in enumerate(trace.entries)
-    ]
-
-
 def trace_to_csv(trace: OptimizationTrace) -> str:
-    """Render a trace as CSV with a header row."""
+    """Render a trace as CSV: iteration, m, theta, utility, best_so_far."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["iteration", "m", "theta", "utility", "best_so_far"])
-    for row in trace_rows(trace):
-        writer.writerow(row)
+    writer.writerows(
+        (e.iteration, e.config.num_verifiers, e.config.txns_per_block, e.utility, best)
+        for e, best in zip(trace.entries, trace.best_so_far())
+    )
     return buffer.getvalue()

@@ -123,7 +123,9 @@ def test_exhaustive_tie_break_prefers_smaller_config():
 
 
 # Every entry point that enumerates the feasible grid; a string names a CLI command.
-# feasible_grid must refuse when called, before anything iterates it.
+# feasible_grid must refuse when called, before anything iterates it. The CLI
+# commands that enumerate no grid must reject --grid-cap as an unknown flag.
+GRID_CAP_UNREAD_COMMANDS = ("optimize", "simulate")
 GRID_CAP_ENTRY_POINTS = {
     "feasible_grid": feasible_grid,
     "solve_exhaustive": lambda s, cap: solve_exhaustive(s, EQUAL_WEIGHTS, grid_cap=cap),
@@ -132,6 +134,8 @@ GRID_CAP_ENTRY_POINTS = {
     "sweep_sim": lambda s, cap: sweep_sim(s, rounds=1, seed=0, grid_cap=cap),
     "cli_sweep": "sweep",
     "cli_compare": "compare",
+    "cli_optimize": "optimize",
+    "cli_simulate": "simulate",
 }
 
 
@@ -146,6 +150,11 @@ def test_grid_cap_refusal(entry_point, tmp_path, capsys):
                 [call, "--scenario", str(TABLE2_PATH), "--out", str(tmp_path), "--grid-cap", str(cap)]
             )
 
+        if call in GRID_CAP_UNREAD_COMMANDS:
+            assert run_cli(171) == 2
+            assert "unrecognized arguments: --grid-cap 171" in capsys.readouterr().err
+            assert not any(tmp_path.iterdir())
+            return
         assert run_cli(170) == 2
         assert "above the cap of 170" in capsys.readouterr().err
         assert run_cli(171) == 0
