@@ -1,10 +1,12 @@
 """Closed-form evaluation of latency, security, cost, and the weighted utility.
 
 Everything here is a pure function of immutable inputs: results are
-bitwise-identical regardless of evaluation order. Each evaluation is O(1):
-it reads the verifier ranking and payment prefix sums that the scenario
-derived once when it was built, and takes the normalization maxima from
-the corners of the feasible box.
+bitwise-identical regardless of evaluation order. Each evaluation is O(1)
+and does only per-configuration work: it reads the verifier ranking and
+payment prefix sums that the scenario derived once when it was built, and
+the normalization maxima that the scenario derives from the corners of
+the feasible box on first use (``ScenarioParams.normalization``, computed
+by :func:`normalization`) and keeps for its lifetime.
 """
 from __future__ import annotations
 
@@ -146,7 +148,7 @@ def utility(
     total_latency = terms.total_s
     sec = security(scenario, config.num_verifiers)
     per_txn_cost = cost(scenario, config)
-    constants = normalization(scenario)
+    constants = scenario.normalization
     normalized = NormalizedTerms(
         latency_ratio=total_latency / constants.max_latency,
         security_ratio=constants.max_security / sec,

@@ -2,9 +2,10 @@
 
 All types are immutable after construction (frozen dataclasses) and safe
 to share across threads. Beyond invariant checks, this module computes only
-what a scenario derives from itself once, when it is built: the verifier
-ranking and the running sums of its payments. See :mod:`bcconf.metrics` for
-the closed forms.
+what a scenario derives from itself: the verifier ranking and the running
+sums of its payments, once when it is built, and its normalization maxima,
+on first use, kept with the scenario for its lifetime. See
+:mod:`bcconf.metrics` for the closed forms.
 """
 from __future__ import annotations
 
@@ -208,6 +209,30 @@ class ScenarioParams:
         )
 
     @property
+    def normalization(self) -> NormalizationConstants:
+        """The per-metric maxima over the feasible box, derived on first use.
+
+        Kept on the instance but not as a field, so it takes no part in
+        equality, hashing, ``repr`` or ``dump_scenario``, and
+        ``dataclasses.replace`` derives it afresh. A failure (every
+        selectable verifier free) is not stored and raises again on the next
+        access.
+        """
+        try:
+            return self._normalization
+        except AttributeError:
+            pass
+        # metrics imports this module, so it can only be imported at call time.
+        from . import metrics
+
+        value = metrics.normalization(self)
+        # Not functools.cached_property: its write through ``__dict__`` makes
+        # CPython 3.11 materialize the instance dict, after which every
+        # attribute read on the scenario takes about twice as long.
+        object.__setattr__(self, "_normalization", value)
+        return value
+
+    @property
     def grid_size(self) -> int:
         """Number of feasible (m, theta) configurations."""
         return (self.max_verifiers - self.min_verifiers + 1) * (
@@ -318,7 +343,7 @@ def _parse_quantity(name: str, value: Any, kind: str) -> float:
     if isinstance(value, bool):
         raise ParseError(f"field '{name}': expected a number, got a boolean")
     if isinstance(value, (int, float)):
-        return float(value)
+        return _parse_number(name, value)
     if not isinstance(value, str):
         raise ParseError(f"field '{name}': expected a number or quantity string")
     match = _QUANTITY_RE.match(value)
@@ -341,7 +366,10 @@ def _parse_quantity(name: str, value: Any, kind: str) -> float:
 def _parse_number(name: str, value: Any) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(f"field '{name}': expected a number")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ParseError(f"field '{name}': number too large for a float") from None
 
 
 def _parse_int(name: str, value: Any) -> int:
@@ -358,7 +386,7 @@ def _parse_weights(raw: Any, where: str) -> QosWeights:
     if isinstance(raw, Mapping):
         extra = set(raw) - {"latency", "security", "cost"}
         if extra:
-            raise ParseError(f"field '{where}': unknown weight keys {sorted(extra)}")
+            raise ParseError(f"field '{where}': unknown weight keys {sorted(extra, key=str)}")
         try:
             triple = (raw["latency"], raw["security"], raw["cost"])
         except KeyError as exc:
@@ -378,7 +406,7 @@ def _parse_verifier(raw: Any, index: int) -> VerifierProfile:
         raise ParseError(f"field '{where}': expected a mapping")
     extra = set(raw) - {"id", "compute_capacity", "unit_price"}
     if extra:
-        raise ParseError(f"field '{where}': unknown keys {sorted(extra)}")
+        raise ParseError(f"field '{where}': unknown keys {sorted(extra, key=str)}")
     for key in ("id", "compute_capacity", "unit_price"):
         if key not in raw:
             raise ParseError(f"field '{where}': missing key '{key}'")
@@ -394,7 +422,7 @@ def _parse_qos_class(raw: Any) -> DataClass:
         raise ParseError("field 'qos_class': expected a mapping")
     extra = set(raw) - {"priority", "security_need", "label"}
     if extra:
-        raise ParseError(f"field 'qos_class': unknown keys {sorted(extra)}")
+        raise ParseError(f"field 'qos_class': unknown keys {sorted(extra, key=str)}")
     for key in ("priority", "security_need"):
         if key not in raw:
             raise ParseError(f"field 'qos_class': missing key '{key}'")
@@ -416,7 +444,7 @@ def _parse_mode_table(raw: Any) -> tuple[ModeTableRule, ...]:
             raise ParseError(f"field '{where}': expected a mapping")
         extra = set(entry) - {"weights", "verifier_bounds"}
         if extra:
-            raise ParseError(f"field '{where}': unknown keys {sorted(extra)}")
+            raise ParseError(f"field '{where}': unknown keys {sorted(extra, key=str)}")
         weights = _parse_weights(entry["weights"], f"{where}.weights") if "weights" in entry else None
         bounds = None
         if "verifier_bounds" in entry:
@@ -435,13 +463,14 @@ def parse_scenario(text: str) -> ScenarioParams:
     """Parse and validate a scenario document given as YAML text."""
     try:
         raw = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:
+        # PyYAML raises a bare ValueError for out-of-range timestamps and bad explicit tags.
         raise ParseError(f"not a valid scenario document: {exc}") from exc
     if not isinstance(raw, Mapping):
         raise ParseError("scenario document must be a key/value mapping")
     unknown = set(raw) - set(_REQUIRED_FIELDS) - set(_OPTIONAL_FIELDS)
     if unknown:
-        raise ParseError(f"unknown field '{sorted(unknown)[0]}'")
+        raise ParseError(f"unknown field '{sorted(unknown, key=str)[0]}'")
     for name in _REQUIRED_FIELDS:
         if name not in raw:
             raise ParseError(f"missing required field '{name}'")

@@ -4,7 +4,7 @@ from __future__ import annotations
 import random
 from pathlib import Path
 
-from bcconf import QosWeights, ScenarioParams, VerifierProfile
+from bcconf import QosWeights, ScenarioParams, VerifierProfile, load_scenario
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 TABLE2_PATH = REPO_ROOT / "scenarios" / "table2.scenario"
@@ -83,6 +83,12 @@ def random_scenario(rng: random.Random, *, max_m: int = 5, max_n: int = 6) -> Sc
         max_txn_per_block=upper_t,
         verifiers=verifiers,
     )
+
+
+def normalization_scenarios() -> list[ScenarioParams]:
+    """table2 plus 100 seeded random scenarios: the inputs of the normalization checks."""
+    rng = random.Random(123)
+    return [load_scenario(TABLE2_PATH)] + [random_scenario(rng, max_m=6, max_n=8) for _ in range(100)]
 
 
 def random_weights(rng: random.Random) -> QosWeights:

@@ -65,6 +65,13 @@ def test_invalid_scenario_content_exits_2(tmp_path):
     assert run_cli("optimize", "--scenario", str(bad), "--out", str(tmp_path / "o")) == 2
 
 
+def test_mixed_type_unknown_keys_exit_2(tmp_path, capsys):
+    bad = tmp_path / "bad.scenario"
+    bad.write_text("1: a\nb: c\n")
+    assert run_cli("optimize", "--scenario", str(bad), "--out", str(tmp_path / "o")) == 2
+    assert "unknown field '1'" in capsys.readouterr().err
+
+
 def test_weights_flag_is_used(tmp_path):
     out = tmp_path / "run"
     assert run_cli(

@@ -20,7 +20,14 @@ from bcconf import (
     select_verifiers,
     utility,
 )
-from helpers import TABLE2_PATH, make_scenario, random_feasible_config, random_scenario, random_weights
+from helpers import (
+    TABLE2_PATH,
+    make_scenario,
+    normalization_scenarios,
+    random_feasible_config,
+    random_scenario,
+    random_weights,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -200,10 +207,7 @@ def test_normalization_security_corner():
 
 
 def test_normalization_matches_bruteforce_on_random_scenarios():
-    rng = random.Random(123)
-    scenarios = [load_scenario(TABLE2_PATH)]
-    scenarios += [random_scenario(rng, max_m=6, max_n=8) for _ in range(100)]
-    for scenario in scenarios:
+    for scenario in normalization_scenarios():
         constants = normalization(scenario)
         # Exact agreement with a scan through the library's own metric functions.
         assert constants.max_latency == max(

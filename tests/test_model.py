@@ -102,8 +102,18 @@ def test_missing_field_is_a_parse_error():
 
 
 def test_unknown_field_is_a_parse_error():
-    with pytest.raises(ParseError, match="consensus"):
-        parse_scenario(MINIMAL_DOC + "\nconsensus: dpos\n")
+    mixed_verifier = MINIMAL_DOC.replace(
+        "{id: 1, compute_capacity: 5.0, unit_price: 0.5}",
+        "{id: 1, compute_capacity: 5.0, unit_price: 0.5, 7: x, y: z}",
+    )
+    for doc, field_name in (
+        (MINIMAL_DOC + "\nconsensus: dpos\n", "consensus"),
+        # Unknown keys of mixed types must not break the sort that names them.
+        (MINIMAL_DOC + "\n1: a\nzzz: 2\n", "unknown field '1'"),
+        (mixed_verifier, r"verifiers\[1\]"),
+    ):
+        with pytest.raises(ParseError, match=field_name):
+            parse_scenario(doc)
 
 
 def test_min_verifiers_above_max_is_a_validation_error():

@@ -1,20 +1,24 @@
-"""The verifier ranking lives on the scenario: derived once, never cached elsewhere."""
+"""Per-scenario derived values live on the scenario: derived once, never cached elsewhere."""
 import gc
 import weakref
 from dataclasses import replace
 
+import pytest
+
 from bcconf import (
     BlockchainConfig,
     QosWeights,
+    ValidationError,
     VerifierProfile,
     dump_scenario,
+    normalization,
     parse_scenario,
     scan_unimodality,
     select_verifiers,
     solve_exhaustive,
     utility,
 )
-from helpers import make_scenario
+from helpers import make_scenario, normalization_scenarios
 
 EQUAL_WEIGHTS = QosWeights(1 / 3, 1 / 3, 1 / 3)
 
@@ -47,3 +51,34 @@ def test_derived_ranking_is_invisible_and_follows_the_verifiers():
     )
     assert [p.id for p in select_verifiers(reordered, 3)] == [2, 1, 0]
     assert reordered.payment_prefix == (0, 30.0, 40.0, 42.0)
+
+
+def test_derived_normalization_is_invisible():
+    scenario = make_scenario(capacities=(10.0, 5.0, 2.0), prices=(1.0, 2.0, 3.0))
+    twin = make_scenario(capacities=(10.0, 5.0, 2.0), prices=(1.0, 2.0, 3.0))
+    utility(scenario, EQUAL_WEIGHTS, BlockchainConfig(2, 3))
+    assert scenario.normalization is scenario.normalization
+    assert "normalization" not in repr(scenario)
+    assert repr(scenario) == repr(twin)
+    assert scenario == twin and hash(scenario) == hash(twin)
+    assert dump_scenario(scenario) == dump_scenario(twin)
+
+
+def test_derived_normalization_equals_the_corner_formulas():
+    for scenario in normalization_scenarios():
+        assert scenario.normalization == normalization(scenario)
+
+
+def test_replace_derives_the_new_corner():
+    scenario = make_scenario(capacities=(10.0, 5.0, 2.0), prices=(1.0, 2.0, 3.0))
+    assert (scenario.normalization.max_security, scenario.normalization.max_cost) == (9.0, 26.0)
+    narrowed = replace(scenario, max_verifiers=2)
+    assert (narrowed.normalization.max_security, narrowed.normalization.max_cost) == (4.0, 20.0)
+    assert narrowed.normalization == normalization(narrowed)
+
+
+def test_all_free_verifiers_raise_on_every_utility_call():
+    scenario = make_scenario(capacities=(10.0, 5.0), prices=(0.0, 0.0))
+    for _ in range(2):
+        with pytest.raises(ValidationError, match="max_cost"):
+            utility(scenario, EQUAL_WEIGHTS, BlockchainConfig(1, 1))
