@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import os
 import sys
@@ -266,16 +267,8 @@ def _cmd_sweep(args: argparse.Namespace, scenario: ScenarioParams, out_dir: Path
 def _cmd_compare(args: argparse.Namespace, scenario: ScenarioParams, out_dir: Path) -> None:
     effective, weights = _resolve_directive_and_weights(scenario, args)
     report = optimizer.compare(effective, weights, grid_cap=args.grid_cap)
-    length = max(len(report.greedy_best_so_far), len(report.exhaustive_best_so_far))
-    rows = []
-    for i in range(length):
-        rows.append(
-            [
-                i + 1,
-                report.greedy_best_so_far[i] if i < len(report.greedy_best_so_far) else "",
-                report.exhaustive_best_so_far[i] if i < len(report.exhaustive_best_so_far) else "",
-            ]
-        )
+    series = itertools.zip_longest(report.greedy_best_so_far, report.exhaustive_best_so_far, fillvalue="")
+    rows = [[i, *pair] for i, pair in enumerate(series, start=1)]
     _write_csv(out_dir / "compare.csv", ["iteration", "greedy_best_so_far", "exhaustive_best_so_far"], rows)
     _write_csv(
         out_dir / "summary.csv",

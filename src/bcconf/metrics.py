@@ -6,10 +6,13 @@ and does only per-configuration work: it reads the verifier ranking and
 payment prefix sums that the scenario derived once when it was built, and
 the normalization maxima that the scenario derives from the corners of
 the feasible box on first use (``ScenarioParams.normalization``, computed
-by :func:`normalization`) and keeps for its lifetime.
+by :func:`normalization`) and keeps for its lifetime. The public
+per-metric functions each check feasibility; :func:`utility` checks it
+once, through :func:`latency_terms`, and then reads the cost unchecked.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .model import (
@@ -36,9 +39,6 @@ class LatencyTerms:
     @property
     def total_s(self) -> float:
         return self.downlink_s + self.verify_s + self.broadcast_s + self.feedback_s
-
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.downlink_s, self.verify_s, self.broadcast_s, self.feedback_s)
 
 
 @dataclass(frozen=True)
@@ -111,6 +111,11 @@ def security(scenario: ScenarioParams, m: int) -> float:
 def cost(scenario: ScenarioParams, config: BlockchainConfig) -> float:
     """Per-transaction verification cost: selected capacity payments over theta."""
     require_feasible(scenario, config)
+    return _cost(scenario, config)
+
+
+def _cost(scenario: ScenarioParams, config: BlockchainConfig) -> float:
+    # Unchecked: for m > M it would silently sum payments past the selectable verifiers.
     return scenario.payment_prefix[config.num_verifiers] / config.txns_per_block
 
 
@@ -119,7 +124,9 @@ def normalization(scenario: ScenarioParams) -> NormalizationConstants:
 
     Latency and security peak at (M, N) by monotonicity; cost peaks at
     (M, t) since it scales with the selected payment sum and inversely
-    with theta.
+    with theta. Raises :class:`ValidationError` when a maximum is
+    undefined: every selectable verifier is free, or the security level at
+    M does not fit in a float.
     """
     corner_high = BlockchainConfig(scenario.max_verifiers, scenario.max_txn_per_block)
     corner_cost = BlockchainConfig(scenario.max_verifiers, scenario.min_txn_per_block)
@@ -129,9 +136,18 @@ def normalization(scenario: ScenarioParams) -> NormalizationConstants:
             "max_cost is zero (every selectable verifier is free); "
             "the normalized utility is undefined for this scenario"
         )
+    try:
+        max_security = security(scenario, scenario.max_verifiers)
+    except OverflowError:
+        max_security = math.inf
+    if math.isinf(max_security):
+        raise ValidationError(
+            "security_coeff * max_verifiers ** network_scale_exponent overflows a float "
+            f"(network_scale_exponent={scenario.network_scale_exponent!r})"
+        )
     return NormalizationConstants(
         max_latency=latency(scenario, corner_high),
-        max_security=security(scenario, scenario.max_verifiers),
+        max_security=max_security,
         max_cost=max_cost,
     )
 
@@ -144,11 +160,12 @@ def utility(
     Smaller is better. Latency and cost enter as fractions of their maxima;
     security enters inverted (max_security / S) so that more verifiers help.
     """
-    terms = latency_terms(scenario, config)
+    terms = latency_terms(scenario, config)  # the one feasibility check
     total_latency = terms.total_s
-    sec = security(scenario, config.num_verifiers)
-    per_txn_cost = cost(scenario, config)
+    # Read before security: m <= M, so once the maxima exist no term overflows.
     constants = scenario.normalization
+    sec = security(scenario, config.num_verifiers)
+    per_txn_cost = _cost(scenario, config)
     normalized = NormalizedTerms(
         latency_ratio=total_latency / constants.max_latency,
         security_ratio=constants.max_security / sec,

@@ -283,17 +283,19 @@ class OptimizationTrace:
 
     entries: tuple[TraceEntry, ...]
     result: BlockchainConfig
-    evaluations: int
 
     def __post_init__(self):
         object.__setattr__(self, "entries", tuple(self.entries))
-        if self.evaluations != len(self.entries):
-            raise ValidationError("evaluations must equal the number of trace entries")
         for k, entry in enumerate(self.entries):
             if entry.iteration != k + 1:
                 raise ValidationError("trace iteration indices must increase from 1 by 1")
         if not any(e.config == self.result for e in self.entries):
             raise ValidationError("trace result must appear among its entries")
+
+    @property
+    def evaluations(self) -> int:
+        """Number of utility evaluations the solver made."""
+        return len(self.entries)
 
     def best_so_far(self) -> tuple[float, ...]:
         """Running minimum of the recorded utilities, one value per entry."""
@@ -382,34 +384,43 @@ def _parse_int(name: str, value: Any) -> int:
     raise ParseError(f"field '{name}': expected an integer, got {value!r}")
 
 
+def _check_keys(
+    raw: Any, where: str, required: tuple[str, ...], optional: tuple[str, ...] = ()
+) -> Mapping:
+    """Return ``raw`` if it is a mapping with every required key and no unknown one.
+
+    ``where`` is the mapping's own path, empty for the document itself; each
+    message names the full path of the offending key.
+    """
+    if not isinstance(raw, Mapping):
+        if not where:
+            raise ParseError("scenario document must be a key/value mapping")
+        raise ParseError(f"field '{where}': expected a mapping")
+    prefix = f"{where}." if where else ""
+    unknown = sorted(set(raw) - set(required) - set(optional), key=str)
+    if unknown:
+        raise ParseError(f"unknown field '{prefix}{unknown[0]}'")
+    for key in required:
+        if key not in raw:
+            raise ParseError(f"missing required field '{prefix}{key}'")
+    return raw
+
+
 def _parse_weights(raw: Any, where: str) -> QosWeights:
-    if isinstance(raw, Mapping):
-        extra = set(raw) - {"latency", "security", "cost"}
-        if extra:
-            raise ParseError(f"field '{where}': unknown weight keys {sorted(extra, key=str)}")
-        try:
-            triple = (raw["latency"], raw["security"], raw["cost"])
-        except KeyError as exc:
-            raise ParseError(f"field '{where}': missing weight key {exc.args[0]!r}") from None
-    elif isinstance(raw, (list, tuple)) and len(raw) == 3:
-        triple = tuple(raw)
+    if isinstance(raw, (list, tuple)):
+        if len(raw) != 3:
+            raise ParseError(f"field '{where}': expected 3 weights (latency, security, cost), got {len(raw)}")
+        named = [(f"{where}[{i}]", w) for i, w in enumerate(raw)]
     else:
-        raise ParseError(
-            f"field '{where}': expected a latency/security/cost mapping or a 3-item list"
-        )
-    return QosWeights(*(_parse_number(where, w) for w in triple))
+        keys = ("latency", "security", "cost")
+        raw = _check_keys(raw, where, keys)
+        named = [(f"{where}.{key}", raw[key]) for key in keys]
+    return QosWeights(*(_parse_number(name, w) for name, w in named))
 
 
 def _parse_verifier(raw: Any, index: int) -> VerifierProfile:
     where = f"verifiers[{index}]"
-    if not isinstance(raw, Mapping):
-        raise ParseError(f"field '{where}': expected a mapping")
-    extra = set(raw) - {"id", "compute_capacity", "unit_price"}
-    if extra:
-        raise ParseError(f"field '{where}': unknown keys {sorted(extra, key=str)}")
-    for key in ("id", "compute_capacity", "unit_price"):
-        if key not in raw:
-            raise ParseError(f"field '{where}': missing key '{key}'")
+    raw = _check_keys(raw, where, ("id", "compute_capacity", "unit_price"))
     return VerifierProfile(
         id=_parse_int(f"{where}.id", raw["id"]),
         compute_capacity=_parse_number(f"{where}.compute_capacity", raw["compute_capacity"]),
@@ -418,14 +429,7 @@ def _parse_verifier(raw: Any, index: int) -> VerifierProfile:
 
 
 def _parse_qos_class(raw: Any) -> DataClass:
-    if not isinstance(raw, Mapping):
-        raise ParseError("field 'qos_class': expected a mapping")
-    extra = set(raw) - {"priority", "security_need", "label"}
-    if extra:
-        raise ParseError(f"field 'qos_class': unknown keys {sorted(extra, key=str)}")
-    for key in ("priority", "security_need"):
-        if key not in raw:
-            raise ParseError(f"field 'qos_class': missing key '{key}'")
+    raw = _check_keys(raw, "qos_class", ("priority", "security_need"), ("label",))
     label = raw.get("label", "")
     if not isinstance(label, str):
         raise ParseError("field 'qos_class.label': expected a string")
@@ -433,18 +437,10 @@ def _parse_qos_class(raw: Any) -> DataClass:
 
 
 def _parse_mode_table(raw: Any) -> tuple[ModeTableRule, ...]:
-    if not isinstance(raw, Mapping):
-        raise ParseError("field 'mode_table': expected a mapping of mode name to overrides")
     rules = []
-    for mode, entry in raw.items():
+    for mode, entry in _check_keys(raw, "mode_table", (), MODE_NAMES).items():
         where = f"mode_table.{mode}"
-        if mode not in MODE_NAMES:
-            raise ParseError(f"field '{where}': unknown mode name")
-        if not isinstance(entry, Mapping):
-            raise ParseError(f"field '{where}': expected a mapping")
-        extra = set(entry) - {"weights", "verifier_bounds"}
-        if extra:
-            raise ParseError(f"field '{where}': unknown keys {sorted(extra, key=str)}")
+        entry = _check_keys(entry, where, (), ("weights", "verifier_bounds"))
         weights = _parse_weights(entry["weights"], f"{where}.weights") if "weights" in entry else None
         bounds = None
         if "verifier_bounds" in entry:
@@ -466,14 +462,7 @@ def parse_scenario(text: str) -> ScenarioParams:
     except (yaml.YAMLError, ValueError) as exc:
         # PyYAML raises a bare ValueError for out-of-range timestamps and bad explicit tags.
         raise ParseError(f"not a valid scenario document: {exc}") from exc
-    if not isinstance(raw, Mapping):
-        raise ParseError("scenario document must be a key/value mapping")
-    unknown = set(raw) - set(_REQUIRED_FIELDS) - set(_OPTIONAL_FIELDS)
-    if unknown:
-        raise ParseError(f"unknown field '{sorted(unknown, key=str)[0]}'")
-    for name in _REQUIRED_FIELDS:
-        if name not in raw:
-            raise ParseError(f"missing required field '{name}'")
+    raw = _check_keys(raw, "", _REQUIRED_FIELDS, _OPTIONAL_FIELDS)
     if not isinstance(raw["verifiers"], (list, tuple)):
         raise ParseError("field 'verifiers': expected a list")
     verifiers = tuple(_parse_verifier(v, i) for i, v in enumerate(raw["verifiers"]))

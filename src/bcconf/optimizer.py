@@ -57,11 +57,9 @@ class UnimodalityReport:
     ``greedy_exact`` is the condition under which the early-exit sweeps are
     guaranteed to return the global minimum value: every fixed-m row is
     unimodal in theta, and the sequence of per-row minima is unimodal in m.
-    Per-axis flags for both directions are reported for diagnostics.
     """
 
     rows_unimodal: bool
-    columns_unimodal: bool
     row_minima_unimodal: bool
 
     @property
@@ -84,9 +82,7 @@ class _Tracer:
         return value
 
     def finish(self, result: BlockchainConfig) -> OptimizationTrace:
-        return OptimizationTrace(
-            entries=tuple(self.entries), result=result, evaluations=len(self.entries)
-        )
+        return OptimizationTrace(entries=tuple(self.entries), result=result)
 
 
 def evaluate_grid(
@@ -163,7 +159,7 @@ def solve_exhaustive(
     return SolverResult(
         best_config=best.config,
         best_utility=best.utility,
-        trace=OptimizationTrace(entries=entries, result=best.config, evaluations=len(entries)),
+        trace=OptimizationTrace(entries=entries, result=best.config),
         solver_name=EXHAUSTIVE,
     )
 
@@ -205,7 +201,6 @@ def scan_unimodality(
     rows = [values[i:i + width] for i in range(0, len(values), width)]
     return UnimodalityReport(
         rows_unimodal=all(_is_unimodal(row) for row in rows),
-        columns_unimodal=all(_is_unimodal(column) for column in zip(*rows)),
         row_minima_unimodal=_is_unimodal([min(row) for row in rows]),
     )
 

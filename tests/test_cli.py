@@ -2,11 +2,14 @@
 import csv
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import bcconf
 from bcconf import cli
 from helpers import TABLE2_PATH
 
@@ -70,6 +73,18 @@ def test_mixed_type_unknown_keys_exit_2(tmp_path, capsys):
     bad.write_text("1: a\nb: c\n")
     assert run_cli("optimize", "--scenario", str(bad), "--out", str(tmp_path / "o")) == 2
     assert "unknown field '1'" in capsys.readouterr().err
+
+
+def test_overflowing_network_scale_exponent_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.scenario"
+    bad.write_text(
+        TABLE2_PATH.read_text().replace("network_scale_exponent: 2.0", "network_scale_exponent: 400.0")
+    )
+    for command in ("optimize", "sweep", "compare"):
+        out = tmp_path / command
+        assert run_cli(command, "--scenario", str(bad), "--out", str(out)) == 2
+        assert "network_scale_exponent" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
 
 
 def test_weights_flag_is_used(tmp_path):
@@ -211,8 +226,12 @@ def test_out_dir_defaults_to_environment_variable(tmp_path, monkeypatch):
 
 
 def test_console_entry_point_runs():
+    # The child must import the same bcconf as this process, installed or not.
+    package_root = str(Path(bcconf.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-m", "bcconf.cli", "--version"], capture_output=True, text=True
+        [sys.executable, "-m", "bcconf.cli", "--version"], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0
     assert "bcconf" in proc.stdout

@@ -10,12 +10,14 @@ from bcconf import (
     BlockchainConfig,
     ConstraintError,
     QosWeights,
+    SimConfig,
     ValidationError,
     cost,
     latency,
     latency_terms,
     load_scenario,
     normalization,
+    run_simulation,
     security,
     select_verifiers,
     utility,
@@ -197,6 +199,28 @@ def test_cost_halves_exactly_when_theta_doubles():
             ) / 2
 
 
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda s, c: utility(s, QosWeights(1 / 3, 1 / 3, 1 / 3), c),
+        cost,
+        latency_terms,
+        lambda s, c: run_simulation(SimConfig(scenario=s, config=c)),
+    ],
+    ids=["utility", "cost", "latency_terms", "run_simulation"],
+)
+@pytest.mark.parametrize("m,theta", [(1, 2), (4, 2), (2, 1), (2, 5)])
+def test_every_entry_point_rejects_configs_just_outside_the_box(evaluate, m, theta):
+    # v=2, M=3, t=2, N=4 over five verifiers: just past M the ranking and the
+    # payment sums still have entries, so only the feasibility check can refuse.
+    scenario = make_scenario(
+        capacities=(10.0, 8.0, 6.0, 4.0, 2.0), min_verifiers=2, max_verifiers=3,
+        min_txn_per_block=2, max_txn_per_block=4,
+    )
+    with pytest.raises(ConstraintError, match=f"m={m}, theta={theta}"):
+        evaluate(scenario, BlockchainConfig(m, theta))
+
+
 # ---------------------------------------------------------------------------
 # Normalization
 # ---------------------------------------------------------------------------
@@ -235,6 +259,19 @@ def test_normalization_rejects_all_free_verifiers():
     scenario = make_scenario(capacities=(10.0, 5.0), prices=(0.0, 0.0))
     with pytest.raises(ValidationError, match="max_cost"):
         normalization(scenario)
+
+
+@pytest.mark.parametrize(
+    "kappa,q",
+    [(1.0, 400.0), (1e10, 300.0)],  # 10**400 raises OverflowError; 1e10 * 10**300 is inf
+)
+def test_overflowing_security_level_is_a_validation_error(kappa, q):
+    scenario = make_scenario(capacities=(1.0,) * 10, security_coeff=kappa, network_scale_exponent=q)
+    with pytest.raises(ValidationError, match="network_scale_exponent"):
+        normalization(scenario)
+    # The largest m would overflow in its own security term first.
+    with pytest.raises(ValidationError, match="network_scale_exponent"):
+        utility(scenario, QosWeights(1 / 3, 1 / 3, 1 / 3), BlockchainConfig(10, 1))
 
 
 def test_degenerate_box_has_unit_ratios():

@@ -1,5 +1,6 @@
 """Scenario schema, type invariants, and configuration validation."""
 import io
+import re
 
 import pytest
 
@@ -96,9 +97,18 @@ def test_unknown_unit_names_the_field():
 
 
 def test_missing_field_is_a_parse_error():
-    doc = MINIMAL_DOC.replace("uplink_rate_bps: 1000\n", "")
-    with pytest.raises(ParseError, match="uplink_rate_bps"):
-        parse_scenario(doc)
+    for doc, path in (
+        (MINIMAL_DOC.replace("uplink_rate_bps: 1000\n", ""), "uplink_rate_bps"),
+        (MINIMAL_DOC + "weights: {latency: 0.5, security: 0.5}\n", "weights.cost"),
+        (MINIMAL_DOC + "qos_class: {priority: high}\n", "qos_class.security_need"),
+        (
+            MINIMAL_DOC + "mode_table:\n  restricted: {weights: {latency: 1, cost: 0}}\n",
+            "mode_table.restricted.weights.security",
+        ),
+        (MINIMAL_DOC.replace(", unit_price: 1.0}", "}"), "verifiers[0].unit_price"),
+    ):
+        with pytest.raises(ParseError, match=re.escape(f"missing required field '{path}'")):
+            parse_scenario(doc)
 
 
 def test_unknown_field_is_a_parse_error():
@@ -106,13 +116,16 @@ def test_unknown_field_is_a_parse_error():
         "{id: 1, compute_capacity: 5.0, unit_price: 0.5}",
         "{id: 1, compute_capacity: 5.0, unit_price: 0.5, 7: x, y: z}",
     )
-    for doc, field_name in (
+    for doc, path in (
         (MINIMAL_DOC + "\nconsensus: dpos\n", "consensus"),
         # Unknown keys of mixed types must not break the sort that names them.
-        (MINIMAL_DOC + "\n1: a\nzzz: 2\n", "unknown field '1'"),
-        (mixed_verifier, r"verifiers\[1\]"),
+        (MINIMAL_DOC + "\n1: a\nzzz: 2\n", "1"),
+        (mixed_verifier, "verifiers[1].7"),
+        (MINIMAL_DOC + "weights: {latency: 0.2, security: 0.3, cost: 0.5, speed: 1}\n", "weights.speed"),
+        (MINIMAL_DOC + "qos_class: {priority: high, security_need: low, colour: red}\n", "qos_class.colour"),
+        (MINIMAL_DOC + "mode_table:\n  restricted: {speed: 2}\n", "mode_table.restricted.speed"),
     ):
-        with pytest.raises(ParseError, match=field_name):
+        with pytest.raises(ParseError, match=re.escape(f"unknown field '{path}'")):
             parse_scenario(doc)
 
 
@@ -168,6 +181,17 @@ def test_optional_sections_parse():
     assert scenario.qos_class.label == "alerts"
     assert scenario.mode_table[0].mode == "restricted"
     assert scenario.mode_table[0].verifier_bounds == (1, 1)
+
+
+def test_bad_weight_value_names_its_path():
+    for weights, path in (
+        ("weights: {latency: x, security: 0.5, cost: 0.5}\n", "weights.latency"),
+        ("weights: [0.5, x, 0.5]\n", "weights[1]"),
+        ("mode_table:\n  restricted: {weights: {latency: 1, security: 0, cost: x}}\n",
+         "mode_table.restricted.weights.cost"),
+    ):
+        with pytest.raises(ParseError, match=re.escape(f"field '{path}': expected a number")):
+            parse_scenario(MINIMAL_DOC + weights)
 
 
 def test_unknown_mode_name_rejected():
@@ -247,11 +271,10 @@ def test_validate_config_matches_box_conjunction_exhaustively():
 def test_optimization_trace_invariants():
     cfg = BlockchainConfig(1, 1)
     entries = (TraceEntry(1, cfg, 0.5), TraceEntry(2, BlockchainConfig(1, 2), 0.4))
-    trace = OptimizationTrace(entries=entries, result=cfg, evaluations=2)
+    trace = OptimizationTrace(entries=entries, result=cfg)
+    assert trace.evaluations == 2
     assert trace.best_so_far() == (0.5, 0.4)
     with pytest.raises(ValidationError):
-        OptimizationTrace(entries=entries, result=cfg, evaluations=3)
+        OptimizationTrace(entries=(TraceEntry(2, cfg, 0.5),), result=cfg)
     with pytest.raises(ValidationError):
-        OptimizationTrace(entries=(TraceEntry(2, cfg, 0.5),), result=cfg, evaluations=1)
-    with pytest.raises(ValidationError):
-        OptimizationTrace(entries=entries, result=BlockchainConfig(9, 9), evaluations=2)
+        OptimizationTrace(entries=entries, result=BlockchainConfig(9, 9))
