@@ -49,7 +49,6 @@ from .optimizer import (
 )
 from .qos import ModeDirective, apply_directive, map_class
 from .dpos_sim import (
-    JitterSpec,
     ModelMismatchError,
     SimConfig,
     SimEvent,

@@ -33,9 +33,10 @@ from .model import (
     ParseError,
     QosWeights,
     ScenarioParams,
+    ValidationError,
     load_scenario,
 )
-from .dpos_sim import JitterSpec, ModelMismatchError, SimConfig
+from .dpos_sim import ModelMismatchError, SimConfig
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -50,10 +51,11 @@ def _parse_weights_flag(text: str) -> QosWeights:
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("expected three comma-separated weights, e.g. 0.3,0.3,0.4")
     try:
-        values = [float(p) for p in parts]
+        return QosWeights(*(float(p) for p in parts))
+    except ValidationError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     except ValueError:
         raise argparse.ArgumentTypeError(f"weights must be numbers, got {text!r}") from None
-    return QosWeights(*values)
 
 
 def _parse_qos_class_flag(text: str) -> tuple[str, str]:
@@ -63,16 +65,15 @@ def _parse_qos_class_flag(text: str) -> tuple[str, str]:
     return (parts[0], parts[1])
 
 
-def _parse_jitter_flag(text: str) -> JitterSpec:
+def _parse_jitter_flag(text: str) -> float:
     if text == "none":
-        return JitterSpec(distribution="none", spread_fraction=0.0)
-    kind, sep, spread = text.partition(":")
-    if not sep:
-        raise argparse.ArgumentTypeError("expected kind:spread, e.g. uniform:0.1, or 'none'")
+        return 0.0
+    if not text.startswith("uniform:"):
+        raise argparse.ArgumentTypeError("expected uniform:SPREAD, e.g. uniform:0.1, or 'none'")
     try:
-        return JitterSpec(distribution=kind, spread_fraction=float(spread))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+        return float(text.removeprefix("uniform:"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"jitter spread must be a number, got {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -139,9 +140,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub_simulate.add_argument(
         "--jitter",
         type=_parse_jitter_flag,
-        default=JitterSpec(distribution="none", spread_fraction=0.0),
-        metavar="KIND:SPREAD",
-        help="service-time jitter, e.g. uniform:0.1 (default: none)",
+        default=0.0,
+        metavar="uniform:SPREAD",
+        help="service-time jitter, uniform on [1 - SPREAD, 1 + SPREAD] (default: none)",
     )
     sub_simulate.add_argument(
         "--rotate-bm",

@@ -7,6 +7,10 @@ disabled the simulated round latency reproduces the closed-form latency
 exactly (up to floating-point accumulation), which is the central
 validation property of the analytic model.
 
+A round starts only when the previous block commits, so the event heap
+holds one round at a time and is empty after every commit. Each logged
+:class:`SimEvent` is its own row of the CSV artifact.
+
 Randomness comes from Python's Mersenne Twister (``random.Random``) seeded
 from the run configuration; only ``random()`` draws are consumed, in a
 fixed per-round order (dispatch, each verifier in selection order,
@@ -20,7 +24,7 @@ import io
 import json
 import random
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple
 
 from . import metrics
 from .model import (
@@ -61,30 +65,13 @@ class ModelMismatchError(RuntimeError):
     """Simulated latency deviated from the closed form beyond tolerance."""
 
 
-@dataclass(frozen=True)
-class SimEvent:
+class SimEvent(NamedTuple):
+    """One logged event; its fields are the event log's columns, in order."""
+
     time_s: float
+    round: int
     kind: str
     actor_id: int
-    round: int
-
-
-@dataclass(frozen=True)
-class JitterSpec:
-    """Multiplicative service-time noise: uniform on [1 - spread, 1 + spread]."""
-
-    distribution: str = "uniform"
-    spread_fraction: float = 0.0
-
-    def __post_init__(self):
-        if self.distribution not in ("none", "uniform"):
-            raise ValidationError(f"unknown jitter distribution {self.distribution!r}")
-        if not 0.0 <= self.spread_fraction < 1.0:
-            raise ValidationError("spread_fraction must lie in [0, 1)")
-
-    @property
-    def active(self) -> bool:
-        return self.distribution != "none" and self.spread_fraction > 0.0
 
 
 @dataclass(frozen=True)
@@ -92,7 +79,7 @@ class SimConfig:
     scenario: ScenarioParams
     config: BlockchainConfig
     rounds: int = 1
-    jitter: Optional[JitterSpec] = None
+    jitter: float = 0.0  # spread j: each service time scales by uniform [1 - j, 1 + j]
     rng_seed: int = 0
     rotate_bm: bool = False
 
@@ -101,6 +88,8 @@ class SimConfig:
             raise ValidationError("rounds must be at least 1")
         if not 0 <= self.rng_seed < 2**64:
             raise ValidationError("rng_seed must fit in 64 unsigned bits")
+        if not 0.0 <= self.jitter < 1.0:  # also false for NaN
+            raise ValidationError(f"jitter must lie in [0, 1), got {self.jitter!r}")
 
 
 @dataclass(frozen=True)
@@ -115,8 +104,10 @@ class SimReport:
 def run(sim: SimConfig) -> SimReport:
     """Simulate ``sim.rounds`` sequential verification rounds.
 
-    Rounds are back to back: a round starts when the previous block commits.
-    The event log is totally ordered by (time, round, stage, actor).
+    Rounds are back to back: a round starts when the previous block commits,
+    so the heap holds only the current round's events. The event log is
+    totally ordered by (time, round, stage, actor), and each event is one
+    row of :func:`events_to_csv`.
     """
     scenario, config = sim.scenario, sim.config
     analytic = metrics.latency(scenario, config)  # the one feasibility check
@@ -129,60 +120,48 @@ def run(sim: SimConfig) -> SimReport:
     feedback_s = scenario.feedback_size_bits / scenario.uplink_rate_bps
 
     rng = random.Random(sim.rng_seed)
-    jitter = sim.jitter if sim.jitter is not None and sim.jitter.active else None
 
     def factor() -> float:
-        if jitter is None:
+        if not sim.jitter:
             return 1.0
-        spread = jitter.spread_fraction
-        return 1.0 + spread * (2.0 * rng.random() - 1.0)
+        return 1.0 + sim.jitter * (2.0 * rng.random() - 1.0)
 
-    def bm_id(round_index: int) -> int:
-        if sim.rotate_bm:
-            return selected[round_index % m].id
-        return STATIC_BM_ID
+    heap: list[tuple[float, int, int]] = []
 
-    heap: list[tuple[float, int, int, int]] = []
-
-    def schedule(time_s: float, round_index: int, kind: str, actor_id: int) -> None:
-        heapq.heappush(heap, (time_s, round_index, _KIND_RANK[kind], actor_id))
+    def schedule(time_s: float, kind: str, actor_id: int) -> None:
+        heapq.heappush(heap, (time_s, _KIND_RANK[kind], actor_id))
 
     events: list[SimEvent] = []
-    round_start: dict[int, float] = {}
-    pending_verifications: dict[int, int] = {}
     latencies: list[float] = []
     committed = 0
-
-    def start_round(round_index: int, time_s: float) -> None:
-        round_start[round_index] = time_s
-        pending_verifications[round_index] = m
+    start_s = 0.0
+    for round_index in range(sim.rounds):
+        manager = selected[round_index % m].id if sim.rotate_bm else STATIC_BM_ID
+        pending = m
         if sim.rotate_bm:
-            schedule(time_s, round_index, BM_ROTATED, bm_id(round_index))
-        schedule(time_s + dispatch_s * factor(), round_index, BLOCK_DISPATCHED, bm_id(round_index))
-
-    start_round(0, 0.0)
-    while heap:
-        time_s, round_index, kind_rank, actor_id = heapq.heappop(heap)
-        kind = EVENT_KINDS[kind_rank]
-        events.append(SimEvent(time_s=time_s, kind=kind, actor_id=actor_id, round=round_index))
-        if kind == BLOCK_DISPATCHED:
-            for profile in selected:
-                service = scenario.verification_workload / profile.compute_capacity
-                schedule(time_s + service * factor(), round_index, VERIFICATION_DONE, profile.id)
-        elif kind == VERIFICATION_DONE:
-            pending_verifications[round_index] -= 1
-            if pending_verifications[round_index] == 0:
-                # The popped event is the latest finisher; broadcast starts here.
-                schedule(time_s + broadcast_s * factor(), round_index, BROADCAST_DONE, bm_id(round_index))
-        elif kind == BROADCAST_DONE:
-            schedule(time_s + feedback_s * factor(), round_index, FEEDBACK_RECEIVED, bm_id(round_index))
-        elif kind == FEEDBACK_RECEIVED:
-            latencies.append(time_s - round_start[round_index])
-            schedule(time_s, round_index, BLOCK_COMMITTED, bm_id(round_index))
-        elif kind == BLOCK_COMMITTED:
-            committed += 1
-            if round_index + 1 < sim.rounds:
-                start_round(round_index + 1, time_s)
+            schedule(start_s, BM_ROTATED, manager)
+        schedule(start_s + dispatch_s * factor(), BLOCK_DISPATCHED, manager)
+        while heap:
+            time_s, kind_rank, actor_id = heapq.heappop(heap)
+            kind = EVENT_KINDS[kind_rank]
+            events.append(SimEvent(time_s, round_index, kind, actor_id))
+            if kind == BLOCK_DISPATCHED:
+                for profile in selected:
+                    service = scenario.verification_workload / profile.compute_capacity
+                    schedule(time_s + service * factor(), VERIFICATION_DONE, profile.id)
+            elif kind == VERIFICATION_DONE:
+                pending -= 1
+                if pending == 0:
+                    # The popped event is the latest finisher; broadcast starts here.
+                    schedule(time_s + broadcast_s * factor(), BROADCAST_DONE, manager)
+            elif kind == BROADCAST_DONE:
+                schedule(time_s + feedback_s * factor(), FEEDBACK_RECEIVED, manager)
+            elif kind == FEEDBACK_RECEIVED:
+                latencies.append(time_s - start_s)
+                schedule(time_s, BLOCK_COMMITTED, manager)
+            elif kind == BLOCK_COMMITTED:
+                committed += 1
+                start_s = time_s
 
     return SimReport(
         per_round_latency_s=tuple(latencies),
@@ -196,18 +175,19 @@ def run(sim: SimConfig) -> SimReport:
 def closed_form_deviations(sim: SimConfig, report: SimReport) -> list[float]:
     """Per-round ``|simulated - analytic| / analytic`` latency of a finished run.
 
-    Without active jitter, a round deviating by more than ``SIM_REL_TOL``
-    raises :class:`ModelMismatchError` naming the configuration.
+    Without jitter, the first round deviating by more than ``SIM_REL_TOL``,
+    or by NaN, raises :class:`ModelMismatchError` naming the configuration.
     """
     analytic = report.analytic_latency_s
     deviations = [abs(latency - analytic) / analytic for latency in report.per_round_latency_s]
-    jittered = sim.jitter is not None and sim.jitter.active
-    if not jittered and max(deviations) > SIM_REL_TOL:
-        raise ModelMismatchError(
-            f"config (m={sim.config.num_verifiers}, theta={sim.config.txns_per_block}): "
-            f"simulated latency deviates from the closed form by {max(deviations):.3e} "
-            f"(tolerance {SIM_REL_TOL})"
-        )
+    if not sim.jitter:
+        for round_index, deviation in enumerate(deviations):
+            if not deviation <= SIM_REL_TOL:  # also true for NaN
+                raise ModelMismatchError(
+                    f"config (m={sim.config.num_verifiers}, theta={sim.config.txns_per_block}): "
+                    f"round {round_index} simulated latency deviates from the closed form "
+                    f"by {deviation:.3e} (tolerance {SIM_REL_TOL})"
+                )
     return deviations
 
 
@@ -224,7 +204,10 @@ class SimSweepReport:
     """Simulated-vs-analytic deviations over the whole feasible grid."""
 
     cells: tuple[SimSweepCell, ...]
-    max_abs_rel_deviation: float
+
+    @property
+    def max_abs_rel_deviation(self) -> float:
+        return max((cell.max_abs_rel_deviation for cell in self.cells), default=0.0)
 
 
 def sweep_sim(
@@ -232,7 +215,7 @@ def sweep_sim(
     *,
     rounds: int = 1,
     seed: int = 0,
-    jitter: Optional[JitterSpec] = None,
+    jitter: float = 0.0,
     grid_cap: int = DEFAULT_GRID_CAP,
 ) -> SimSweepReport:
     """Run the simulator at every feasible configuration.
@@ -242,7 +225,6 @@ def sweep_sim(
     jitter the deviations are only reported.
     """
     cells: list[SimSweepCell] = []
-    worst = 0.0
     for config in feasible_grid(scenario, grid_cap):
         sim = SimConfig(scenario=scenario, config=config, rounds=rounds, jitter=jitter, rng_seed=seed)
         report = run(sim)
@@ -255,17 +237,15 @@ def sweep_sim(
                 max_abs_rel_deviation=deviation,
             )
         )
-        worst = max(worst, deviation)
-    return SimSweepReport(cells=tuple(cells), max_abs_rel_deviation=worst)
+    return SimSweepReport(cells=tuple(cells))
 
 
 def events_to_csv(events: tuple[SimEvent, ...]) -> str:
     """Event log as CSV with a header row."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["time_s", "round", "kind", "actor_id"])
-    for event in events:
-        writer.writerow([event.time_s, event.round, event.kind, event.actor_id])
+    writer.writerow(SimEvent._fields)
+    writer.writerows(events)
     return buffer.getvalue()
 
 

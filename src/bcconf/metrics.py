@@ -82,18 +82,36 @@ def select_verifiers(scenario: ScenarioParams, m: int) -> tuple[VerifierProfile,
     return scenario.ranked_verifiers[:m]
 
 
+# How each latency stage is computed from the scenario's fields.
+_STAGE_FORMULAS = {
+    "downlink_s": "theta * transaction_size_bits / downlink_rate_bps",
+    "verify_s": "verification_workload / compute_capacity of the m-th fastest verifier",
+    "broadcast_s": "broadcast_coeff * theta * transaction_size_bits * m",
+    "feedback_s": "feedback_size_bits / uplink_rate_bps",
+}
+
+
 def latency_terms(scenario: ScenarioParams, config: BlockchainConfig) -> LatencyTerms:
-    """Per-stage latency of one verification round for a feasible configuration."""
+    """Per-stage latency of one verification round for a feasible configuration.
+
+    Raises :class:`ValidationError` naming the stage when the latency overflows.
+    """
     require_feasible(scenario, config)
     m, theta = config.num_verifiers, config.txns_per_block
     block_bits = theta * scenario.transaction_size_bits
-    return LatencyTerms(
+    terms = LatencyTerms(
         downlink_s=block_bits / scenario.downlink_rate_bps,
         # The ranking ascends in K/x, so the slowest of the first m is the m-th.
         verify_s=scenario.verification_workload / scenario.ranked_verifiers[m - 1].compute_capacity,
         broadcast_s=scenario.broadcast_coeff * block_bits * m,
         feedback_s=scenario.feedback_size_bits / scenario.uplink_rate_bps,
     )
+    if not math.isfinite(terms.total_s):
+        # Finite stages can still sum to infinity; then every stage is named.
+        stages = [name for name, value in vars(terms).items() if not math.isfinite(value)] or _STAGE_FORMULAS
+        details = "; ".join(f"{name} = {_STAGE_FORMULAS[name]} = {getattr(terms, name)!r}" for name in stages)
+        raise ValidationError(f"configuration (m={m}, theta={theta}): round latency is not finite: {details}")
+    return terms
 
 
 def latency(scenario: ScenarioParams, config: BlockchainConfig) -> float:

@@ -55,11 +55,15 @@ def test_missing_scenario_exits_3_without_partial_outputs(tmp_path):
     assert not out.exists()
 
 
-def test_invalid_weights_exit_2(tmp_path):
-    code = run_cli(
-        "optimize", "--scenario", SCENARIO, "--out", str(tmp_path), "--weights", "0.9,0.9,0.9"
-    )
-    assert code == 2
+def test_invalid_weights_exit_2(tmp_path, capsys):
+    for weights, reason in (("0.9,0.9,0.9", "weights must sum to 1"), ("nan,0,1", "latency_weight")):
+        code = run_cli(
+            "optimize", "--scenario", SCENARIO, "--out", str(tmp_path), "--weights", weights
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert reason in err
+        assert "_parse_weights_flag" not in err
 
 
 def test_invalid_scenario_content_exits_2(tmp_path):
@@ -84,6 +88,18 @@ def test_overflowing_network_scale_exponent_exits_2(tmp_path, capsys):
         out = tmp_path / command
         assert run_cli(command, "--scenario", str(bad), "--out", str(out)) == 2
         assert "network_scale_exponent" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+
+def test_overflowing_round_latency_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.scenario"
+    bad.write_text(
+        TABLE2_PATH.read_text().replace("transaction_size_bits: 1 kb", "transaction_size_bits: 1e308")
+    )
+    for argv in (("simulate", "--m", "9", "--theta", "12", "--rounds", "3"), ("optimize",)):
+        out = tmp_path / argv[0]
+        assert run_cli(*argv, "--scenario", str(bad), "--out", str(out)) == 2
+        assert "transaction_size_bits" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
 
@@ -178,6 +194,31 @@ def test_simulate_jitter_bounds(tmp_path):
     ) == 0
     for row in read_csv(out / "sim_report.csv"):
         assert float(row["abs_rel_deviation"]) <= 0.1 + 1e-9
+
+
+def test_simulate_rejects_malformed_jitter(tmp_path, capsys):
+    for jitter in ("gaussian:0.1", "uniform:1.0", "uniform:abc", "uniform", "none:0.5"):
+        out = tmp_path / jitter.replace(":", "_")
+        code = run_cli(
+            "simulate", "--scenario", SCENARIO, "--out", str(out),
+            "--m", "4", "--theta", "6", "--jitter", jitter,
+        )
+        assert code == 2, jitter
+        assert "jitter" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+
+def test_simulate_jitter_off_spellings_match_default(tmp_path):
+    names = ["events.csv", "events.ndjson", "sim_report.csv"]
+    digests = []
+    for k, extra in enumerate(((), ("--jitter", "none"), ("--jitter", "uniform:0"))):
+        out = tmp_path / str(k)
+        assert run_cli(
+            "simulate", "--scenario", SCENARIO, "--out", str(out),
+            "--m", "4", "--theta", "6", "--rounds", "5", "--seed", "3", *extra,
+        ) == 0
+        digests.append(hash_files(out, names))
+    assert digests[0] == digests[1] == digests[2]
 
 
 def test_simulate_model_mismatch_exits_4(tmp_path, monkeypatch, capsys):

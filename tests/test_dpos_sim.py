@@ -1,5 +1,6 @@
 """Event-driven round simulation against the closed-form latency oracle."""
 import json
+import math
 import random
 
 import pytest
@@ -7,7 +8,6 @@ import pytest
 from bcconf import (
     BlockchainConfig,
     ConstraintError,
-    JitterSpec,
     ModelMismatchError,
     SimConfig,
     ValidationError,
@@ -73,7 +73,7 @@ def test_same_seed_gives_byte_identical_logs():
         scenario=scenario,
         config=BlockchainConfig(4, 9),
         rounds=20,
-        jitter=JitterSpec("uniform", 0.2),
+        jitter=0.2,
         rng_seed=123456789,
     )
     first = run_simulation(sim)
@@ -84,7 +84,7 @@ def test_same_seed_gives_byte_identical_logs():
 
 def test_different_seeds_differ_under_jitter():
     scenario = load_scenario(TABLE2_PATH)
-    base = dict(scenario=scenario, config=BlockchainConfig(4, 9), rounds=5, jitter=JitterSpec("uniform", 0.2))
+    base = dict(scenario=scenario, config=BlockchainConfig(4, 9), rounds=5, jitter=0.2)
     a = run_simulation(SimConfig(rng_seed=1, **base))
     b = run_simulation(SimConfig(rng_seed=2, **base))
     assert a.per_round_latency_s != b.per_round_latency_s
@@ -97,7 +97,7 @@ def test_event_log_causality_per_round():
             scenario=scenario,
             config=BlockchainConfig(6, 3),
             rounds=8,
-            jitter=JitterSpec("uniform", 0.3),
+            jitter=0.3,
             rng_seed=9,
         )
     )
@@ -124,7 +124,7 @@ def test_jitter_latency_stays_within_spread_bounds():
     analytic = latency(scenario, config)
     spread = 0.1
     report = run_simulation(
-        SimConfig(scenario=scenario, config=config, rounds=300, jitter=JitterSpec("uniform", spread), rng_seed=5)
+        SimConfig(scenario=scenario, config=config, rounds=300, jitter=spread, rng_seed=5)
     )
     for value in report.per_round_latency_s:
         assert value >= (1 - spread) * analytic - 1e-9
@@ -135,7 +135,7 @@ def test_jitter_mean_close_to_analytic_with_upward_bias():
     scenario = load_scenario(TABLE2_PATH)
     config = BlockchainConfig(5, 10)
     report = run_simulation(
-        SimConfig(scenario=scenario, config=config, rounds=1000, jitter=JitterSpec("uniform", 0.1), rng_seed=42)
+        SimConfig(scenario=scenario, config=config, rounds=1000, jitter=0.1, rng_seed=42)
     )
     analytic = report.analytic_latency_s
     assert abs(report.mean_latency_s - analytic) / analytic <= 0.03
@@ -188,10 +188,9 @@ def test_sim_config_validation():
         SimConfig(scenario=scenario, config=config, rounds=0)
     with pytest.raises(ValidationError):
         SimConfig(scenario=scenario, config=config, rng_seed=2**64)
-    with pytest.raises(ValidationError):
-        JitterSpec("uniform", 1.0)
-    with pytest.raises(ValidationError):
-        JitterSpec("gaussian", 0.1)
+    for jitter in (1.0, -0.1, math.nan):
+        with pytest.raises(ValidationError, match="jitter"):
+            SimConfig(scenario=scenario, config=config, jitter=jitter)
 
 
 def test_sweep_sim_covers_grid_and_stays_within_tolerance():
@@ -216,7 +215,7 @@ def test_sweep_sim_with_jitter_keeps_means_within_three_percent():
         capacities=(10.0, 5.0, 2.5), min_verifiers=1, max_verifiers=3,
         min_txn_per_block=1, max_txn_per_block=3,
     )
-    report = sweep_sim(scenario, rounds=1000, seed=11, jitter=JitterSpec("uniform", 0.1))
+    report = sweep_sim(scenario, rounds=1000, seed=11, jitter=0.1)
     for cell in report.cells:
         rel = (cell.mean_latency_s - cell.analytic_latency_s) / cell.analytic_latency_s
         assert abs(rel) <= 0.03
@@ -231,7 +230,7 @@ def test_jitter_bias_is_upward_where_verification_windows_overlap():
         capacities=(5.0, 5.0), min_verifiers=2, max_verifiers=2,
         min_txn_per_block=1, max_txn_per_block=2,
     )
-    report = sweep_sim(scenario, rounds=1000, seed=11, jitter=JitterSpec("uniform", 0.1))
+    report = sweep_sim(scenario, rounds=1000, seed=11, jitter=0.1)
     for cell in report.cells:
         assert cell.mean_latency_s >= cell.analytic_latency_s - 1e-9
         rel = (cell.mean_latency_s - cell.analytic_latency_s) / cell.analytic_latency_s
@@ -246,11 +245,12 @@ def test_sweep_sim_grid_cap():
         sweep_sim(scenario, rounds=1, seed=0, grid_cap=100)
 
 
-def test_model_mismatch_raised_when_analytic_form_disagrees(monkeypatch):
+@pytest.mark.parametrize("analytic", [1e9, math.nan], ids=["1e9", "nan"])
+def test_model_mismatch_raised_when_analytic_form_disagrees(monkeypatch, analytic):
     from bcconf import dpos_sim, metrics
 
     scenario = make_scenario(capacities=(10.0, 5.0))
-    monkeypatch.setattr(metrics, "latency", lambda s, c: 1e9)
+    monkeypatch.setattr(metrics, "latency", lambda s, c: analytic)
     with pytest.raises(ModelMismatchError, match="m=1, theta=1"):
         dpos_sim.sweep_sim(scenario, rounds=1, seed=0)
 

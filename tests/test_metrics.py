@@ -150,6 +150,27 @@ def test_latency_rejects_infeasible_config():
         latency(scenario, BlockchainConfig(1, 99))
 
 
+@pytest.mark.parametrize(
+    "theta,named",
+    [
+        (2, ["downlink_s", "broadcast_s"]),  # theta * B overflows inside these two stages
+        (1, ["downlink_s", "verify_s", "broadcast_s", "feedback_s"]),  # finite stages, infinite sum
+    ],
+    ids=["stage", "sum"],
+)
+def test_overflowing_round_latency_is_a_validation_error(theta, named):
+    scenario = make_scenario(
+        capacities=(10.0,), transaction_size_bits=1e308, downlink_rate_bps=1.0, broadcast_coeff=1.0
+    )
+    stages = ["downlink_s", "verify_s", "broadcast_s", "feedback_s"]
+    for evaluate in (latency_terms, latency):
+        with pytest.raises(ValidationError, match=f"m=1, theta={theta}") as excinfo:
+            evaluate(scenario, BlockchainConfig(1, theta))
+        message = str(excinfo.value)
+        assert "transaction_size_bits" in message
+        assert [stage for stage in stages if f"{stage} = " in message] == named
+
+
 def test_latency_decomposition_is_exact():
     rng = random.Random(7)
     for _ in range(200):
