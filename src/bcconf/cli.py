@@ -1,7 +1,9 @@
 """Command-line interface: optimize, sweep, compare, simulate.
 
 Each command loads a scenario file, computes everything first, then writes
-its CSV artifacts and a ``manifest.json`` into the output directory. Re-runs
+its CSV artifacts and a ``manifest.json`` into the output directory, which
+is created only when the first artifact is written, so a rejected run leaves
+nothing behind. Re-runs
 with identical inputs and seed overwrite the CSV files byte for byte; the
 manifest records wall time and is the one file excluded from that guarantee.
 
@@ -22,7 +24,7 @@ import os
 import sys
 import time
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional, Sequence, TextIO
 
 from . import __version__, dpos_sim, metrics, optimizer, qos
 from .model import (
@@ -182,8 +184,14 @@ def _resolve_directive_and_weights(
     return effective, weights
 
 
+def _create(path: Path) -> TextIO:
+    """Open an artifact for writing, creating the output directory first."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return open(path, "w", encoding="utf-8", newline="")
+
+
 def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
+    with _create(path) as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
@@ -198,7 +206,7 @@ def _write_manifest(out_dir: Path, args: argparse.Namespace, started: float) -> 
         "tool_version": __version__,
         "wall_time_s": time.perf_counter() - started,
     }
-    with open(out_dir / "manifest.json", "w", encoding="utf-8") as handle:
+    with _create(out_dir / "manifest.json") as handle:
         json.dump(payload, handle, indent=2)
         handle.write("\n")
 
@@ -252,7 +260,7 @@ def _cmd_optimize(args: argparse.Namespace, scenario: ScenarioParams, out_dir: P
             ]
         ],
     )
-    with open(out_dir / "trace.csv", "w", encoding="utf-8", newline="") as handle:
+    with _create(out_dir / "trace.csv") as handle:
         handle.write(optimizer.trace_to_csv(result.trace))
 
 
@@ -335,10 +343,8 @@ def _cmd_simulate(args: argparse.Namespace, scenario: ScenarioParams, out_dir: P
     )
     report = dpos_sim.run(sim)
     deviations = dpos_sim.closed_form_deviations(sim, report)  # raises before any write
-    with open(out_dir / "events.csv", "w", encoding="utf-8", newline="") as handle:
-        handle.write(dpos_sim.events_to_csv(report.events))
-    with open(out_dir / "events.ndjson", "w", encoding="utf-8", newline="") as handle:
-        handle.write(dpos_sim.events_to_ndjson(report.events))
+    with _create(out_dir / "events.csv") as csv_file, _create(out_dir / "events.ndjson") as ndjson_file:
+        dpos_sim.write_events(report.events, csv_file, ndjson_file)
     _write_csv(
         out_dir / "sim_report.csv",
         ["round", "latency_s", "analytic_latency_s", "abs_rel_deviation"],
@@ -367,7 +373,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         scenario = load_scenario(Path(args.scenario))
         out_dir = _resolve_out_dir(args)
-        out_dir.mkdir(parents=True, exist_ok=True)
         _COMMANDS[args.command](args, scenario, out_dir)
         _write_manifest(out_dir, args, started)
     except ModelMismatchError as exc:

@@ -8,8 +8,9 @@ exactly (up to floating-point accumulation), which is the central
 validation property of the analytic model.
 
 A round starts only when the previous block commits, so the event heap
-holds one round at a time and is empty after every commit. Each logged
-:class:`SimEvent` is its own row of the CSV artifact.
+holds one round at a time and is empty after every commit; the clock runs
+on across rounds and must stay finite. :func:`write_events` writes each
+logged :class:`SimEvent` as one line of both event logs, in one pass.
 
 Randomness comes from Python's Mersenne Twister (``random.Random``) seeded
 from the run configuration; only ``random()`` draws are consumed, in a
@@ -18,13 +19,11 @@ broadcast, feedback), so replays are reproducible across platforms.
 """
 from __future__ import annotations
 
-import csv
 import heapq
-import io
-import json
+import math
 import random
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterable, NamedTuple, TextIO
 
 from . import metrics
 from .model import (
@@ -107,12 +106,14 @@ def run(sim: SimConfig) -> SimReport:
     Rounds are back to back: a round starts when the previous block commits,
     so the heap holds only the current round's events. The event log is
     totally ordered by (time, round, stage, actor), and each event is one
-    row of :func:`events_to_csv`.
+    line of each log :func:`write_events` writes. A round that commits at a
+    non-finite time raises :class:`ValidationError` naming ``rounds``.
     """
     scenario, config = sim.scenario, sim.config
     analytic = metrics.latency(scenario, config)  # the one feasibility check
     m, theta = config.num_verifiers, config.txns_per_block
     selected = scenario.ranked_verifiers[:m]
+    verify_s = scenario.ranked_verify_s[:m]
 
     block_bits = theta * scenario.transaction_size_bits
     dispatch_s = block_bits / scenario.downlink_rate_bps
@@ -146,9 +147,8 @@ def run(sim: SimConfig) -> SimReport:
             kind = EVENT_KINDS[kind_rank]
             events.append(SimEvent(time_s, round_index, kind, actor_id))
             if kind == BLOCK_DISPATCHED:
-                for profile in selected:
-                    service = scenario.verification_workload / profile.compute_capacity
-                    schedule(time_s + service * factor(), VERIFICATION_DONE, profile.id)
+                for profile, service_s in zip(selected, verify_s):
+                    schedule(time_s + service_s * factor(), VERIFICATION_DONE, profile.id)
             elif kind == VERIFICATION_DONE:
                 pending -= 1
                 if pending == 0:
@@ -160,6 +160,10 @@ def run(sim: SimConfig) -> SimReport:
                 latencies.append(time_s - start_s)
                 schedule(time_s, BLOCK_COMMITTED, manager)
             elif kind == BLOCK_COMMITTED:
+                if not math.isfinite(time_s):
+                    raise ValidationError(
+                        f"rounds={sim.rounds}: the simulated clock overflows in round {round_index}"
+                    )
                 committed += 1
                 start_s = time_s
 
@@ -240,21 +244,16 @@ def sweep_sim(
     return SimSweepReport(cells=tuple(cells))
 
 
-def events_to_csv(events: tuple[SimEvent, ...]) -> str:
-    """Event log as CSV with a header row."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(SimEvent._fields)
-    writer.writerows(events)
-    return buffer.getvalue()
+def write_events(events: Iterable[SimEvent], csv_file: TextIO, ndjson_file: TextIO) -> None:
+    """Stream the event log to both handles: CSV (header first) and NDJSON.
 
-
-def events_to_ndjson(events: tuple[SimEvent, ...]) -> str:
-    """Event log as newline-delimited JSON records."""
-    lines = [
-        json.dumps(
-            {"time_s": e.time_s, "round": e.round, "kind": e.kind, "actor_id": e.actor_id}
-        )
-        for e in events
-    ]
-    return "\n".join(lines) + ("\n" if lines else "")
+    Each time is formatted once with ``repr``, which is what ``csv`` and
+    ``json`` write for the finite floats :func:`run` logs; kinds match
+    ``[a-z_]+``, so nothing needs CSV quoting or JSON escaping.
+    """
+    write_csv, write_ndjson = csv_file.write, ndjson_file.write
+    write_csv(",".join(SimEvent._fields) + "\n")
+    for time_s, round_index, kind, actor_id in events:
+        t = repr(time_s)
+        write_csv(f"{t},{round_index},{kind},{actor_id}\n")
+        write_ndjson(f'{{"time_s": {t}, "round": {round_index}, "kind": "{kind}", "actor_id": {actor_id}}}\n')

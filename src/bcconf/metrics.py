@@ -102,7 +102,7 @@ def latency_terms(scenario: ScenarioParams, config: BlockchainConfig) -> Latency
     terms = LatencyTerms(
         downlink_s=block_bits / scenario.downlink_rate_bps,
         # The ranking ascends in K/x, so the slowest of the first m is the m-th.
-        verify_s=scenario.verification_workload / scenario.ranked_verifiers[m - 1].compute_capacity,
+        verify_s=scenario.ranked_verify_s[m - 1],
         broadcast_s=scenario.broadcast_coeff * block_bits * m,
         feedback_s=scenario.feedback_size_bits / scenario.uplink_rate_bps,
     )

@@ -134,9 +134,10 @@ class ScenarioParams:
     time. The verifier list may exceed ``max_verifiers``: the bound caps
     selection, not the population.
 
-    Two fields are derived at construction and take no part in equality,
+    Three fields are derived at construction and take no part in equality,
     hashing or ``repr``: ``ranked_verifiers`` orders the population by
-    ascending verification time K/x, ties by ascending id, and
+    ascending verification time K/x, ties by ascending id,
+    ``ranked_verify_s[i]`` is that time K/x of ``ranked_verifiers[i]``, and
     ``payment_prefix[m]`` is the summed capacity payment (price * x) of the
     first m of that ranking, added left to right from 0.
     """
@@ -159,6 +160,7 @@ class ScenarioParams:
     qos_class: Optional[DataClass] = None
     mode_table: Optional[tuple[ModeTableRule, ...]] = None
     ranked_verifiers: tuple[VerifierProfile, ...] = field(init=False, repr=False, compare=False)
+    ranked_verify_s: tuple[float, ...] = field(init=False, repr=False, compare=False)
     payment_prefix: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -202,6 +204,7 @@ class ScenarioParams:
             sorted(self.verifiers, key=lambda p: (workload / p.compute_capacity, p.id))
         )
         object.__setattr__(self, "ranked_verifiers", ranked)
+        object.__setattr__(self, "ranked_verify_s", tuple(workload / p.compute_capacity for p in ranked))
         object.__setattr__(
             self,
             "payment_prefix",

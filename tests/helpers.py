@@ -1,10 +1,13 @@
 """Shared fixtures and random generators for the test suite."""
 from __future__ import annotations
 
+import csv
+import io
+import json
 import random
 from pathlib import Path
 
-from bcconf import QosWeights, ScenarioParams, VerifierProfile, load_scenario
+from bcconf import QosWeights, ScenarioParams, SimEvent, VerifierProfile, load_scenario
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 TABLE2_PATH = REPO_ROOT / "scenarios" / "table2.scenario"
@@ -134,3 +137,19 @@ ADVERSARIAL_SCENARIO = ScenarioParams(
 ADVERSARIAL_WEIGHTS = QosWeights(
     0.7121174275391753, 0.10380357985302015, 0.18407899260780455
 )
+
+
+def reference_event_logs(events) -> tuple[str, str]:
+    """The event logs formatted by ``csv.writer`` and ``json.dumps``: (CSV, NDJSON).
+
+    This is the reference the one-pass writer must match byte for byte.
+    """
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(SimEvent._fields)
+    writer.writerows(events)
+    ndjson = "".join(
+        json.dumps({"time_s": e.time_s, "round": e.round, "kind": e.kind, "actor_id": e.actor_id}) + "\n"
+        for e in events
+    )
+    return buffer.getvalue(), ndjson

@@ -88,7 +88,7 @@ def test_overflowing_network_scale_exponent_exits_2(tmp_path, capsys):
         out = tmp_path / command
         assert run_cli(command, "--scenario", str(bad), "--out", str(out)) == 2
         assert "network_scale_exponent" in capsys.readouterr().err
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
 
 
 def test_overflowing_round_latency_exits_2(tmp_path, capsys):
@@ -100,7 +100,31 @@ def test_overflowing_round_latency_exits_2(tmp_path, capsys):
         out = tmp_path / argv[0]
         assert run_cli(*argv, "--scenario", str(bad), "--out", str(out)) == 2
         assert "transaction_size_bits" in capsys.readouterr().err
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
+
+
+def test_clock_overflow_across_rounds_exits_2(tmp_path, capsys):
+    # Each round's latency is finite; 10,000 of them are not.
+    bad = tmp_path / "bad.scenario"
+    bad.write_text(
+        TABLE2_PATH.read_text().replace("transaction_size_bits: 1 kb", "transaction_size_bits: 1e307")
+    )
+    for k, extra in enumerate(((), ("--jitter", "uniform:0.1"))):
+        out = tmp_path / str(k)
+        code = run_cli(
+            "simulate", "--scenario", str(bad), "--out", str(out),
+            "--m", "9", "--theta", "12", "--rounds", "10000", *extra,
+        )
+        assert code == 2
+        assert "rounds=10000" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_infeasible_simulate_config_leaves_no_out_dir(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert run_cli("simulate", "--scenario", SCENARIO, "--out", str(out), "--m", "99", "--theta", "6") == 2
+    assert "m=99" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_weights_flag_is_used(tmp_path):
@@ -205,7 +229,7 @@ def test_simulate_rejects_malformed_jitter(tmp_path, capsys):
         )
         assert code == 2, jitter
         assert "jitter" in capsys.readouterr().err
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
 
 
 def test_simulate_jitter_off_spellings_match_default(tmp_path):
@@ -232,9 +256,8 @@ def test_simulate_model_mismatch_exits_4(tmp_path, monkeypatch, capsys):
     )
     assert code == 4
     assert "m=2, theta=2" in capsys.readouterr().err
-    # The mismatch is detected before any simulation artifact is written.
-    for name in ("events.csv", "events.ndjson", "sim_report.csv"):
-        assert not (out / name).exists()
+    # The mismatch is detected before any artifact, or the directory, is written.
+    assert not out.exists()
 
 
 def test_rerun_is_byte_identical(tmp_path):

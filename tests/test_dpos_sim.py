@@ -1,7 +1,9 @@
 """Event-driven round simulation against the closed-form latency oracle."""
+import io
 import json
 import math
 import random
+import re
 
 import pytest
 
@@ -22,13 +24,27 @@ from bcconf.dpos_sim import (
     BLOCK_DISPATCHED,
     BM_ROTATED,
     BROADCAST_DONE,
+    EVENT_KINDS,
     FEEDBACK_RECEIVED,
     STATIC_BM_ID,
     VERIFICATION_DONE,
-    events_to_csv,
-    events_to_ndjson,
+    SimEvent,
+    write_events,
 )
-from helpers import TABLE2_PATH, make_scenario, random_feasible_config, random_scenario
+from helpers import (
+    TABLE2_PATH,
+    make_scenario,
+    random_feasible_config,
+    random_scenario,
+    reference_event_logs,
+)
+
+
+def event_logs(events) -> tuple[str, str]:
+    """What :func:`write_events` writes: (CSV, NDJSON)."""
+    csv_file, ndjson_file = io.StringIO(), io.StringIO()
+    write_events(events, csv_file, ndjson_file)
+    return csv_file.getvalue(), ndjson_file.getvalue()
 
 
 def test_zero_jitter_matches_closed_form_per_round():
@@ -78,7 +94,7 @@ def test_same_seed_gives_byte_identical_logs():
     )
     first = run_simulation(sim)
     second = run_simulation(sim)
-    assert events_to_csv(first.events) == events_to_csv(second.events)
+    assert event_logs(first.events) == event_logs(second.events)
     assert first == second
 
 
@@ -181,6 +197,16 @@ def test_infeasible_config_rejected():
         run_simulation(SimConfig(scenario=scenario, config=BlockchainConfig(3, 1)))
 
 
+def test_clock_overflow_across_rounds_is_a_validation_error():
+    # Each round takes a finite 1e307 s; the 18th commit passes the largest float.
+    scenario = make_scenario(capacities=(10.0,), transaction_size_bits=1e307, downlink_rate_bps=1.0)
+    config = BlockchainConfig(1, 1)
+    assert math.isfinite(run_simulation(SimConfig(scenario=scenario, config=config, rounds=17)).mean_latency_s)
+    for jitter, round_index in ((0.0, "17"), (0.1, r"\d+")):
+        with pytest.raises(ValidationError, match=rf"rounds=30: .* round {round_index}\b"):
+            run_simulation(SimConfig(scenario=scenario, config=config, rounds=30, jitter=jitter))
+
+
 def test_sim_config_validation():
     scenario = make_scenario(capacities=(10.0, 5.0))
     config = BlockchainConfig(1, 1)
@@ -258,11 +284,41 @@ def test_model_mismatch_raised_when_analytic_form_disagrees(monkeypatch, analyti
 def test_event_export_formats():
     scenario = make_scenario(capacities=(10.0, 5.0))
     report = run_simulation(SimConfig(scenario=scenario, config=BlockchainConfig(2, 1), rounds=1))
-    text = events_to_csv(report.events)
-    lines = text.strip().split("\n")
+    csv_text, ndjson_text = event_logs(report.events)
+    lines = csv_text.strip().split("\n")
     assert lines[0] == "time_s,round,kind,actor_id"
     assert len(lines) == len(report.events) + 1
-    records = [json.loads(line) for line in events_to_ndjson(report.events).strip().split("\n")]
+    records = [json.loads(line) for line in ndjson_text.strip().split("\n")]
     assert len(records) == len(report.events)
     assert records[0]["kind"] == BLOCK_DISPATCHED
     assert {r["kind"] for r in records} >= {VERIFICATION_DONE, BLOCK_COMMITTED}
+
+
+def test_event_kinds_need_no_quoting_or_escaping():
+    for kind in EVENT_KINDS:
+        assert re.fullmatch(r"[a-z_]+", kind), kind
+
+
+@pytest.mark.parametrize(
+    "scenario_kwargs, config, jitter, rotate_bm, exponent",
+    [
+        (None, BlockchainConfig(4, 9), 0.2, True, None),
+        (None, BlockchainConfig(9, 12), 0.0, False, None),
+        (dict(transaction_size_bits=1e-3, verification_workload=1e-4, feedback_size_bits=1e-3,
+              broadcast_coeff=1e-3), BlockchainConfig(2, 3), 0.3, True, "e-"),
+        (dict(transaction_size_bits=1e21, verification_workload=1e18, feedback_size_bits=1e21),
+         BlockchainConfig(2, 4), 0.1, False, "e+"),
+    ],
+    ids=["table2-jitter-rotate", "table2-plain", "tiny-times", "huge-times"],
+)
+def test_write_events_matches_csv_and_json_reference(scenario_kwargs, config, jitter, rotate_bm, exponent):
+    scenario = load_scenario(TABLE2_PATH) if scenario_kwargs is None else make_scenario(**scenario_kwargs)
+    report = run_simulation(
+        SimConfig(scenario=scenario, config=config, rounds=30, jitter=jitter, rng_seed=17, rotate_bm=rotate_bm)
+    )
+    csv_text, ndjson_text = event_logs(report.events)
+    assert (csv_text, ndjson_text) == reference_event_logs(report.events)
+    if exponent is not None:  # repr switches to exponent form at these magnitudes
+        assert exponent in csv_text and exponent in ndjson_text
+    lines = ndjson_text.splitlines()
+    assert [SimEvent(**json.loads(line)) for line in lines] == list(report.events)

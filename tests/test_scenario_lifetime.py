@@ -38,8 +38,10 @@ def test_derived_ranking_is_invisible_and_follows_the_verifiers():
     scenario = make_scenario(capacities=(10.0, 5.0, 2.0), prices=(1.0, 2.0, 3.0))
     assert "ranked_verifiers" not in repr(scenario)
     assert "payment_prefix" not in repr(scenario)
+    assert "ranked_verify_s" not in repr(scenario)
     assert parse_scenario(dump_scenario(scenario)) == scenario
     assert [p.id for p in select_verifiers(scenario, 3)] == [0, 1, 2]
+    assert scenario.ranked_verify_s == (2.0, 4.0, 10.0)  # K = 20 over x = 10, 5, 2
     assert scenario.payment_prefix == (0, 10.0, 20.0, 26.0)
 
     reordered = replace(
@@ -50,6 +52,7 @@ def test_derived_ranking_is_invisible_and_follows_the_verifiers():
         ),
     )
     assert [p.id for p in select_verifiers(reordered, 3)] == [2, 1, 0]
+    assert reordered.ranked_verify_s == (2.0, 4.0, 10.0)
     assert reordered.payment_prefix == (0, 30.0, 40.0, 42.0)
 
 
