@@ -1,11 +1,13 @@
 """Command-line interface: optimize, sweep, compare, simulate.
 
-Each command loads a scenario file, computes everything first, then writes
-its CSV artifacts and a ``manifest.json`` into the output directory, which
-is created only when the first artifact is written, so a rejected run leaves
-nothing behind. Re-runs
-with identical inputs and seed overwrite the CSV files byte for byte; the
-manifest records wall time and is the one file excluded from that guarantee.
+Each command loads a scenario file and writes its CSV artifacts and a
+``manifest.json`` under temp names in the output directory; only after the
+last one is written (for ``simulate``, after the closed-form check) are they
+renamed onto their final names together. A rejected run removes its temp
+files and any directory it created, so it leaves nothing behind and leaves
+an earlier run's artifacts as they were. Re-runs with identical inputs and
+seed overwrite the CSV files byte for byte; the manifest records wall time
+and is the one file excluded from that guarantee.
 
 Exit codes: 0 success, 2 validation failure, 3 I/O failure, 4 internal
 consistency failure (simulated latency disagreeing with the closed form).
@@ -17,7 +19,11 @@ applies.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import functools
+import hashlib
+import io
 import itertools
 import json
 import os
@@ -184,31 +190,77 @@ def _resolve_directive_and_weights(
     return effective, weights
 
 
-def _create(path: Path) -> TextIO:
-    """Open an artifact for writing, creating the output directory first."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    return open(path, "w", encoding="utf-8", newline="")
+class _ArtifactSet:
+    """A run's artifacts, written under temp names and published together.
+
+    :meth:`create` opens a temp file in the output directory and creates the
+    directory on first use. On a clean exit from the ``with`` block every
+    file is closed and only then renamed onto its final name, in creation
+    order; on an exception every temp file, and every directory this set
+    created, is removed.
+    """
+
+    def __init__(self, out_dir: Path):
+        self.dir = out_dir
+        self._files: dict[Path, TextIO] = {}  # final path -> open temp file
+        self._made_dirs: list[Path] = []  # deepest first
+
+    def create(self, name: str) -> TextIO:
+        if not self._files:
+            self._made_dirs = [d for d in (self.dir, *self.dir.parents) if not d.exists()]
+            self.dir.mkdir(parents=True, exist_ok=True)
+        handle = open(self.dir / f".{name}.{os.getpid()}.tmp", "w", encoding="utf-8", newline="")
+        self._files[self.dir / name] = handle
+        return handle
+
+    def __enter__(self) -> "_ArtifactSet":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is not None:
+            self._discard()
+            return
+        try:
+            for handle in self._files.values():
+                handle.close()
+            for path, handle in self._files.items():
+                os.replace(handle.name, path)
+        except BaseException:
+            self._discard()
+            raise
+
+    def _discard(self) -> None:
+        for handle in self._files.values():
+            with contextlib.suppress(OSError):
+                handle.close()
+            with contextlib.suppress(OSError):
+                os.unlink(handle.name)
+        for directory in self._made_dirs:
+            with contextlib.suppress(OSError):  # left in place if anything else is in it
+                directory.rmdir()
 
 
-def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
-    with _create(path) as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+def _write_csv(handle: TextIO, header: Sequence[str], rows: Sequence[Sequence]) -> None:
+    writer = csv.writer(handle, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
 
 
-def _write_manifest(out_dir: Path, args: argparse.Namespace, started: float) -> None:
+def _write_manifest(
+    artifacts: _ArtifactSet, args: argparse.Namespace, started: float, scenario_sha256: str
+) -> None:
     payload = {
         "command": args.command,
         "scenario_path": str(args.scenario),
-        "output_dir": str(out_dir),
+        "scenario_sha256": scenario_sha256,
+        "output_dir": str(artifacts.dir),
         "seed": args.seed,
         "tool_version": __version__,
         "wall_time_s": time.perf_counter() - started,
     }
-    with _create(out_dir / "manifest.json") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
+    handle = artifacts.create("manifest.json")
+    json.dump(payload, handle, indent=2)
+    handle.write("\n")
 
 
 _BREAKDOWN_COLUMNS = [
@@ -242,12 +294,12 @@ def _breakdown_cells(breakdown: metrics.MetricBreakdown) -> list:
     ]
 
 
-def _cmd_optimize(args: argparse.Namespace, scenario: ScenarioParams, out_dir: Path) -> None:
+def _cmd_optimize(args: argparse.Namespace, scenario: ScenarioParams, artifacts: _ArtifactSet) -> None:
     effective, weights = _resolve_directive_and_weights(scenario, args)
     result = optimizer.solve_greedy(effective, weights)
     breakdown = metrics.utility(effective, weights, result.best_config)
     _write_csv(
-        out_dir / "result.csv",
+        artifacts.create("result.csv"),
         ["m", "theta", "utility", *_BREAKDOWN_COLUMNS, "solver", "evaluations"],
         [
             [
@@ -260,27 +312,26 @@ def _cmd_optimize(args: argparse.Namespace, scenario: ScenarioParams, out_dir: P
             ]
         ],
     )
-    with _create(out_dir / "trace.csv") as handle:
-        handle.write(optimizer.trace_to_csv(result.trace))
+    artifacts.create("trace.csv").write(optimizer.trace_to_csv(result.trace))
 
 
-def _cmd_sweep(args: argparse.Namespace, scenario: ScenarioParams, out_dir: Path) -> None:
+def _cmd_sweep(args: argparse.Namespace, scenario: ScenarioParams, artifacts: _ArtifactSet) -> None:
     effective, weights = _resolve_directive_and_weights(scenario, args)
     rows = [
         [config.num_verifiers, config.txns_per_block, *_breakdown_cells(breakdown), breakdown.utility]
         for config, breakdown in optimizer.evaluate_grid(effective, weights, grid_cap=args.grid_cap)
     ]
-    _write_csv(out_dir / "surface.csv", ["m", "theta", *_BREAKDOWN_COLUMNS, "utility"], rows)
+    _write_csv(artifacts.create("surface.csv"), ["m", "theta", *_BREAKDOWN_COLUMNS, "utility"], rows)
 
 
-def _cmd_compare(args: argparse.Namespace, scenario: ScenarioParams, out_dir: Path) -> None:
+def _cmd_compare(args: argparse.Namespace, scenario: ScenarioParams, artifacts: _ArtifactSet) -> None:
     effective, weights = _resolve_directive_and_weights(scenario, args)
     report = optimizer.compare(effective, weights, grid_cap=args.grid_cap)
     series = itertools.zip_longest(report.greedy_best_so_far, report.exhaustive_best_so_far, fillvalue="")
     rows = [[i, *pair] for i, pair in enumerate(series, start=1)]
-    _write_csv(out_dir / "compare.csv", ["iteration", "greedy_best_so_far", "exhaustive_best_so_far"], rows)
+    _write_csv(artifacts.create("compare.csv"), ["iteration", "greedy_best_so_far", "exhaustive_best_so_far"], rows)
     _write_csv(
-        out_dir / "summary.csv",
+        artifacts.create("summary.csv"),
         [
             "greedy_m",
             "greedy_theta",
@@ -317,20 +368,30 @@ def _prior_result_config(out_dir: Path) -> BlockchainConfig:
             "no --m/--theta given and no prior result.csv in the output directory; "
             "run 'optimize' first or pass the configuration explicitly"
         )
-    with open(result_path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.DictReader(handle)
-        row = next(reader, None)
+    try:
+        with open(result_path, "r", encoding="utf-8", newline="") as handle:
+            row = next(csv.DictReader(handle), None)
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise ParseError(f"{result_path}: not a readable CSV file: {exc}") from None
     if row is None or "m" not in row or "theta" not in row:
         raise ParseError(f"{result_path} does not look like an optimize result")
-    return BlockchainConfig(int(row["m"]), int(row["theta"]))
+    values = []
+    for column in ("m", "theta"):
+        try:
+            values.append(int(row[column]))
+        except (TypeError, ValueError):  # TypeError: a short row leaves the cell None
+            raise ParseError(
+                f"{result_path}: column '{column}' must be an integer, got {row[column]!r}"
+            ) from None
+    return BlockchainConfig(*values)
 
 
-def _cmd_simulate(args: argparse.Namespace, scenario: ScenarioParams, out_dir: Path) -> None:
+def _cmd_simulate(args: argparse.Namespace, scenario: ScenarioParams, artifacts: _ArtifactSet) -> None:
     effective, _ = _resolve_directive_and_weights(scenario, args)
     if args.m is not None and args.theta is not None:
         config = BlockchainConfig(args.m, args.theta)
     elif args.m is None and args.theta is None:
-        config = _prior_result_config(out_dir)
+        config = _prior_result_config(artifacts.dir)
     else:
         raise ConstraintError("--m and --theta must be given together")
     sim = SimConfig(
@@ -341,12 +402,15 @@ def _cmd_simulate(args: argparse.Namespace, scenario: ScenarioParams, out_dir: P
         rng_seed=args.seed,
         rotate_bm=args.rotate_bm,
     )
-    report = dpos_sim.run(sim)
-    deviations = dpos_sim.closed_form_deviations(sim, report)  # raises before any write
-    with _create(out_dir / "events.csv") as csv_file, _create(out_dir / "events.ndjson") as ndjson_file:
-        dpos_sim.write_events(report.events, csv_file, ndjson_file)
+    log = functools.partial(
+        dpos_sim.write_events,
+        csv_file=artifacts.create("events.csv"),
+        ndjson_file=artifacts.create("events.ndjson"),
+    )
+    report = dpos_sim.run(sim, log)
+    deviations = dpos_sim.closed_form_deviations(sim, report)  # raises before anything is published
     _write_csv(
-        out_dir / "sim_report.csv",
+        artifacts.create("sim_report.csv"),
         ["round", "latency_s", "analytic_latency_s", "abs_rel_deviation"],
         [
             [k, latency, report.analytic_latency_s, deviations[k]]
@@ -371,10 +435,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     started = time.perf_counter()
     try:
-        scenario = load_scenario(Path(args.scenario))
-        out_dir = _resolve_out_dir(args)
-        _COMMANDS[args.command](args, scenario, out_dir)
-        _write_manifest(out_dir, args, started)
+        # One read gives both the bytes to hash and, decoded as open() would, the text to parse.
+        scenario_bytes = Path(args.scenario).read_bytes()
+        scenario = load_scenario(io.TextIOWrapper(io.BytesIO(scenario_bytes), encoding="utf-8"))
+        with _ArtifactSet(_resolve_out_dir(args)) as artifacts:
+            _COMMANDS[args.command](args, scenario, artifacts)
+            _write_manifest(artifacts, args, started, hashlib.sha256(scenario_bytes).hexdigest())
     except ModelMismatchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONSISTENCY

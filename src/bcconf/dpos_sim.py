@@ -9,13 +9,18 @@ validation property of the analytic model.
 
 A round starts only when the previous block commits, so the event heap
 holds one round at a time and is empty after every commit; the clock runs
-on across rounds and must stay finite. :func:`write_events` writes each
-logged :class:`SimEvent` as one line of both event logs, in one pass.
+on across rounds and must stay finite. The simulator keeps no event log:
+at each commit it hands the round's popped heap entries to an optional
+``log`` callback and drops them, so its memory grows only by one latency
+per round. :func:`write_events` is the ``log`` that streams each round as
+lines of both event logs (one :class:`SimEvent` per line); without a
+``log``, as in :func:`sweep_sim`, no event is formatted or kept.
 
 Randomness comes from Python's Mersenne Twister (``random.Random``) seeded
 from the run configuration; only ``random()`` draws are consumed, in a
 fixed per-round order (dispatch, each verifier in selection order,
-broadcast, feedback), so replays are reproducible across platforms.
+broadcast, feedback), drawn when the round starts, so replays are
+reproducible across platforms.
 """
 from __future__ import annotations
 
@@ -23,7 +28,7 @@ import heapq
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, TextIO
+from typing import Callable, NamedTuple, Optional, TextIO
 
 from . import metrics
 from .model import (
@@ -53,7 +58,12 @@ EVENT_KINDS = (
     FEEDBACK_RECEIVED,
     BLOCK_COMMITTED,
 )
-_KIND_RANK = {kind: rank for rank, kind in enumerate(EVENT_KINDS)}
+# A heap entry is (time_s, kind rank, actor_id): each kind travels as its rank
+# in EVENT_KINDS, which also orders the events of one instant.
+_ROTATED, _DISPATCHED, _VERIFIED, _BROADCAST, _FEEDBACK, _COMMITTED = range(len(EVENT_KINDS))
+HeapEntry = tuple[float, int, int]
+# Called with (round index, the round's popped heap entries) at each commit.
+EventLog = Callable[[int, list[HeapEntry]], None]
 
 # Actor id recorded for the static block manager (the entity-side edge node);
 # with rotation enabled the role carries the current verifier's id instead.
@@ -96,82 +106,86 @@ class SimReport:
     per_round_latency_s: tuple[float, ...]
     mean_latency_s: float
     analytic_latency_s: float
-    events: tuple[SimEvent, ...]
     committed_blocks: int
 
 
-def run(sim: SimConfig) -> SimReport:
+def run(sim: SimConfig, log: Optional[EventLog] = None) -> SimReport:
     """Simulate ``sim.rounds`` sequential verification rounds.
 
     Rounds are back to back: a round starts when the previous block commits,
-    so the heap holds only the current round's events. The event log is
-    totally ordered by (time, round, stage, actor), and each event is one
-    line of each log :func:`write_events` writes. A round that commits at a
-    non-finite time raises :class:`ValidationError` naming ``rounds``.
+    so the heap holds only the current round's events. Each popped heap
+    entry ``(time_s, kind rank, actor_id)`` is one event; the log is totally
+    ordered by (time, round, stage, actor). When the round commits, its
+    entries and its index go to ``log`` if one is given, and are dropped
+    either way, so memory does not grow with the events. A round that
+    commits at a non-finite time raises :class:`ValidationError` naming
+    ``rounds``.
     """
     scenario, config = sim.scenario, sim.config
     analytic = metrics.latency(scenario, config)  # the one feasibility check
     m, theta = config.num_verifiers, config.txns_per_block
-    selected = scenario.ranked_verifiers[:m]
-    verify_s = scenario.ranked_verify_s[:m]
+    selected_ids = [profile.id for profile in scenario.ranked_verifiers[:m]]
 
     block_bits = theta * scenario.transaction_size_bits
     dispatch_s = block_bits / scenario.downlink_rate_bps
     broadcast_s = scenario.broadcast_coeff * block_bits * m
     feedback_s = scenario.feedback_size_bits / scenario.uplink_rate_bps
+    # Service times in draw order: dispatch, each verifier, broadcast, feedback.
+    service_s = (dispatch_s, *scenario.ranked_verify_s[:m], broadcast_s, feedback_s)
 
-    rng = random.Random(sim.rng_seed)
-
-    def factor() -> float:
-        if not sim.jitter:
-            return 1.0
-        return 1.0 + sim.jitter * (2.0 * rng.random() - 1.0)
-
-    heap: list[tuple[float, int, int]] = []
-
-    def schedule(time_s: float, kind: str, actor_id: int) -> None:
-        heapq.heappush(heap, (time_s, _KIND_RANK[kind], actor_id))
-
-    events: list[SimEvent] = []
+    jitter = sim.jitter
+    draw = random.Random(sim.rng_seed).random
+    push, pop = heapq.heappush, heapq.heappop
+    heap: list[HeapEntry] = []
     latencies: list[float] = []
     committed = 0
     start_s = 0.0
     for round_index in range(sim.rounds):
-        manager = selected[round_index % m].id if sim.rotate_bm else STATIC_BM_ID
-        pending = m
+        if jitter:
+            round_s = [s * (1.0 + jitter * (2.0 * draw() - 1.0)) for s in service_s]
+        else:
+            round_s = service_s
+        dispatch, *verify, broadcast, feedback = round_s
         if sim.rotate_bm:
-            schedule(start_s, BM_ROTATED, manager)
-        schedule(start_s + dispatch_s * factor(), BLOCK_DISPATCHED, manager)
+            manager = selected_ids[round_index % m]
+            push(heap, (start_s, _ROTATED, manager))
+        else:
+            manager = STATIC_BM_ID
+        push(heap, (start_s + dispatch, _DISPATCHED, manager))
+        pending = m
+        entries: list[HeapEntry] = []
+        append = entries.append
         while heap:
-            time_s, kind_rank, actor_id = heapq.heappop(heap)
-            kind = EVENT_KINDS[kind_rank]
-            events.append(SimEvent(time_s, round_index, kind, actor_id))
-            if kind == BLOCK_DISPATCHED:
-                for profile, service_s in zip(selected, verify_s):
-                    schedule(time_s + service_s * factor(), VERIFICATION_DONE, profile.id)
-            elif kind == VERIFICATION_DONE:
+            entry = pop(heap)
+            append(entry)
+            time_s, kind, actor_id = entry
+            if kind == _VERIFIED:
                 pending -= 1
                 if pending == 0:
                     # The popped event is the latest finisher; broadcast starts here.
-                    schedule(time_s + broadcast_s * factor(), BROADCAST_DONE, manager)
-            elif kind == BROADCAST_DONE:
-                schedule(time_s + feedback_s * factor(), FEEDBACK_RECEIVED, manager)
-            elif kind == FEEDBACK_RECEIVED:
+                    push(heap, (time_s + broadcast, _BROADCAST, manager))
+            elif kind == _DISPATCHED:
+                for verifier_id, verify_s in zip(selected_ids, verify):
+                    push(heap, (time_s + verify_s, _VERIFIED, verifier_id))
+            elif kind == _BROADCAST:
+                push(heap, (time_s + feedback, _FEEDBACK, manager))
+            elif kind == _FEEDBACK:
                 latencies.append(time_s - start_s)
-                schedule(time_s, BLOCK_COMMITTED, manager)
-            elif kind == BLOCK_COMMITTED:
+                push(heap, (time_s, _COMMITTED, manager))
+            elif kind == _COMMITTED:
                 if not math.isfinite(time_s):
                     raise ValidationError(
                         f"rounds={sim.rounds}: the simulated clock overflows in round {round_index}"
                     )
                 committed += 1
                 start_s = time_s
+        if log is not None:
+            log(round_index, entries)
 
     return SimReport(
         per_round_latency_s=tuple(latencies),
         mean_latency_s=sum(latencies) / len(latencies),
         analytic_latency_s=analytic,
-        events=tuple(events),
         committed_blocks=committed,
     )
 
@@ -244,16 +258,18 @@ def sweep_sim(
     return SimSweepReport(cells=tuple(cells))
 
 
-def write_events(events: Iterable[SimEvent], csv_file: TextIO, ndjson_file: TextIO) -> None:
-    """Stream the event log to both handles: CSV (header first) and NDJSON.
+def write_events(round_index: int, entries: list[HeapEntry], csv_file: TextIO, ndjson_file: TextIO) -> None:
+    """Stream one round's events to both logs: CSV (round 0 writes the header first) and NDJSON.
 
-    Each time is formatted once with ``repr``, which is what ``csv`` and
-    ``json`` write for the finite floats :func:`run` logs; kinds match
-    ``[a-z_]+``, so nothing needs CSV quoting or JSON escaping.
+    Pass it to :func:`run` as ``log``, with the two handles bound. Each time
+    is formatted once with ``repr``, which is what ``csv`` and ``json`` write
+    for the finite floats :func:`run` logs; kinds match ``[a-z_]+``, so
+    nothing needs CSV quoting or JSON escaping.
     """
     write_csv, write_ndjson = csv_file.write, ndjson_file.write
-    write_csv(",".join(SimEvent._fields) + "\n")
-    for time_s, round_index, kind, actor_id in events:
-        t = repr(time_s)
+    if round_index == 0:
+        write_csv(",".join(SimEvent._fields) + "\n")
+    for time_s, rank, actor_id in entries:
+        t, kind = repr(time_s), EVENT_KINDS[rank]
         write_csv(f"{t},{round_index},{kind},{actor_id}\n")
         write_ndjson(f'{{"time_s": {t}, "round": {round_index}, "kind": "{kind}", "actor_id": {actor_id}}}\n')

@@ -7,7 +7,8 @@ import json
 import random
 from pathlib import Path
 
-from bcconf import QosWeights, ScenarioParams, SimEvent, VerifierProfile, load_scenario
+from bcconf import QosWeights, ScenarioParams, SimConfig, SimEvent, SimReport, VerifierProfile, load_scenario
+from bcconf.dpos_sim import EVENT_KINDS, run
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 TABLE2_PATH = REPO_ROOT / "scenarios" / "table2.scenario"
@@ -153,3 +154,13 @@ def reference_event_logs(events) -> tuple[str, str]:
         for e in events
     )
     return buffer.getvalue(), ndjson
+
+
+def collect_events(sim: SimConfig) -> tuple[SimReport, list[SimEvent]]:
+    """Run ``sim`` with a ``log`` that keeps every event as a :class:`SimEvent`."""
+    events: list[SimEvent] = []
+
+    def log(round_index, entries):
+        events.extend(SimEvent(t, round_index, EVENT_KINDS[rank], actor_id) for t, rank, actor_id in entries)
+
+    return run(sim, log), events

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import bcconf
-from bcconf import cli
+from bcconf import cli, dpos_sim
 from helpers import TABLE2_PATH
 
 SCENARIO = str(TABLE2_PATH)
@@ -258,6 +258,122 @@ def test_simulate_model_mismatch_exits_4(tmp_path, monkeypatch, capsys):
     assert "m=2, theta=2" in capsys.readouterr().err
     # The mismatch is detected before any artifact, or the directory, is written.
     assert not out.exists()
+
+
+def snapshot(directory):
+    return {path.name: path.read_bytes() for path in directory.iterdir()}
+
+
+def count_logged_rounds(monkeypatch):
+    """Wrap the event writer and return the list it appends each round index to."""
+    rounds = []
+    write_events = dpos_sim.write_events
+
+    def counting(round_index, entries, **handles):
+        rounds.append(round_index)
+        write_events(round_index, entries, **handles)
+
+    monkeypatch.setattr(dpos_sim, "write_events", counting)
+    return rounds
+
+
+def test_failed_simulate_leaves_earlier_artifacts_as_they_were(tmp_path, monkeypatch, capsys):
+    from bcconf import metrics
+
+    out = tmp_path / "run"
+    simulate = ("simulate", "--scenario", SCENARIO, "--out", str(out), "--m", "9", "--theta", "12")
+    assert run_cli("optimize", "--scenario", SCENARIO, "--out", str(out)) == 0
+    assert run_cli(*simulate, "--rounds", "5") == 0
+    before = snapshot(out)
+    assert set(before) == {
+        "result.csv", "trace.csv", "events.csv", "events.ndjson", "sim_report.csv", "manifest.json"
+    }
+
+    # Exit 4: every round is streamed before the closed-form check fails.
+    with monkeypatch.context() as patch:
+        rounds = count_logged_rounds(patch)
+        patch.setattr(metrics, "latency", lambda s, c: 1e9)
+        assert run_cli(*simulate, "--rounds", "5") == 4
+    assert rounds == [0, 1, 2, 3, 4]
+    assert snapshot(out) == before
+
+    # Exit 2: the clock overflows after thousands of streamed rounds.
+    bad = tmp_path / "bad.scenario"
+    bad.write_text(
+        TABLE2_PATH.read_text().replace("transaction_size_bits: 1 kb", "transaction_size_bits: 1e307")
+    )
+    with monkeypatch.context() as patch:
+        rounds = count_logged_rounds(patch)
+        code = run_cli("simulate", "--scenario", str(bad), "--out", str(out),
+                       "--m", "9", "--theta", "12", "--rounds", "10000")
+    assert code == 2
+    assert "rounds=10000" in capsys.readouterr().err
+    assert len(rounds) > 1000
+    assert snapshot(out) == before
+
+    # A successful run replaces every artifact it writes, and only those.
+    assert run_cli(*simulate, "--rounds", "7", "--jitter", "uniform:0.2") == 0
+    after = snapshot(out)
+    assert set(after) == set(before)
+    for name in ("events.csv", "events.ndjson", "sim_report.csv", "manifest.json"):
+        assert after[name] != before[name], name
+    for name in ("result.csv", "trace.csv"):
+        assert after[name] == before[name], name
+
+
+def test_failed_run_removes_every_directory_it_created(tmp_path, monkeypatch):
+    from bcconf import metrics
+
+    monkeypatch.setattr(metrics, "latency", lambda s, c: 1e9)
+    out = tmp_path / "a" / "b"
+    assert run_cli("simulate", "--scenario", SCENARIO, "--out", str(out), "--m", "2", "--theta", "2") == 4
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b"m,theta\n9\n", "column 'theta' must be an integer, got None"),
+        (b"m,theta\n\x00,12\n", "column 'm' must be an integer, got '\\x00'"),
+        (b"m,theta\n9,1.5\n", "column 'theta' must be an integer, got '1.5'"),
+        (b"m,theta\n\xff,12\n", "not a readable CSV file"),
+        (b'm,theta\n"' + b"9" * 200_000 + b'",12\n', "not a readable CSV file"),
+    ],
+    ids=["short-row", "nul", "float", "not-utf8", "oversized-field"],
+)
+def test_simulate_rejects_malformed_prior_result(tmp_path, capsys, content, message):
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / "result.csv").write_bytes(content)
+    assert run_cli("simulate", "--scenario", SCENARIO, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "result.csv" in err and message in err
+    assert [path.name for path in out.iterdir()] == ["result.csv"]
+
+
+def test_manifest_records_scenario_sha256(tmp_path):
+    out = tmp_path / "run"
+    assert run_cli("optimize", "--scenario", SCENARIO, "--out", str(out)) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["scenario_sha256"] == hashlib.sha256(TABLE2_PATH.read_bytes()).hexdigest()
+
+
+def test_scenario_hash_leaves_parsing_and_exit_codes_alone(tmp_path, capsys):
+    # CRLF line endings parse as before, and the hash is of the bytes as read.
+    crlf = tmp_path / "crlf.scenario"
+    crlf.write_bytes(TABLE2_PATH.read_bytes().replace(b"\n", b"\r\n"))
+    for name, path in (("lf", TABLE2_PATH), ("crlf", crlf)):
+        assert run_cli("optimize", "--scenario", str(path), "--out", str(tmp_path / name)) == 0
+    assert hash_files(tmp_path / "lf", ["result.csv", "trace.csv"]) == hash_files(
+        tmp_path / "crlf", ["result.csv", "trace.csv"]
+    )
+    manifest = json.loads((tmp_path / "crlf" / "manifest.json").read_text())
+    assert manifest["scenario_sha256"] == hashlib.sha256(crlf.read_bytes()).hexdigest()
+    not_utf8 = tmp_path / "latin1.scenario"
+    not_utf8.write_bytes(b"# caf\xe9\n" + TABLE2_PATH.read_bytes())
+    assert run_cli("optimize", "--scenario", str(not_utf8), "--out", str(tmp_path / "x")) == 2
+    assert run_cli("optimize", "--scenario", str(tmp_path), "--out", str(tmp_path / "y")) == 3
+    assert not (tmp_path / "x").exists() and not (tmp_path / "y").exists()
 
 
 def test_rerun_is_byte_identical(tmp_path):

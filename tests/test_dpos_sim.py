@@ -1,9 +1,11 @@
 """Event-driven round simulation against the closed-form latency oracle."""
+import functools
 import io
 import json
 import math
 import random
 import re
+import tracemalloc
 
 import pytest
 
@@ -33,6 +35,7 @@ from bcconf.dpos_sim import (
 )
 from helpers import (
     TABLE2_PATH,
+    collect_events,
     make_scenario,
     random_feasible_config,
     random_scenario,
@@ -40,10 +43,10 @@ from helpers import (
 )
 
 
-def event_logs(events) -> tuple[str, str]:
-    """What :func:`write_events` writes: (CSV, NDJSON)."""
+def event_logs(sim: SimConfig) -> tuple[str, str]:
+    """What :func:`write_events` streams for ``sim`` as its ``log``: (CSV, NDJSON)."""
     csv_file, ndjson_file = io.StringIO(), io.StringIO()
-    write_events(events, csv_file, ndjson_file)
+    run_simulation(sim, functools.partial(write_events, csv_file=csv_file, ndjson_file=ndjson_file))
     return csv_file.getvalue(), ndjson_file.getvalue()
 
 
@@ -69,10 +72,10 @@ def test_zero_jitter_matches_closed_form_on_random_scenarios():
 
 def test_single_verifier_round_structure():
     scenario = make_scenario(capacities=(10.0,), broadcast_coeff=0.0)
-    report = run_simulation(SimConfig(scenario=scenario, config=BlockchainConfig(1, 1), rounds=1))
+    report, events = collect_events(SimConfig(scenario=scenario, config=BlockchainConfig(1, 1), rounds=1))
     # theta*B/r_d + K/x + O/r_u = 1 + 2 + 1.
     assert report.per_round_latency_s[0] == pytest.approx(4.0, abs=1e-12)
-    kinds = [e.kind for e in report.events]
+    kinds = [e.kind for e in events]
     assert kinds == [
         BLOCK_DISPATCHED,
         VERIFICATION_DONE,
@@ -92,10 +95,37 @@ def test_same_seed_gives_byte_identical_logs():
         jitter=0.2,
         rng_seed=123456789,
     )
-    first = run_simulation(sim)
-    second = run_simulation(sim)
-    assert event_logs(first.events) == event_logs(second.events)
-    assert first == second
+    assert event_logs(sim) == event_logs(sim)
+    assert run_simulation(sim) == run_simulation(sim)
+
+
+def test_log_sees_each_round_once_and_changes_nothing():
+    scenario = load_scenario(TABLE2_PATH)
+    sim = SimConfig(scenario=scenario, config=BlockchainConfig(4, 9), rounds=6, jitter=0.2, rotate_bm=True)
+    rounds = []
+    report = run_simulation(sim, lambda round_index, entries: rounds.append((round_index, len(entries))))
+    assert rounds == [(k, 4 + 5) for k in range(6)]  # m verifications plus five manager events
+    assert report == run_simulation(sim) == collect_events(sim)[0]
+
+
+def test_run_memory_does_not_grow_with_events():
+    # Without a log only the per-round latencies outlive a round: one float
+    # and a list and a tuple slot, about 40 bytes per round.
+    scenario = load_scenario(TABLE2_PATH)
+
+    def peak_bytes(rounds: int) -> int:
+        sim = SimConfig(
+            scenario=scenario, config=BlockchainConfig(9, 12), rounds=rounds, jitter=0.1, rotate_bm=True
+        )
+        run_simulation(sim)  # warm up outside the measurement
+        tracemalloc.start()
+        try:
+            run_simulation(sim)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert (peak_bytes(2000) - peak_bytes(200)) / 1800 < 128
 
 
 def test_different_seeds_differ_under_jitter():
@@ -108,7 +138,7 @@ def test_different_seeds_differ_under_jitter():
 
 def test_event_log_causality_per_round():
     scenario = load_scenario(TABLE2_PATH)
-    report = run_simulation(
+    _, events = collect_events(
         SimConfig(
             scenario=scenario,
             config=BlockchainConfig(6, 3),
@@ -117,11 +147,11 @@ def test_event_log_causality_per_round():
             rng_seed=9,
         )
     )
-    times = [e.time_s for e in report.events]
+    times = [e.time_s for e in events]
     assert times == sorted(times)
     order = {BLOCK_DISPATCHED: 0, VERIFICATION_DONE: 1, BROADCAST_DONE: 2, FEEDBACK_RECEIVED: 3, BLOCK_COMMITTED: 4}
     for round_index in range(8):
-        stages = [e for e in report.events if e.round == round_index]
+        stages = [e for e in events if e.round == round_index]
         ranks = [order[e.kind] for e in stages if e.kind in order]
         assert ranks == sorted(ranks)
         dispatch = next(e for e in stages if e.kind == BLOCK_DISPATCHED)
@@ -161,11 +191,11 @@ def test_jitter_mean_close_to_analytic_with_upward_bias():
 
 def test_rounds_are_sequential_and_all_commit():
     scenario = make_scenario(capacities=(10.0, 5.0))
-    report = run_simulation(SimConfig(scenario=scenario, config=BlockchainConfig(2, 2), rounds=5))
+    report, events = collect_events(SimConfig(scenario=scenario, config=BlockchainConfig(2, 2), rounds=5))
     assert report.committed_blocks == 5
-    commits = [e for e in report.events if e.kind == BLOCK_COMMITTED]
+    commits = [e for e in events if e.kind == BLOCK_COMMITTED]
     assert [e.round for e in commits] == [0, 1, 2, 3, 4]
-    dispatches = [e for e in report.events if e.kind == BLOCK_DISPATCHED]
+    dispatches = [e for e in events if e.kind == BLOCK_DISPATCHED]
     for commit, nxt in zip(commits, dispatches[1:]):
         assert nxt.time_s > commit.time_s
 
@@ -173,21 +203,21 @@ def test_rounds_are_sequential_and_all_commit():
 def test_bm_rotation_round_robin():
     scenario = load_scenario(TABLE2_PATH)
     config = BlockchainConfig(3, 2)
-    report = run_simulation(
+    _, events = collect_events(
         SimConfig(scenario=scenario, config=config, rounds=7, rotate_bm=True)
     )
-    rotations = [e for e in report.events if e.kind == BM_ROTATED]
+    rotations = [e for e in events if e.kind == BM_ROTATED]
     selected_ids = [p.id for p in select_verifiers(scenario, 3)]
     assert [e.actor_id for e in rotations] == [selected_ids[k % 3] for k in range(7)]
-    feedbacks = [e for e in report.events if e.kind == FEEDBACK_RECEIVED]
+    feedbacks = [e for e in events if e.kind == FEEDBACK_RECEIVED]
     assert [e.actor_id for e in feedbacks] == [selected_ids[k % 3] for k in range(7)]
 
 
 def test_static_bm_actor_without_rotation():
     scenario = make_scenario(capacities=(10.0, 5.0))
-    report = run_simulation(SimConfig(scenario=scenario, config=BlockchainConfig(2, 1), rounds=2))
-    assert all(e.kind != BM_ROTATED for e in report.events)
-    feedbacks = [e for e in report.events if e.kind == FEEDBACK_RECEIVED]
+    _, events = collect_events(SimConfig(scenario=scenario, config=BlockchainConfig(2, 1), rounds=2))
+    assert all(e.kind != BM_ROTATED for e in events)
+    feedbacks = [e for e in events if e.kind == FEEDBACK_RECEIVED]
     assert all(e.actor_id == STATIC_BM_ID for e in feedbacks)
 
 
@@ -283,13 +313,14 @@ def test_model_mismatch_raised_when_analytic_form_disagrees(monkeypatch, analyti
 
 def test_event_export_formats():
     scenario = make_scenario(capacities=(10.0, 5.0))
-    report = run_simulation(SimConfig(scenario=scenario, config=BlockchainConfig(2, 1), rounds=1))
-    csv_text, ndjson_text = event_logs(report.events)
+    sim = SimConfig(scenario=scenario, config=BlockchainConfig(2, 1), rounds=1)
+    _, events = collect_events(sim)
+    csv_text, ndjson_text = event_logs(sim)
     lines = csv_text.strip().split("\n")
     assert lines[0] == "time_s,round,kind,actor_id"
-    assert len(lines) == len(report.events) + 1
+    assert len(lines) == len(events) + 1
     records = [json.loads(line) for line in ndjson_text.strip().split("\n")]
-    assert len(records) == len(report.events)
+    assert len(records) == len(events)
     assert records[0]["kind"] == BLOCK_DISPATCHED
     assert {r["kind"] for r in records} >= {VERIFICATION_DONE, BLOCK_COMMITTED}
 
@@ -313,12 +344,11 @@ def test_event_kinds_need_no_quoting_or_escaping():
 )
 def test_write_events_matches_csv_and_json_reference(scenario_kwargs, config, jitter, rotate_bm, exponent):
     scenario = load_scenario(TABLE2_PATH) if scenario_kwargs is None else make_scenario(**scenario_kwargs)
-    report = run_simulation(
-        SimConfig(scenario=scenario, config=config, rounds=30, jitter=jitter, rng_seed=17, rotate_bm=rotate_bm)
-    )
-    csv_text, ndjson_text = event_logs(report.events)
-    assert (csv_text, ndjson_text) == reference_event_logs(report.events)
+    sim = SimConfig(scenario=scenario, config=config, rounds=30, jitter=jitter, rng_seed=17, rotate_bm=rotate_bm)
+    _, events = collect_events(sim)
+    csv_text, ndjson_text = event_logs(sim)
+    assert (csv_text, ndjson_text) == reference_event_logs(events)
     if exponent is not None:  # repr switches to exponent form at these magnitudes
         assert exponent in csv_text and exponent in ndjson_text
     lines = ndjson_text.splitlines()
-    assert [SimEvent(**json.loads(line)) for line in lines] == list(report.events)
+    assert [SimEvent(**json.loads(line)) for line in lines] == events
