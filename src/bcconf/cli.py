@@ -263,50 +263,19 @@ def _write_manifest(
     handle.write("\n")
 
 
-_BREAKDOWN_COLUMNS = [
-    "latency_s",
-    "downlink_s",
-    "verify_s",
-    "broadcast_s",
-    "feedback_s",
-    "security",
-    "cost",
-    "latency_ratio",
-    "security_ratio",
-    "cost_ratio",
-]
-
-
-def _breakdown_cells(breakdown: metrics.MetricBreakdown) -> list:
-    terms = breakdown.latency_terms
-    norm = breakdown.normalized
-    return [
-        breakdown.latency_s,
-        terms.downlink_s,
-        terms.verify_s,
-        terms.broadcast_s,
-        terms.feedback_s,
-        breakdown.security,
-        breakdown.cost,
-        norm.latency_ratio,
-        norm.security_ratio,
-        norm.cost_ratio,
-    ]
-
-
 def _cmd_optimize(args: argparse.Namespace, scenario: ScenarioParams, artifacts: _ArtifactSet) -> None:
     effective, weights = _resolve_directive_and_weights(scenario, args)
     result = optimizer.solve_greedy(effective, weights)
-    breakdown = metrics.utility(effective, weights, result.best_config)
+    *breakdown, _ = metrics.evaluate(effective, weights, result.best_config)
     _write_csv(
         artifacts.create("result.csv"),
-        ["m", "theta", "utility", *_BREAKDOWN_COLUMNS, "solver", "evaluations"],
+        ["m", "theta", "utility", *metrics.COLUMNS[:-1], "solver", "evaluations"],
         [
             [
                 result.best_config.num_verifiers,
                 result.best_config.txns_per_block,
                 result.best_utility,
-                *_breakdown_cells(breakdown),
+                *breakdown,
                 result.solver_name,
                 result.trace.evaluations,
             ]
@@ -318,10 +287,10 @@ def _cmd_optimize(args: argparse.Namespace, scenario: ScenarioParams, artifacts:
 def _cmd_sweep(args: argparse.Namespace, scenario: ScenarioParams, artifacts: _ArtifactSet) -> None:
     effective, weights = _resolve_directive_and_weights(scenario, args)
     rows = [
-        [config.num_verifiers, config.txns_per_block, *_breakdown_cells(breakdown), breakdown.utility]
-        for config, breakdown in optimizer.evaluate_grid(effective, weights, grid_cap=args.grid_cap)
+        [config.num_verifiers, config.txns_per_block, *cells]
+        for config, cells in optimizer.evaluate_grid(effective, weights, grid_cap=args.grid_cap)
     ]
-    _write_csv(artifacts.create("surface.csv"), ["m", "theta", *_BREAKDOWN_COLUMNS, "utility"], rows)
+    _write_csv(artifacts.create("surface.csv"), ["m", "theta", *metrics.COLUMNS], rows)
 
 
 def _cmd_compare(args: argparse.Namespace, scenario: ScenarioParams, artifacts: _ArtifactSet) -> None:

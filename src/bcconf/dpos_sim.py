@@ -17,10 +17,10 @@ lines of both event logs (one :class:`SimEvent` per line); without a
 ``log``, as in :func:`sweep_sim`, no event is formatted or kept.
 
 Randomness comes from Python's Mersenne Twister (``random.Random``) seeded
-from the run configuration; only ``random()`` draws are consumed, in a
-fixed per-round order (dispatch, each verifier in selection order,
-broadcast, feedback), drawn when the round starts, so replays are
-reproducible across platforms.
+from the run configuration, built only when the jitter spread is nonzero;
+only ``random()`` draws are consumed, in a fixed per-round order (dispatch,
+each verifier in selection order, broadcast, feedback), drawn when the
+round starts, so replays are reproducible across platforms.
 """
 from __future__ import annotations
 
@@ -134,7 +134,7 @@ def run(sim: SimConfig, log: Optional[EventLog] = None) -> SimReport:
     service_s = (dispatch_s, *scenario.ranked_verify_s[:m], broadcast_s, feedback_s)
 
     jitter = sim.jitter
-    draw = random.Random(sim.rng_seed).random
+    draw = random.Random(sim.rng_seed).random if jitter else None  # no spread draws nothing
     push, pop = heapq.heappush, heapq.heappop
     heap: list[HeapEntry] = []
     latencies: list[float] = []

@@ -6,9 +6,12 @@ and does only per-configuration work: it reads the verifier ranking and
 payment prefix sums that the scenario derived once when it was built, and
 the normalization maxima that the scenario derives from the corners of
 the feasible box on first use (``ScenarioParams.normalization``, computed
-by :func:`normalization`) and keeps for its lifetime. The public
-per-metric functions each check feasibility; :func:`utility` checks it
-once, through :func:`latency_terms`, and then reads the cost unchecked.
+by :func:`normalization`) and keeps for its lifetime. :func:`evaluate` is
+the one per-configuration kernel: a plain tuple of floats in :data:`COLUMNS`
+order, which :func:`utility` wraps in a :class:`MetricBreakdown`. Each check
+lives in one place: feasibility and finite latency in the stage computation
+it shares with :func:`latency_terms` and :func:`latency`, positive security
+and non-negative latency, cost and utility in :func:`evaluate`.
 """
 from __future__ import annotations
 
@@ -62,13 +65,6 @@ class MetricBreakdown:
     def latency_s(self) -> float:
         return self.latency_terms.total_s
 
-    def __post_init__(self):
-        if not self.security > 0:
-            raise ValidationError("security must be positive")
-        for name, value in (("latency_s", self.latency_s), ("cost", self.cost), ("utility", self.utility)):
-            if value < 0:
-                raise ValidationError(f"{name} must be non-negative")
-
 
 def select_verifiers(scenario: ScenarioParams, m: int) -> tuple[VerifierProfile, ...]:
     """The m verifiers that finish the verification workload fastest.
@@ -91,32 +87,41 @@ _STAGE_FORMULAS = {
 }
 
 
+def _stages(scenario: ScenarioParams, config: BlockchainConfig) -> tuple[float, float, float, float, float]:
+    """The round latency, then its four stages, of a feasible configuration.
+
+    Holds the feasibility check and the finite-latency check, which names
+    the stage when the latency overflows.
+    """
+    require_feasible(scenario, config)
+    m, theta = config.num_verifiers, config.txns_per_block
+    block_bits = theta * scenario.transaction_size_bits
+    downlink_s = block_bits / scenario.downlink_rate_bps
+    # The ranking ascends in K/x, so the slowest of the first m is the m-th.
+    verify_s = scenario.ranked_verify_s[m - 1]
+    broadcast_s = scenario.broadcast_coeff * block_bits * m
+    feedback_s = scenario.feedback_size_bits / scenario.uplink_rate_bps
+    total_s = downlink_s + verify_s + broadcast_s + feedback_s
+    if not math.isfinite(total_s):
+        values = dict(zip(_STAGE_FORMULAS, (downlink_s, verify_s, broadcast_s, feedback_s)))
+        # Finite stages can still sum to infinity; then every stage is named.
+        stages = [name for name, value in values.items() if not math.isfinite(value)] or values
+        details = "; ".join(f"{name} = {_STAGE_FORMULAS[name]} = {values[name]!r}" for name in stages)
+        raise ValidationError(f"configuration (m={m}, theta={theta}): round latency is not finite: {details}")
+    return total_s, downlink_s, verify_s, broadcast_s, feedback_s
+
+
 def latency_terms(scenario: ScenarioParams, config: BlockchainConfig) -> LatencyTerms:
     """Per-stage latency of one verification round for a feasible configuration.
 
     Raises :class:`ValidationError` naming the stage when the latency overflows.
     """
-    require_feasible(scenario, config)
-    m, theta = config.num_verifiers, config.txns_per_block
-    block_bits = theta * scenario.transaction_size_bits
-    terms = LatencyTerms(
-        downlink_s=block_bits / scenario.downlink_rate_bps,
-        # The ranking ascends in K/x, so the slowest of the first m is the m-th.
-        verify_s=scenario.ranked_verify_s[m - 1],
-        broadcast_s=scenario.broadcast_coeff * block_bits * m,
-        feedback_s=scenario.feedback_size_bits / scenario.uplink_rate_bps,
-    )
-    if not math.isfinite(terms.total_s):
-        # Finite stages can still sum to infinity; then every stage is named.
-        stages = [name for name, value in vars(terms).items() if not math.isfinite(value)] or _STAGE_FORMULAS
-        details = "; ".join(f"{name} = {_STAGE_FORMULAS[name]} = {getattr(terms, name)!r}" for name in stages)
-        raise ValidationError(f"configuration (m={m}, theta={theta}): round latency is not finite: {details}")
-    return terms
+    return LatencyTerms(*_stages(scenario, config)[1:])
 
 
 def latency(scenario: ScenarioParams, config: BlockchainConfig) -> float:
     """End-to-end round latency in seconds: dispatch + verify + broadcast + feedback."""
-    return latency_terms(scenario, config).total_s
+    return _stages(scenario, config)[0]
 
 
 def security(scenario: ScenarioParams, m: int) -> float:
@@ -170,34 +175,55 @@ def normalization(scenario: ScenarioParams) -> NormalizationConstants:
     )
 
 
-def utility(
-    scenario: ScenarioParams, weights: QosWeights, config: BlockchainConfig
-) -> MetricBreakdown:
-    """Weighted sum of normalized latency, inverted security, and cost.
+# The metrics of one configuration as :func:`evaluate` returns them, in ``surface.csv`` column order.
+COLUMNS = (
+    "latency_s", "downlink_s", "verify_s", "broadcast_s", "feedback_s",
+    "security", "cost", "latency_ratio", "security_ratio", "cost_ratio", "utility",
+)
 
-    Smaller is better. Latency and cost enter as fractions of their maxima;
-    security enters inverted (max_security / S) so that more verifiers help.
+
+def evaluate(scenario: ScenarioParams, weights: QosWeights, config: BlockchainConfig) -> tuple[float, ...]:
+    """Every metric of one configuration, in :data:`COLUMNS` order; the utility is last.
+
+    The utility is the weighted sum of normalized latency, inverted security
+    and cost; smaller is better. Latency and cost enter as fractions of their
+    maxima; security enters inverted (max_security / S) so that more
+    verifiers help. Raises :class:`ValidationError` unless security is
+    positive and latency, cost and utility are non-negative.
     """
-    terms = latency_terms(scenario, config)  # the one feasibility check
-    total_latency = terms.total_s
+    stages = _stages(scenario, config)
+    total_latency = stages[0]
     # Read before security: m <= M, so once the maxima exist no term overflows.
     constants = scenario.normalization
     sec = security(scenario, config.num_verifiers)
+    if not sec > 0:
+        raise ValidationError("security must be positive")
     per_txn_cost = _cost(scenario, config)
-    normalized = NormalizedTerms(
-        latency_ratio=total_latency / constants.max_latency,
-        security_ratio=constants.max_security / sec,
-        cost_ratio=per_txn_cost / constants.max_cost,
-    )
+    latency_ratio = total_latency / constants.max_latency
+    security_ratio = constants.max_security / sec
+    cost_ratio = per_txn_cost / constants.max_cost
     value = (
-        weights.latency_weight * normalized.latency_ratio
-        + weights.security_weight * normalized.security_ratio
-        + weights.cost_weight * normalized.cost_ratio
+        weights.latency_weight * latency_ratio
+        + weights.security_weight * security_ratio
+        + weights.cost_weight * cost_ratio
+    )
+    if total_latency < 0 or per_txn_cost < 0 or value < 0:
+        name = "latency_s" if total_latency < 0 else "cost" if per_txn_cost < 0 else "utility"
+        raise ValidationError(f"{name} must be non-negative")
+    return (*stages, sec, per_txn_cost, latency_ratio, security_ratio, cost_ratio, value)
+
+
+def utility(
+    scenario: ScenarioParams, weights: QosWeights, config: BlockchainConfig
+) -> MetricBreakdown:
+    """:func:`evaluate`'s metrics of one configuration as a :class:`MetricBreakdown`."""
+    _, *stages, sec, per_txn_cost, latency_ratio, security_ratio, cost_ratio, value = evaluate(
+        scenario, weights, config
     )
     return MetricBreakdown(
-        latency_terms=terms,
+        latency_terms=LatencyTerms(*stages),
         security=sec,
         cost=per_txn_cost,
         utility=value,
-        normalized=normalized,
+        normalized=NormalizedTerms(latency_ratio, security_ratio, cost_ratio),
     )

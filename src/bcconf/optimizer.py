@@ -5,7 +5,9 @@ count m it sweeps transactions-per-block upward and stops at the first
 utility increase, then stops the outer loop at the first m whose best
 utility exceeds the previous one. The exhaustive solver enumerates the whole
 feasible box and is the ground-truth oracle the greedy result is compared
-against.
+against. Every evaluation is one call of :func:`bcconf.metrics.evaluate`,
+which holds every per-evaluation check; solvers and the unimodality scan
+read only its last cell, the utility.
 """
 from __future__ import annotations
 
@@ -77,7 +79,7 @@ class _Tracer:
 
     def evaluate(self, m: int, theta: int) -> float:
         config = BlockchainConfig(m, theta)
-        value = metrics.utility(self._scenario, self._weights, config).utility
+        value = metrics.evaluate(self._scenario, self._weights, config)[-1]
         self.entries.append(TraceEntry(len(self.entries) + 1, config, value))
         return value
 
@@ -87,15 +89,15 @@ class _Tracer:
 
 def evaluate_grid(
     scenario: ScenarioParams, weights: QosWeights, *, grid_cap: int
-) -> Iterator[tuple[BlockchainConfig, metrics.MetricBreakdown]]:
-    """Lazily pair every feasible configuration with its utility breakdown.
+) -> Iterator[tuple[BlockchainConfig, tuple[float, ...]]]:
+    """Lazily pair every feasible configuration with its cells, the tuple of :func:`bcconf.metrics.evaluate`.
 
     Row-major order, as :func:`bcconf.model.feasible_grid`, whose cap check
     runs at call time. Lazy, so that consumers keep only what they need of
-    each breakdown and the whole grid of breakdowns is never held at once.
+    each configuration's cells and the whole grid of them is never held at once.
     """
     return (
-        (config, metrics.utility(scenario, weights, config))
+        (config, metrics.evaluate(scenario, weights, config))
         for config in feasible_grid(scenario, grid_cap)
     )
 
@@ -150,8 +152,8 @@ def solve_exhaustive(
     Returns the global minimizer; ties go to the smaller m, then smaller theta.
     """
     entries = tuple(
-        TraceEntry(k, config, breakdown.utility)
-        for k, (config, breakdown) in enumerate(
+        TraceEntry(k, config, cells[-1])
+        for k, (config, cells) in enumerate(
             evaluate_grid(scenario, weights, grid_cap=grid_cap), start=1
         )
     )
@@ -197,7 +199,7 @@ def scan_unimodality(
 ) -> UnimodalityReport:
     """Full-grid valley-shape check used as the greedy-exactness pre-scan."""
     width = scenario.max_txn_per_block - scenario.min_txn_per_block + 1
-    values = [b.utility for _, b in evaluate_grid(scenario, weights, grid_cap=grid_cap)]
+    values = [cells[-1] for _, cells in evaluate_grid(scenario, weights, grid_cap=grid_cap)]
     rows = [values[i:i + width] for i in range(0, len(values), width)]
     return UnimodalityReport(
         rows_unimodal=all(_is_unimodal(row) for row in rows),

@@ -140,6 +140,18 @@ ADVERSARIAL_WEIGHTS = QosWeights(
 )
 
 
+def bit_identity_inputs():
+    """Scenarios whose every grid point the bit-identity checks evaluate, each with its weights.
+
+    table2, the normalization scenarios and the adversarial fixture, each
+    with two random weight triples and the three zero-weight corners.
+    """
+    rng = random.Random(31)
+    corners = (QosWeights(1.0, 0.0, 0.0), QosWeights(0.0, 1.0, 0.0), QosWeights(0.0, 0.0, 1.0))
+    for scenario in [*normalization_scenarios(), ADVERSARIAL_SCENARIO]:
+        yield scenario, (random_weights(rng), random_weights(rng), *corners)
+
+
 def reference_event_logs(events) -> tuple[str, str]:
     """The event logs formatted by ``csv.writer`` and ``json.dumps``: (CSV, NDJSON).
 

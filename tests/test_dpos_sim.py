@@ -21,6 +21,7 @@ from bcconf import (
     select_verifiers,
     sweep_sim,
 )
+from bcconf import dpos_sim
 from bcconf.dpos_sim import (
     BLOCK_COMMITTED,
     BLOCK_DISPATCHED,
@@ -235,6 +236,20 @@ def test_clock_overflow_across_rounds_is_a_validation_error():
     for jitter, round_index in ((0.0, "17"), (0.1, r"\d+")):
         with pytest.raises(ValidationError, match=rf"rounds=30: .* round {round_index}\b"):
             run_simulation(SimConfig(scenario=scenario, config=config, rounds=30, jitter=jitter))
+
+
+def test_run_without_jitter_builds_no_rng(monkeypatch):
+    def no_rng(seed):
+        raise AssertionError(f"random.Random({seed}) built for a run that draws nothing")
+
+    monkeypatch.setattr(dpos_sim.random, "Random", no_rng)
+    scenario = load_scenario(TABLE2_PATH)
+    config = BlockchainConfig(9, 12)
+    sim = SimConfig(scenario=scenario, config=config, rounds=3, rng_seed=5, rotate_bm=True)
+    assert run_simulation(sim).committed_blocks == 3
+    assert len(sweep_sim(scenario, rounds=1, seed=5).cells) == 171
+    with pytest.raises(AssertionError, match=r"random.Random\(5\)"):
+        run_simulation(SimConfig(scenario=scenario, config=config, jitter=0.1, rng_seed=5))
 
 
 def test_sim_config_validation():

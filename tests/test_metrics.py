@@ -22,8 +22,10 @@ from bcconf import (
     select_verifiers,
     utility,
 )
+from bcconf.metrics import COLUMNS, evaluate
 from helpers import (
     TABLE2_PATH,
+    bit_identity_inputs,
     make_scenario,
     normalization_scenarios,
     random_feasible_config,
@@ -349,6 +351,35 @@ def test_utility_agrees_with_independent_oracle():
         assert latency_terms(scenario, config).verify_s == max(
             scenario.verification_workload / p.compute_capacity for p in oracle_rank(scenario)[:m]
         )
+
+
+def breakdown_cells(breakdown):
+    """The fields of a :class:`MetricBreakdown`, read by name, in ``COLUMNS`` order."""
+    fields = {
+        "latency_s": breakdown.latency_s,
+        **vars(breakdown.latency_terms),
+        "security": breakdown.security,
+        "cost": breakdown.cost,
+        **vars(breakdown.normalized),
+        "utility": breakdown.utility,
+    }
+    return tuple(fields[name] for name in COLUMNS)
+
+
+def test_evaluate_matches_utility_and_the_metric_functions_bit_for_bit():
+    for scenario, weight_sets in bit_identity_inputs():
+        constants = normalization(scenario)
+        for m, theta in oracle_grid(scenario):
+            config = BlockchainConfig(m, theta)
+            # Each cell, recomputed from each metric's own function and the maxima.
+            total, sec, per_txn_cost = latency(scenario, config), security(scenario, m), cost(scenario, config)
+            ratios = (total / constants.max_latency, constants.max_security / sec, per_txn_cost / constants.max_cost)
+            expected = (total, *vars(latency_terms(scenario, config)).values(), sec, per_txn_cost, *ratios)
+            for weights in weight_sets:
+                cells = evaluate(scenario, weights, config)
+                assert cells == breakdown_cells(utility(scenario, weights, config))
+                (a, b, c), (x, y, z) = weights.as_tuple(), ratios
+                assert cells == (*expected, a * x + b * y + c * z)
 
 
 # ---------------------------------------------------------------------------

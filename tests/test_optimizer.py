@@ -1,6 +1,7 @@
 """Greedy sweep vs the exhaustive oracle: traces, tie-breaks, and gap reporting."""
 import csv
 import io
+import math
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from bcconf import (
     BlockchainConfig,
     GridCapError,
     QosWeights,
+    ValidationError,
     compare,
     load_scenario,
     scan_unimodality,
@@ -16,13 +18,14 @@ from bcconf import (
     solve_greedy,
     sweep_sim,
 )
-from bcconf import cli, metrics
+from bcconf import cli, metrics, optimizer
 from bcconf.model import feasible_grid
 from bcconf.optimizer import trace_to_csv
 from helpers import (
     ADVERSARIAL_SCENARIO,
     ADVERSARIAL_WEIGHTS,
     TABLE2_PATH,
+    bit_identity_inputs,
     make_scenario,
     random_scenario,
     random_weights,
@@ -250,3 +253,114 @@ def test_trace_csv_round_trips():
     first = rows[1]
     assert int(first[0]) == 1
     assert float(first[3]) == result.trace.entries[0].utility
+
+
+def test_solvers_and_scan_record_the_scalar_utilities(monkeypatch):
+    scanned = []
+    is_unimodal = optimizer._is_unimodal
+
+    def recording_is_unimodal(values):
+        scanned.append(list(values))
+        return is_unimodal(values)
+
+    monkeypatch.setattr(optimizer, "_is_unimodal", recording_is_unimodal)
+    for scenario, weight_sets in bit_identity_inputs():
+        for weights in weight_sets:
+            def scalar(config):
+                return metrics.utility(scenario, weights, config).utility
+
+            grid = list(feasible_grid(scenario))
+            width = scenario.max_txn_per_block - scenario.min_txn_per_block + 1
+            values = [scalar(config) for config in grid]
+            rows = [values[i:i + width] for i in range(0, len(values), width)]
+            exhaustive = solve_exhaustive(scenario, weights)
+            assert [(e.config, e.utility) for e in exhaustive.trace.entries] == list(zip(grid, values))
+            for entry in solve_greedy(scenario, weights).trace.entries:
+                assert entry.utility == scalar(entry.config)
+            # The scan checks rows until one is not unimodal, then the row minima.
+            scanned.clear()
+            scan_unimodality(scenario, weights)
+            *row_calls, minima = scanned
+            assert row_calls == rows[:len(row_calls)]
+            assert minima == [min(row) for row in rows]
+
+
+# Every path that evaluates the utility, called on the lower corner or the whole grid.
+EVALUATION_PATHS = {
+    "utility": lambda s: metrics.utility(
+        s, EQUAL_WEIGHTS, BlockchainConfig(s.min_verifiers, s.min_txn_per_block)
+    ),
+    "scan_unimodality": lambda s: scan_unimodality(s, EQUAL_WEIGHTS),
+    "solve_exhaustive": lambda s: solve_exhaustive(s, EQUAL_WEIGHTS),
+    "solve_greedy": lambda s: solve_greedy(s, EQUAL_WEIGHTS),
+}
+
+
+@pytest.mark.parametrize("path", list(EVALUATION_PATHS))
+@pytest.mark.parametrize(
+    "field,value,message",
+    [
+        ("payment_prefix", -1.0, "cost must be non-negative"),
+        ("ranked_verify_s", math.inf, r"\(m=2, theta=2\): round latency is not finite: verify_s = "),
+        ("ranked_verify_s", math.nan, r"\(m=2, theta=2\): round latency is not finite: verify_s = "),
+    ],
+    ids=["negative_payment", "infinite_verify", "nan_verify"],
+)
+def test_broken_scenario_fails_every_evaluation_path(path, field, value, message):
+    # Break the entry that m = min_verifiers reads, which every path evaluates
+    # first; the normalization corners read only index M, so max_cost stays positive.
+    scenario = load_scenario(TABLE2_PATH)
+    m = scenario.min_verifiers
+    entries = list(getattr(scenario, field))
+    entries[m if field == "payment_prefix" else m - 1] = value
+    object.__setattr__(scenario, field, tuple(entries))
+    assert scenario.normalization.max_cost > 0
+    with pytest.raises(ValidationError, match=message):
+        EVALUATION_PATHS[path](scenario)
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Count the calls of ``metrics.evaluate``, the one per-configuration kernel."""
+    calls = []  # the configuration of each call
+    evaluate = metrics.evaluate
+
+    def counting(scenario, weights, config):
+        calls.append(config)
+        return evaluate(scenario, weights, config)
+
+    monkeypatch.setattr(metrics, "evaluate", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "scenario", [load_scenario(TABLE2_PATH), ADVERSARIAL_SCENARIO], ids=["table2", "adversarial"]
+)
+def test_each_entry_point_evaluates_each_configuration_once(scenario, kernel_calls):
+    weights = ADVERSARIAL_WEIGHTS
+    grid = scenario.grid_size
+    scan_unimodality(scenario, weights)
+    assert len(kernel_calls) == len(set(kernel_calls)) == grid
+    kernel_calls.clear()
+    solve_exhaustive(scenario, weights)
+    assert len(kernel_calls) == grid
+    kernel_calls.clear()
+    greedy = solve_greedy(scenario, weights).trace.evaluations
+    assert len(kernel_calls) == greedy
+    kernel_calls.clear()
+    compare(scenario, weights)
+    assert len(kernel_calls) == grid + greedy
+
+
+def test_each_cli_command_evaluates_each_configuration_once(tmp_path, kernel_calls):
+    grid = load_scenario(TABLE2_PATH).grid_size
+    assert cli.main(["sweep", "--scenario", str(TABLE2_PATH), "--out", str(tmp_path)]) == 0
+    assert len(kernel_calls) == grid
+    kernel_calls.clear()
+    assert cli.main(["optimize", "--scenario", str(TABLE2_PATH), "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "result.csv", newline="", encoding="utf-8") as handle:
+        evaluations = int(next(csv.DictReader(handle))["evaluations"])
+    assert evaluations <= len(kernel_calls) <= evaluations + 1
+    kernel_calls.clear()
+    assert cli.main(["compare", "--scenario", str(TABLE2_PATH), "--out", str(tmp_path)]) == 0
+    assert len(kernel_calls) == grid + evaluations
