@@ -13,12 +13,10 @@ from .model import (
     GridCapError,
     ModeTableRule,
     NormalizationConstants,
-    OptimizationTrace,
     ParseError,
     QosWeights,
     ScenarioError,
     ScenarioParams,
-    TraceEntry,
     ValidationError,
     VerifierProfile,
     dump_scenario,
@@ -40,6 +38,7 @@ from .metrics import (
 )
 from .optimizer import (
     ComparisonReport,
+    OptimizationTrace,
     SolverResult,
     UnimodalityReport,
     compare,

@@ -296,7 +296,9 @@ def _cmd_sweep(args: argparse.Namespace, scenario: ScenarioParams, artifacts: _A
 def _cmd_compare(args: argparse.Namespace, scenario: ScenarioParams, artifacts: _ArtifactSet) -> None:
     effective, weights = _resolve_directive_and_weights(scenario, args)
     report = optimizer.compare(effective, weights, grid_cap=args.grid_cap)
-    series = itertools.zip_longest(report.greedy_best_so_far, report.exhaustive_best_so_far, fillvalue="")
+    series = itertools.zip_longest(
+        report.greedy.trace.best_so_far(), report.exhaustive.trace.best_so_far(), fillvalue=""
+    )
     rows = [[i, *pair] for i, pair in enumerate(series, start=1)]
     _write_csv(artifacts.create("compare.csv"), ["iteration", "greedy_best_so_far", "exhaustive_best_so_far"], rows)
     _write_csv(

@@ -1,11 +1,13 @@
 """Domain types and scenario-file handling.
 
-All types are immutable after construction (frozen dataclasses) and safe
-to share across threads. Beyond invariant checks, this module computes only
-what a scenario derives from itself: the verifier ranking and the running
-sums of its payments, once when it is built, and its normalization maxima,
-on first use, kept with the scenario for its lifetime. See
-:mod:`bcconf.metrics` for the closed forms.
+The types here describe scenarios, weights and configurations; solver
+traces live with the solvers in :mod:`bcconf.optimizer`. All types are immutable
+after construction (frozen dataclasses) and safe to share across threads.
+Beyond invariant checks, this module computes only what a scenario derives
+from itself: the verifier ranking and the running sums of its payments,
+once when it is built, and its normalization maxima, on first use, kept
+with the scenario for its lifetime. See :mod:`bcconf.metrics` for the
+closed forms.
 """
 from __future__ import annotations
 
@@ -271,43 +273,6 @@ class NormalizationConstants:
         ):
             if not (math.isfinite(value) and value > 0):
                 raise ValidationError(f"{name} must be positive and finite, got {value}")
-
-
-@dataclass(frozen=True)
-class TraceEntry:
-    iteration: int
-    config: BlockchainConfig
-    utility: float
-
-
-@dataclass(frozen=True)
-class OptimizationTrace:
-    """Ordered record of every utility evaluation a solver performed."""
-
-    entries: tuple[TraceEntry, ...]
-    result: BlockchainConfig
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(self.entries))
-        for k, entry in enumerate(self.entries):
-            if entry.iteration != k + 1:
-                raise ValidationError("trace iteration indices must increase from 1 by 1")
-        if not any(e.config == self.result for e in self.entries):
-            raise ValidationError("trace result must appear among its entries")
-
-    @property
-    def evaluations(self) -> int:
-        """Number of utility evaluations the solver made."""
-        return len(self.entries)
-
-    def best_so_far(self) -> tuple[float, ...]:
-        """Running minimum of the recorded utilities, one value per entry."""
-        out: list[float] = []
-        best = math.inf
-        for e in self.entries:
-            best = min(best, e.utility)
-            out.append(best)
-        return tuple(out)
 
 
 # ---------------------------------------------------------------------------

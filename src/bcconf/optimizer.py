@@ -8,28 +8,56 @@ feasible box and is the ground-truth oracle the greedy result is compared
 against. Every evaluation is one call of :func:`bcconf.metrics.evaluate`,
 which holds every per-evaluation check; solvers and the unimodality scan
 read only its last cell, the utility.
+
+A solver's trace (:class:`OptimizationTrace`) is its evaluations in order:
+``configs[k]`` scored ``utilities[k]``. Only this module builds or renders one.
 """
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Iterator, Optional, Sequence
 
 from . import metrics
 from .model import (
     DEFAULT_GRID_CAP,
     BlockchainConfig,
-    OptimizationTrace,
     QosWeights,
     ScenarioParams,
-    TraceEntry,
+    ValidationError,
     feasible_grid,
 )
 
 GREEDY = "greedy"
 EXHAUSTIVE = "exhaustive"
+
+
+@dataclass(frozen=True)
+class OptimizationTrace:
+    """Every utility evaluation a solver made, in order: ``configs[k]`` scored ``utilities[k]``."""
+
+    configs: tuple[BlockchainConfig, ...]
+    utilities: tuple[float, ...]
+    result: BlockchainConfig
+
+    def __post_init__(self):
+        if len(self.configs) != len(self.utilities):
+            raise ValidationError(
+                f"trace has {len(self.configs)} configurations but {len(self.utilities)} utilities"
+            )
+        if self.result not in self.configs:
+            raise ValidationError("trace result must appear among its configurations")
+
+    @property
+    def evaluations(self) -> int:
+        """Number of utility evaluations the solver made."""
+        return len(self.utilities)
+
+    def best_so_far(self) -> tuple[float, ...]:
+        """Running minimum of the utilities, one value per evaluation."""
+        return tuple(itertools.accumulate(self.utilities, min))
 
 
 @dataclass(frozen=True)
@@ -46,10 +74,15 @@ class ComparisonReport:
 
     greedy: SolverResult
     exhaustive: SolverResult
-    utility_gap: float          # greedy best minus exhaustive best; never negative
-    greedy_suboptimal: bool
-    greedy_best_so_far: tuple[float, ...]
-    exhaustive_best_so_far: tuple[float, ...]
+
+    @property
+    def utility_gap(self) -> float:
+        """Greedy best minus exhaustive best; never negative."""
+        return self.greedy.best_utility - self.exhaustive.best_utility
+
+    @property
+    def greedy_suboptimal(self) -> bool:
+        return self.utility_gap > 0
 
 
 @dataclass(frozen=True)
@@ -67,24 +100,6 @@ class UnimodalityReport:
     @property
     def greedy_exact(self) -> bool:
         return self.rows_unimodal and self.row_minima_unimodal
-
-
-class _Tracer:
-    """Evaluates utilities and records every evaluation in execution order."""
-
-    def __init__(self, scenario: ScenarioParams, weights: QosWeights):
-        self._scenario = scenario
-        self._weights = weights
-        self.entries: list[TraceEntry] = []
-
-    def evaluate(self, m: int, theta: int) -> float:
-        config = BlockchainConfig(m, theta)
-        value = metrics.evaluate(self._scenario, self._weights, config)[-1]
-        self.entries.append(TraceEntry(len(self.entries) + 1, config, value))
-        return value
-
-    def finish(self, result: BlockchainConfig) -> OptimizationTrace:
-        return OptimizationTrace(entries=tuple(self.entries), result=result)
 
 
 def evaluate_grid(
@@ -113,14 +128,22 @@ def solve_greedy(scenario: ScenarioParams, weights: QosWeights) -> SolverResult:
     """
     v, big_m = scenario.min_verifiers, scenario.max_verifiers
     t, big_n = scenario.min_txn_per_block, scenario.max_txn_per_block
-    tracer = _Tracer(scenario, weights)
+    configs: list[BlockchainConfig] = []
+    utilities: list[float] = []
+
+    def evaluate(m: int, theta: int) -> float:
+        config = BlockchainConfig(m, theta)
+        value = metrics.evaluate(scenario, weights, config)[-1]
+        configs.append(config)
+        utilities.append(value)
+        return value
 
     prev: Optional[tuple[int, float]] = None  # (theta*, utility*) of m - 1
     result_m = big_m
     for m in range(v, big_m + 1):
-        u_prev = tracer.evaluate(m, t)
+        u_prev = evaluate(m, t)
         for theta in range(t + 1, big_n + 1):
-            u = tracer.evaluate(m, theta)
+            u = evaluate(m, theta)
             if u > u_prev:
                 theta_star, u_star = theta - 1, u_prev
                 break
@@ -139,7 +162,7 @@ def solve_greedy(scenario: ScenarioParams, weights: QosWeights) -> SolverResult:
     return SolverResult(
         best_config=best,
         best_utility=best_value,
-        trace=tracer.finish(best),
+        trace=OptimizationTrace(tuple(configs), tuple(utilities), best),
         solver_name=GREEDY,
     )
 
@@ -151,17 +174,16 @@ def solve_exhaustive(
 
     Returns the global minimizer; ties go to the smaller m, then smaller theta.
     """
-    entries = tuple(
-        TraceEntry(k, config, cells[-1])
-        for k, (config, cells) in enumerate(
-            evaluate_grid(scenario, weights, grid_cap=grid_cap), start=1
-        )
-    )
-    best = min(entries, key=attrgetter("utility"))  # the first minimum wins ties
+    configs: list[BlockchainConfig] = []
+    utilities: list[float] = []
+    for config, cells in evaluate_grid(scenario, weights, grid_cap=grid_cap):
+        configs.append(config)
+        utilities.append(cells[-1])
+    best = utilities.index(min(utilities))  # the first minimum wins ties
     return SolverResult(
-        best_config=best.config,
-        best_utility=best.utility,
-        trace=OptimizationTrace(entries=entries, result=best.config),
+        best_config=configs[best],
+        best_utility=utilities[best],
+        trace=OptimizationTrace(tuple(configs), tuple(utilities), configs[best]),
         solver_name=EXHAUSTIVE,
     )
 
@@ -169,18 +191,13 @@ def solve_exhaustive(
 def compare(
     scenario: ScenarioParams, weights: QosWeights, *, grid_cap: int = DEFAULT_GRID_CAP
 ) -> ComparisonReport:
-    """Run both solvers and report evaluation counts and the utility gap."""
-    greedy = solve_greedy(scenario, weights)
+    """Run both solvers and report evaluation counts and the utility gap.
+
+    The exhaustive solver runs first, so an over-cap grid is refused before
+    anything is evaluated.
+    """
     exhaustive = solve_exhaustive(scenario, weights, grid_cap=grid_cap)
-    gap = greedy.best_utility - exhaustive.best_utility
-    return ComparisonReport(
-        greedy=greedy,
-        exhaustive=exhaustive,
-        utility_gap=gap,
-        greedy_suboptimal=gap > 0,
-        greedy_best_so_far=greedy.trace.best_so_far(),
-        exhaustive_best_so_far=exhaustive.trace.best_so_far(),
-    )
+    return ComparisonReport(greedy=solve_greedy(scenario, weights), exhaustive=exhaustive)
 
 
 def _is_unimodal(values: Sequence[float]) -> bool:
@@ -213,7 +230,9 @@ def trace_to_csv(trace: OptimizationTrace) -> str:
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["iteration", "m", "theta", "utility", "best_so_far"])
     writer.writerows(
-        (e.iteration, e.config.num_verifiers, e.config.txns_per_block, e.utility, best)
-        for e, best in zip(trace.entries, trace.best_so_far())
+        (k, config.num_verifiers, config.txns_per_block, value, best)
+        for k, (config, value, best) in enumerate(
+            zip(trace.configs, trace.utilities, trace.best_so_far()), start=1
+        )
     )
     return buffer.getvalue()

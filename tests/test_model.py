@@ -6,10 +6,8 @@ import pytest
 
 from bcconf import (
     BlockchainConfig,
-    OptimizationTrace,
     ParseError,
     QosWeights,
-    TraceEntry,
     ValidationError,
     VerifierProfile,
     dump_scenario,
@@ -266,15 +264,3 @@ def test_validate_config_matches_box_conjunction_exhaustively():
         for theta in range(0, 8):
             expected = (2 <= m <= 3) and (2 <= theta <= 5)
             assert validate_config(scenario, BlockchainConfig(m, theta)) == expected
-
-
-def test_optimization_trace_invariants():
-    cfg = BlockchainConfig(1, 1)
-    entries = (TraceEntry(1, cfg, 0.5), TraceEntry(2, BlockchainConfig(1, 2), 0.4))
-    trace = OptimizationTrace(entries=entries, result=cfg)
-    assert trace.evaluations == 2
-    assert trace.best_so_far() == (0.5, 0.4)
-    with pytest.raises(ValidationError):
-        OptimizationTrace(entries=(TraceEntry(2, cfg, 0.5),), result=cfg)
-    with pytest.raises(ValidationError):
-        OptimizationTrace(entries=entries, result=BlockchainConfig(9, 9))

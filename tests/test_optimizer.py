@@ -9,6 +9,7 @@ import pytest
 from bcconf import (
     BlockchainConfig,
     GridCapError,
+    OptimizationTrace,
     QosWeights,
     ValidationError,
     compare,
@@ -78,11 +79,10 @@ def test_exhaustive_covers_full_grid_row_major():
     scenario = load_scenario(TABLE2_PATH)
     result = solve_exhaustive(scenario, EQUAL_WEIGHTS)
     assert result.trace.evaluations == 171
-    configs = [e.config for e in result.trace.entries]
-    expected = [
+    expected = tuple(
         BlockchainConfig(m, t) for m in range(2, 11) for t in range(2, 21)
-    ]
-    assert configs == expected
+    )
+    assert result.trace.configs == expected == tuple(feasible_grid(scenario))
 
 
 def test_greedy_beats_grid_size_on_table2():
@@ -93,11 +93,27 @@ def test_greedy_beats_grid_size_on_table2():
     assert greedy.best_utility == pytest.approx(exhaustive.best_utility, abs=1e-12)
 
 
-def test_greedy_trace_starts_at_lower_corner_and_counts_from_one():
+def test_optimization_trace_invariants():
+    cfg = BlockchainConfig(1, 1)
+    configs = (cfg, BlockchainConfig(1, 2), BlockchainConfig(1, 3), BlockchainConfig(2, 1))
+    utilities = (0.5, 0.4, 0.45, 0.2)
+    trace = OptimizationTrace(configs, utilities, cfg)
+    assert trace.evaluations == 4
+    # The running minimum, written out by hand.
+    assert trace.best_so_far() == (0.5, 0.4, 0.4, 0.2)
+    assert OptimizationTrace((cfg,), (0.7,), cfg).best_so_far() == (0.7,)
+    with pytest.raises(ValidationError, match="4 configurations but 3 utilities"):
+        OptimizationTrace(configs, utilities[:3], cfg)
+    with pytest.raises(ValidationError, match="3 configurations but 4 utilities"):
+        OptimizationTrace(configs[:3], utilities, cfg)
+    with pytest.raises(ValidationError, match="result must appear among its configurations"):
+        OptimizationTrace(configs, utilities, BlockchainConfig(9, 9))
+
+
+def test_greedy_trace_starts_at_lower_corner():
     scenario = load_scenario(TABLE2_PATH)
     trace = solve_greedy(scenario, EQUAL_WEIGHTS).trace
-    assert trace.entries[0].config == BlockchainConfig(2, 2)
-    assert [e.iteration for e in trace.entries] == list(range(1, trace.evaluations + 1))
+    assert trace.configs[0] == BlockchainConfig(2, 2)
 
 
 def test_recorded_best_matches_fresh_evaluation():
@@ -126,8 +142,9 @@ def test_exhaustive_tie_break_prefers_smaller_config():
 
 
 # Every entry point that enumerates the feasible grid; a string names a CLI command.
-# feasible_grid must refuse when called, before anything iterates it. The CLI
-# commands that enumerate no grid must reject --grid-cap as an unknown flag.
+# feasible_grid must refuse when called, before anything iterates it, and no entry
+# point may evaluate a configuration before it refuses. The CLI commands that
+# enumerate no grid must reject --grid-cap as an unknown flag.
 GRID_CAP_UNREAD_COMMANDS = ("optimize", "simulate")
 GRID_CAP_ENTRY_POINTS = {
     "feasible_grid": feasible_grid,
@@ -143,7 +160,7 @@ GRID_CAP_ENTRY_POINTS = {
 
 
 @pytest.mark.parametrize("entry_point", list(GRID_CAP_ENTRY_POINTS))
-def test_grid_cap_refusal(entry_point, tmp_path, capsys):
+def test_grid_cap_refusal(entry_point, tmp_path, capsys, kernel_calls):
     scenario = load_scenario(TABLE2_PATH)
     assert scenario.grid_size == 171
     call = GRID_CAP_ENTRY_POINTS[entry_point]
@@ -157,13 +174,16 @@ def test_grid_cap_refusal(entry_point, tmp_path, capsys):
             assert run_cli(171) == 2
             assert "unrecognized arguments: --grid-cap 171" in capsys.readouterr().err
             assert not any(tmp_path.iterdir())
+            assert kernel_calls == []
             return
         assert run_cli(170) == 2
         assert "above the cap of 170" in capsys.readouterr().err
+        assert kernel_calls == []
         assert run_cli(171) == 0
     else:
         with pytest.raises(GridCapError, match="above the cap of 170"):
             call(scenario, 170)
+        assert kernel_calls == []
         call(scenario, 171)
 
 
@@ -231,16 +251,17 @@ def test_compare_on_degenerate_box():
     )
     report = compare(scenario, EQUAL_WEIGHTS)
     assert report.utility_gap == 0.0
-    assert report.greedy.trace.entries == report.exhaustive.trace.entries
-    assert report.greedy_best_so_far == report.exhaustive_best_so_far
+    assert report.greedy.trace.configs == report.exhaustive.trace.configs
+    assert report.greedy.trace.utilities == report.exhaustive.trace.utilities
+    assert report.greedy.trace.best_so_far() == report.exhaustive.trace.best_so_far()
 
 
 def test_best_so_far_series_is_nonincreasing():
     scenario = load_scenario(TABLE2_PATH)
     report = compare(scenario, EQUAL_WEIGHTS)
-    for series in (report.greedy_best_so_far, report.exhaustive_best_so_far):
+    for series in (report.greedy.trace.best_so_far(), report.exhaustive.trace.best_so_far()):
         assert all(a >= b for a, b in zip(series, series[1:]))
-    assert report.exhaustive_best_so_far[-1] == report.exhaustive.best_utility
+    assert report.exhaustive.trace.best_so_far()[-1] == report.exhaustive.best_utility
 
 
 def test_trace_csv_round_trips():
@@ -250,9 +271,9 @@ def test_trace_csv_round_trips():
     rows = list(csv.reader(io.StringIO(text)))
     assert rows[0] == ["iteration", "m", "theta", "utility", "best_so_far"]
     assert len(rows) == result.trace.evaluations + 1
+    assert [int(row[0]) for row in rows[1:]] == list(range(1, result.trace.evaluations + 1))
     first = rows[1]
-    assert int(first[0]) == 1
-    assert float(first[3]) == result.trace.entries[0].utility
+    assert float(first[3]) == result.trace.utilities[0]
 
 
 def test_solvers_and_scan_record_the_scalar_utilities(monkeypatch):
@@ -274,9 +295,11 @@ def test_solvers_and_scan_record_the_scalar_utilities(monkeypatch):
             values = [scalar(config) for config in grid]
             rows = [values[i:i + width] for i in range(0, len(values), width)]
             exhaustive = solve_exhaustive(scenario, weights)
-            assert [(e.config, e.utility) for e in exhaustive.trace.entries] == list(zip(grid, values))
-            for entry in solve_greedy(scenario, weights).trace.entries:
-                assert entry.utility == scalar(entry.config)
+            assert exhaustive.trace.configs == tuple(grid)
+            assert exhaustive.trace.utilities == tuple(values)
+            greedy = solve_greedy(scenario, weights).trace
+            for config, value in zip(greedy.configs, greedy.utilities):
+                assert value == scalar(config)
             # The scan checks rows until one is not unimodal, then the row minima.
             scanned.clear()
             scan_unimodality(scenario, weights)
