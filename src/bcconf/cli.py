@@ -3,9 +3,11 @@
 Each command loads a scenario file and writes its CSV artifacts and a
 ``manifest.json`` under temp names in the output directory; only after the
 last one is written (for ``simulate``, after the closed-form check) are they
-renamed onto their final names together. A rejected run removes its temp
-files and any directory it created, so it leaves nothing behind and leaves
-an earlier run's artifacts as they were. Re-runs with identical inputs and
+renamed onto their final names, one after another. A rejected run removes
+its temp files and any directory it created, so it leaves nothing behind and
+leaves an earlier run's artifacts as they were. The renames are not one
+atomic step: if one fails (exit 3), the files renamed before it already
+hold the new versions. Re-runs with identical inputs and
 seed overwrite the CSV files byte for byte; the manifest records wall time
 and is the one file excluded from that guarantee.
 
@@ -197,7 +199,8 @@ class _ArtifactSet:
     directory on first use. On a clean exit from the ``with`` block every
     file is closed and only then renamed onto its final name, in creation
     order; on an exception every temp file, and every directory this set
-    created, is removed.
+    created, is removed. A rename that fails part-way removes the temp
+    files not yet renamed but cannot undo the renames already made.
     """
 
     def __init__(self, out_dir: Path):
@@ -287,8 +290,9 @@ def _cmd_optimize(args: argparse.Namespace, scenario: ScenarioParams, artifacts:
 def _cmd_sweep(args: argparse.Namespace, scenario: ScenarioParams, artifacts: _ArtifactSet) -> None:
     effective, weights = _resolve_directive_and_weights(scenario, args)
     rows = [
-        [config.num_verifiers, config.txns_per_block, *cells]
-        for config, cells in optimizer.evaluate_grid(effective, weights, grid_cap=args.grid_cap)
+        [m, theta, *cells]
+        for m, thetas, row in optimizer.evaluate_grid(effective, weights, grid_cap=args.grid_cap)
+        for theta, cells in zip(thetas, row)
     ]
     _write_csv(artifacts.create("surface.csv"), ["m", "theta", *metrics.COLUMNS], rows)
 

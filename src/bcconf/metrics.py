@@ -6,17 +6,25 @@ and does only per-configuration work: it reads the verifier ranking and
 payment prefix sums that the scenario derived once when it was built, and
 the normalization maxima that the scenario derives from the corners of
 the feasible box on first use (``ScenarioParams.normalization``, computed
-by :func:`normalization`) and keeps for its lifetime. :func:`evaluate` is
-the one per-configuration kernel: a plain tuple of floats in :data:`COLUMNS`
-order, which :func:`utility` wraps in a :class:`MetricBreakdown`. Each check
-lives in one place: feasibility and finite latency in the stage computation
-it shares with :func:`latency_terms` and :func:`latency`, positive security
-and non-negative latency, cost and utility in :func:`evaluate`.
+by :func:`normalization`) and keeps for its lifetime.
+
+Two kernels give a configuration's cells, a plain tuple of floats in
+:data:`COLUMNS` order: :func:`evaluate` for one point, which :func:`utility`
+wraps in a :class:`MetricBreakdown`, and :func:`evaluate_row` for a run of
+block sizes at one verifier count, which does the work fixed for the row
+once. Both are a row function and a point function, so each formula and
+each check lives in one place: the stage, ratio and utility formulas, finite
+latency and non-negative latency, cost and utility in the point function,
+whose stages :func:`latency_terms` and :func:`latency` also use; the
+normalization read and positive security in the row function; feasibility
+in :func:`bcconf.model.require_feasible`. The point function's cost is the
+quotient :func:`cost` returns, with the payment sum read once per row.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator, Optional
 
 from .model import (
     BlockchainConfig,
@@ -87,14 +95,14 @@ _STAGE_FORMULAS = {
 }
 
 
-def _stages(scenario: ScenarioParams, config: BlockchainConfig) -> tuple[float, float, float, float, float]:
-    """The round latency, then its four stages, of a feasible configuration.
+def _cells(scenario: ScenarioParams, m: int, theta: int, row: Optional[tuple] = None) -> tuple[float, ...]:
+    """The cells of the feasible configuration (m, theta), unchecked for feasibility.
 
-    Holds the feasibility check and the finite-latency check, which names
-    the stage when the latency overflows.
+    Without ``row``: the round latency, then its four stages. With the fixed
+    values of row m from :func:`_row`: all of :data:`COLUMNS`. Holds every
+    per-point formula and check: finite latency, which names the stage when
+    the latency overflows, and non-negative latency, cost and utility.
     """
-    require_feasible(scenario, config)
-    m, theta = config.num_verifiers, config.txns_per_block
     block_bits = theta * scenario.transaction_size_bits
     downlink_s = block_bits / scenario.downlink_rate_bps
     # The ranking ascends in K/x, so the slowest of the first m is the m-th.
@@ -108,7 +116,44 @@ def _stages(scenario: ScenarioParams, config: BlockchainConfig) -> tuple[float, 
         stages = [name for name, value in values.items() if not math.isfinite(value)] or values
         details = "; ".join(f"{name} = {_STAGE_FORMULAS[name]} = {values[name]!r}" for name in stages)
         raise ValidationError(f"configuration (m={m}, theta={theta}): round latency is not finite: {details}")
-    return total_s, downlink_s, verify_s, broadcast_s, feedback_s
+    if row is None:
+        return total_s, downlink_s, verify_s, broadcast_s, feedback_s
+    sec, payment, max_latency, security_ratio, max_cost, latency_weight, security_term, cost_weight = row
+    per_txn_cost = payment / theta  # as in :func:`cost`, with the row's payment sum
+    latency_ratio = total_s / max_latency
+    cost_ratio = per_txn_cost / max_cost
+    value = latency_weight * latency_ratio + security_term + cost_weight * cost_ratio
+    if total_s < 0 or per_txn_cost < 0 or value < 0:
+        name = "latency_s" if total_s < 0 else "cost" if per_txn_cost < 0 else "utility"
+        raise ValidationError(f"{name} must be non-negative")
+    return (
+        total_s, downlink_s, verify_s, broadcast_s, feedback_s,
+        sec, per_txn_cost, latency_ratio, security_ratio, cost_ratio, value,
+    )
+
+
+def _row(scenario: ScenarioParams, weights: QosWeights, m: int, theta: int) -> tuple:
+    """The values :func:`_cells` needs that are fixed for row m, whose first point is theta.
+
+    Holds the per-row checks: the normalization read and positive security.
+    When one fails, the first point's own finite-latency check runs before
+    the failure is raised, so a row raises what its first point raises.
+    """
+    try:
+        # Read before security: m <= M, so once the maxima exist no term overflows.
+        constants = scenario.normalization
+        sec = security(scenario, m)
+        if not sec > 0:
+            raise ValidationError("security must be positive")
+    except ValidationError:
+        _cells(scenario, m, theta)
+        raise
+    security_ratio = constants.max_security / sec
+    return (
+        sec, scenario.payment_prefix[m], constants.max_latency, security_ratio, constants.max_cost,
+        # The utility's middle term is fixed for the row: the sum adds it in the same order.
+        weights.latency_weight, weights.security_weight * security_ratio, weights.cost_weight,
+    )
 
 
 def latency_terms(scenario: ScenarioParams, config: BlockchainConfig) -> LatencyTerms:
@@ -116,12 +161,16 @@ def latency_terms(scenario: ScenarioParams, config: BlockchainConfig) -> Latency
 
     Raises :class:`ValidationError` naming the stage when the latency overflows.
     """
-    return LatencyTerms(*_stages(scenario, config)[1:])
+    m, theta = config.num_verifiers, config.txns_per_block
+    require_feasible(scenario, m, theta)
+    return LatencyTerms(*_cells(scenario, m, theta)[1:])
 
 
 def latency(scenario: ScenarioParams, config: BlockchainConfig) -> float:
     """End-to-end round latency in seconds: dispatch + verify + broadcast + feedback."""
-    return _stages(scenario, config)[0]
+    m, theta = config.num_verifiers, config.txns_per_block
+    require_feasible(scenario, m, theta)
+    return _cells(scenario, m, theta)[0]
 
 
 def security(scenario: ScenarioParams, m: int) -> float:
@@ -133,13 +182,9 @@ def security(scenario: ScenarioParams, m: int) -> float:
 
 def cost(scenario: ScenarioParams, config: BlockchainConfig) -> float:
     """Per-transaction verification cost: selected capacity payments over theta."""
-    require_feasible(scenario, config)
-    return _cost(scenario, config)
-
-
-def _cost(scenario: ScenarioParams, config: BlockchainConfig) -> float:
-    # Unchecked: for m > M it would silently sum payments past the selectable verifiers.
-    return scenario.payment_prefix[config.num_verifiers] / config.txns_per_block
+    m, theta = config.num_verifiers, config.txns_per_block
+    require_feasible(scenario, m, theta)
+    return scenario.payment_prefix[m] / theta
 
 
 def normalization(scenario: ScenarioParams) -> NormalizationConstants:
@@ -191,26 +236,30 @@ def evaluate(scenario: ScenarioParams, weights: QosWeights, config: BlockchainCo
     verifiers help. Raises :class:`ValidationError` unless security is
     positive and latency, cost and utility are non-negative.
     """
-    stages = _stages(scenario, config)
-    total_latency = stages[0]
-    # Read before security: m <= M, so once the maxima exist no term overflows.
-    constants = scenario.normalization
-    sec = security(scenario, config.num_verifiers)
-    if not sec > 0:
-        raise ValidationError("security must be positive")
-    per_txn_cost = _cost(scenario, config)
-    latency_ratio = total_latency / constants.max_latency
-    security_ratio = constants.max_security / sec
-    cost_ratio = per_txn_cost / constants.max_cost
-    value = (
-        weights.latency_weight * latency_ratio
-        + weights.security_weight * security_ratio
-        + weights.cost_weight * cost_ratio
-    )
-    if total_latency < 0 or per_txn_cost < 0 or value < 0:
-        name = "latency_s" if total_latency < 0 else "cost" if per_txn_cost < 0 else "utility"
-        raise ValidationError(f"{name} must be non-negative")
-    return (*stages, sec, per_txn_cost, latency_ratio, security_ratio, cost_ratio, value)
+    m, theta = config.num_verifiers, config.txns_per_block
+    require_feasible(scenario, m, theta)
+    return _cells(scenario, m, theta, _row(scenario, weights, m, theta))
+
+
+def evaluate_row(
+    scenario: ScenarioParams, weights: QosWeights, m: int, thetas: range
+) -> Iterator[tuple[float, ...]]:
+    """Lazily, :func:`evaluate`'s cells of each configuration (m, theta) for theta in ``thetas``.
+
+    The row's fixed work is done once, when this is called: the feasibility
+    of the ends of ``thetas`` (a range, so every point lies between them),
+    the normalization maxima, security and its ratio, the payment sum and
+    the weights. Each point then costs only its own terms, and each yielded
+    tuple is bit-identical to :func:`evaluate`'s. Raises what a
+    point-by-point walk raises first, except that a row reaching outside
+    the feasible box raises :class:`ConstraintError` before any cell is made.
+    """
+    if not thetas:
+        return iter(())
+    require_feasible(scenario, m, thetas[0])
+    require_feasible(scenario, m, thetas[-1])
+    row = _row(scenario, weights, m, thetas[0])
+    return (_cells(scenario, m, theta, row) for theta in thetas)
 
 
 def utility(

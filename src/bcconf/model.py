@@ -245,7 +245,7 @@ class ScenarioParams:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BlockchainConfig:
     """Decision variables: verifier count m and transactions per block theta.
 
@@ -518,9 +518,27 @@ def dump_scenario(scenario: ScenarioParams) -> str:
 
 def validate_config(scenario: ScenarioParams, config: BlockchainConfig) -> bool:
     """True iff the configuration lies inside the scenario's feasible box."""
+    try:
+        require_feasible(scenario, config.num_verifiers, config.txns_per_block)
+    except ConstraintError:
+        return False
+    return True
+
+
+def feasible_rows(scenario: ScenarioParams, grid_cap: int = DEFAULT_GRID_CAP) -> tuple[range, range]:
+    """The feasible box as rows: its verifier counts m, and the theta run every row spans.
+
+    The one enumeration of the feasible box; row-major order is m outer,
+    theta inner. Raises :class:`GridCapError` if the grid has more than
+    ``grid_cap`` points.
+    """
+    if scenario.grid_size > grid_cap:
+        raise GridCapError(
+            f"feasible grid has {scenario.grid_size} points, above the cap of {grid_cap}"
+        )
     return (
-        scenario.min_verifiers <= config.num_verifiers <= scenario.max_verifiers
-        and scenario.min_txn_per_block <= config.txns_per_block <= scenario.max_txn_per_block
+        range(scenario.min_verifiers, scenario.max_verifiers + 1),
+        range(scenario.min_txn_per_block, scenario.max_txn_per_block + 1),
     )
 
 
@@ -529,27 +547,24 @@ def feasible_grid(
 ) -> Iterator[BlockchainConfig]:
     """Every feasible configuration in row-major order (m outer, theta inner).
 
-    The one enumeration of the feasible box. Raises :class:`GridCapError`
-    at call time if the grid has more than ``grid_cap`` points; otherwise
-    returns a lazy iterator.
+    The configurations of :func:`feasible_rows`, whose cap check runs at
+    call time; the iterator itself is lazy.
     """
-    if scenario.grid_size > grid_cap:
-        raise GridCapError(
-            f"feasible grid has {scenario.grid_size} points, above the cap of {grid_cap}"
-        )
-    thetas = range(scenario.min_txn_per_block, scenario.max_txn_per_block + 1)
-    return (
-        BlockchainConfig(m, theta)
-        for m in range(scenario.min_verifiers, scenario.max_verifiers + 1)
-        for theta in thetas
-    )
+    ms, thetas = feasible_rows(scenario, grid_cap)
+    return (BlockchainConfig(m, theta) for m in ms for theta in thetas)
 
 
-def require_feasible(scenario: ScenarioParams, config: BlockchainConfig) -> None:
-    """Raise :class:`ConstraintError` unless the configuration is feasible."""
-    if not validate_config(scenario, config):
+def require_feasible(scenario: ScenarioParams, m: int, theta: int) -> None:
+    """Raise :class:`ConstraintError` unless configuration (m, theta) is feasible.
+
+    The one feasibility check: (m, theta) lies inside the scenario's box.
+    """
+    if not (
+        scenario.min_verifiers <= m <= scenario.max_verifiers
+        and scenario.min_txn_per_block <= theta <= scenario.max_txn_per_block
+    ):
         raise ConstraintError(
-            f"configuration (m={config.num_verifiers}, theta={config.txns_per_block}) "
+            f"configuration (m={m}, theta={theta}) "
             f"outside feasible box m in [{scenario.min_verifiers}, {scenario.max_verifiers}], "
             f"theta in [{scenario.min_txn_per_block}, {scenario.max_txn_per_block}]"
         )

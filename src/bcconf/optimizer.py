@@ -5,9 +5,10 @@ count m it sweeps transactions-per-block upward and stops at the first
 utility increase, then stops the outer loop at the first m whose best
 utility exceeds the previous one. The exhaustive solver enumerates the whole
 feasible box and is the ground-truth oracle the greedy result is compared
-against. Every evaluation is one call of :func:`bcconf.metrics.evaluate`,
-which holds every per-evaluation check; solvers and the unimodality scan
-read only its last cell, the utility.
+against. Both solvers, the unimodality scan and ``sweep`` evaluate a row
+at a time through :func:`bcconf.metrics.evaluate_row`, which holds every
+evaluation check and does each row's fixed work once; the solvers and the
+scan read only each configuration's last cell, the utility.
 
 A solver's trace (:class:`OptimizationTrace`) is its evaluations in order:
 ``configs[k]`` scored ``utilities[k]``. Only this module builds or renders one.
@@ -17,6 +18,7 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
@@ -27,7 +29,7 @@ from .model import (
     QosWeights,
     ScenarioParams,
     ValidationError,
-    feasible_grid,
+    feasible_rows,
 )
 
 GREEDY = "greedy"
@@ -104,17 +106,15 @@ class UnimodalityReport:
 
 def evaluate_grid(
     scenario: ScenarioParams, weights: QosWeights, *, grid_cap: int
-) -> Iterator[tuple[BlockchainConfig, tuple[float, ...]]]:
-    """Lazily pair every feasible configuration with its cells, the tuple of :func:`bcconf.metrics.evaluate`.
+) -> Iterator[tuple[int, range, Iterator[tuple[float, ...]]]]:
+    """Lazily, each feasible row: its m, its theta run, and its cells from :func:`bcconf.metrics.evaluate_row`.
 
-    Row-major order, as :func:`bcconf.model.feasible_grid`, whose cap check
+    Row-major order, as :func:`bcconf.model.feasible_rows`, whose cap check
     runs at call time. Lazy, so that consumers keep only what they need of
     each configuration's cells and the whole grid of them is never held at once.
     """
-    return (
-        (config, metrics.evaluate(scenario, weights, config))
-        for config in feasible_grid(scenario, grid_cap)
-    )
+    ms, thetas = feasible_rows(scenario, grid_cap)
+    return ((m, thetas, metrics.evaluate_row(scenario, weights, m, thetas)) for m in ms)
 
 
 def solve_greedy(scenario: ScenarioParams, weights: QosWeights) -> SolverResult:
@@ -124,33 +124,26 @@ def solve_greedy(scenario: ScenarioParams, weights: QosWeights) -> SolverResult:
     and freeze theta*(m) one step before the first increase (or at the upper
     bound if utility never increases). Once a verifier count's best utility
     exceeds the previous one's, return the previous count with its theta*.
-    The evaluation at (m, min theta) seeds each inner sweep.
+    Each row is evaluated lazily, so no point past the first increase is.
     """
-    v, big_m = scenario.min_verifiers, scenario.max_verifiers
-    t, big_n = scenario.min_txn_per_block, scenario.max_txn_per_block
+    thetas = range(scenario.min_txn_per_block, scenario.max_txn_per_block + 1)
     configs: list[BlockchainConfig] = []
     utilities: list[float] = []
-
-    def evaluate(m: int, theta: int) -> float:
-        config = BlockchainConfig(m, theta)
-        value = metrics.evaluate(scenario, weights, config)[-1]
-        configs.append(config)
-        utilities.append(value)
-        return value
-
     prev: Optional[tuple[int, float]] = None  # (theta*, utility*) of m - 1
-    result_m = big_m
-    for m in range(v, big_m + 1):
-        u_prev = evaluate(m, t)
-        for theta in range(t + 1, big_n + 1):
-            u = evaluate(m, theta)
+    result_m = scenario.max_verifiers
+    for m in range(scenario.min_verifiers, scenario.max_verifiers + 1):
+        u_prev = math.inf
+        for theta, cells in zip(thetas, metrics.evaluate_row(scenario, weights, m, thetas)):
+            u = cells[-1]
+            configs.append(BlockchainConfig(m, theta))
+            utilities.append(u)
             if u > u_prev:
                 theta_star, u_star = theta - 1, u_prev
                 break
             u_prev = u
         else:
             # No increase observed: the sweep ends at the upper bound.
-            theta_star, u_star = big_n, u_prev
+            theta_star, u_star = thetas[-1], u_prev
         if prev is not None and u_star > prev[1]:
             result_m = m - 1
             break
@@ -176,9 +169,9 @@ def solve_exhaustive(
     """
     configs: list[BlockchainConfig] = []
     utilities: list[float] = []
-    for config, cells in evaluate_grid(scenario, weights, grid_cap=grid_cap):
-        configs.append(config)
-        utilities.append(cells[-1])
+    for m, thetas, row in evaluate_grid(scenario, weights, grid_cap=grid_cap):
+        configs.extend(BlockchainConfig(m, theta) for theta in thetas)
+        utilities.extend(cells[-1] for cells in row)
     best = utilities.index(min(utilities))  # the first minimum wins ties
     return SolverResult(
         best_config=configs[best],
@@ -211,17 +204,26 @@ def _is_unimodal(values: Sequence[float]) -> bool:
     return True
 
 
-def scan_unimodality(
-    scenario: ScenarioParams, weights: QosWeights, *, grid_cap: int = DEFAULT_GRID_CAP
-) -> UnimodalityReport:
-    """Full-grid valley-shape check used as the greedy-exactness pre-scan."""
-    width = scenario.max_txn_per_block - scenario.min_txn_per_block + 1
-    values = [cells[-1] for _, cells in evaluate_grid(scenario, weights, grid_cap=grid_cap)]
+def unimodality(values: Sequence[float], width: int) -> UnimodalityReport:
+    """Valley-shape diagnostics of a grid's utilities, given in row-major order in rows of ``width``.
+
+    Checks the rows first, stopping at the first one that is not unimodal,
+    then the sequence of row minima.
+    """
     rows = [values[i:i + width] for i in range(0, len(values), width)]
     return UnimodalityReport(
         rows_unimodal=all(_is_unimodal(row) for row in rows),
         row_minima_unimodal=_is_unimodal([min(row) for row in rows]),
     )
+
+
+def scan_unimodality(
+    scenario: ScenarioParams, weights: QosWeights, *, grid_cap: int = DEFAULT_GRID_CAP
+) -> UnimodalityReport:
+    """Full-grid valley-shape check used as the greedy-exactness pre-scan."""
+    width = scenario.max_txn_per_block - scenario.min_txn_per_block + 1
+    values = [cells[-1] for _, _, row in evaluate_grid(scenario, weights, grid_cap=grid_cap) for cells in row]
+    return unimodality(values, width)
 
 
 def trace_to_csv(trace: OptimizationTrace) -> str:

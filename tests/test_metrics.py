@@ -1,6 +1,8 @@
 """Latency/security/cost closed forms against hand-derived and brute-force oracles."""
 import math
 import random
+import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +24,8 @@ from bcconf import (
     select_verifiers,
     utility,
 )
-from bcconf.metrics import COLUMNS, evaluate
+from bcconf.metrics import COLUMNS, evaluate, evaluate_row
+from bcconf.model import feasible_grid, feasible_rows
 from helpers import (
     TABLE2_PATH,
     bit_identity_inputs,
@@ -380,6 +383,107 @@ def test_evaluate_matches_utility_and_the_metric_functions_bit_for_bit():
                 assert cells == breakdown_cells(utility(scenario, weights, config))
                 (a, b, c), (x, y, z) = weights.as_tuple(), ratios
                 assert cells == (*expected, a * x + b * y + c * z)
+
+
+# ---------------------------------------------------------------------------
+# The row kernel against the point kernel
+# ---------------------------------------------------------------------------
+
+def test_evaluate_row_matches_evaluate_bit_for_bit():
+    for scenario, weight_sets in bit_identity_inputs():
+        ms, thetas = feasible_rows(scenario)
+        for weights in weight_sets:
+            for m in ms:
+                row = list(evaluate_row(scenario, weights, m, thetas))
+                assert len(row) == len(thetas)
+                for theta, cells in zip(thetas, row):
+                    expected = evaluate(scenario, weights, BlockchainConfig(m, theta))
+                    assert [repr(cell) for cell in cells] == [repr(cell) for cell in expected]
+
+
+def _broken(field, index, value):
+    """table2 with one entry of a derived table replaced."""
+    scenario = load_scenario(TABLE2_PATH)
+    entries = list(getattr(scenario, field))
+    entries[index] = value
+    object.__setattr__(scenario, field, tuple(entries))
+    return scenario
+
+
+def _walk(scenario, by_rows):
+    """Every cell of the grid in row-major order, by rows or point by point, then how the walk ended."""
+    weights = QosWeights(1 / 3, 1 / 3, 1 / 3)
+    cells = []
+    try:
+        if by_rows:
+            ms, thetas = feasible_rows(scenario)
+            for m in ms:
+                cells.extend(evaluate_row(scenario, weights, m, thetas))
+        else:
+            cells.extend(evaluate(scenario, weights, config) for config in feasible_grid(scenario))
+    except Exception as exc:  # noqa: BLE001 - the walks must fail alike, whatever the failure
+        return repr(cells), type(exc), str(exc)
+    return repr(cells), None, None
+
+
+# Each breakage with the message its walk must end with. table2 has v=2,
+# M=10, t=2, N=20; each table entry breaks the row of m=2 or the interior row m=5.
+ROW_WALK_BREAKAGES = {
+    "negative_payment": (lambda: _broken("payment_prefix", 2, -1.0), "cost must be non-negative"),
+    "infinite_verify": (
+        lambda: _broken("ranked_verify_s", 1, math.inf),
+        r"\(m=2, theta=2\): round latency is not finite: verify_s = ",
+    ),
+    "nan_verify": (
+        lambda: _broken("ranked_verify_s", 1, math.nan),
+        r"\(m=2, theta=2\): round latency is not finite: verify_s = ",
+    ),
+    "interior_infinite_verify": (
+        lambda: _broken("ranked_verify_s", 4, math.inf),
+        r"\(m=5, theta=2\): round latency is not finite: verify_s = ",
+    ),
+    "interior_negative_payment": (lambda: _broken("payment_prefix", 5, -1.0), "cost must be non-negative"),
+    # The maxima do not exist, and the first point's latency is already infinite:
+    # that point's own check comes before the normalization read.
+    "overflowing_latency": (
+        lambda: replace(load_scenario(TABLE2_PATH), transaction_size_bits=1e308),
+        r"\(m=2, theta=2\): round latency is not finite: downlink_s = ",
+    ),
+    "free_verifiers": (lambda: make_scenario(capacities=(10.0, 5.0), prices=(0.0, 0.0)), "max_cost is zero"),
+}
+
+
+@pytest.mark.parametrize("breakage", list(ROW_WALK_BREAKAGES))
+def test_row_walk_fails_exactly_as_the_point_walk(breakage):
+    make, message = ROW_WALK_BREAKAGES[breakage]
+    by_rows, by_points = _walk(make(), by_rows=True), _walk(make(), by_rows=False)
+    assert by_rows == by_points
+    assert by_rows[1] is ValidationError
+    assert re.search(message, by_rows[2])
+
+
+@pytest.mark.parametrize(
+    "m,thetas,named",
+    [
+        (1, range(2, 5), "m=1, theta=2"),  # v=2, M=3, t=2, N=4
+        (4, range(2, 5), "m=4, theta=2"),
+        (2, range(1, 5), "m=2, theta=1"),
+        (2, range(2, 6), "m=2, theta=5"),
+        (3, range(5, 6), "m=3, theta=5"),
+    ],
+)
+def test_row_reaching_outside_the_box_raises_before_any_cell(m, thetas, named):
+    # Five verifiers, so the ranking and payment sums have entries past M.
+    scenario = make_scenario(
+        capacities=(10.0, 8.0, 6.0, 4.0, 2.0), min_verifiers=2, max_verifiers=3,
+        min_txn_per_block=2, max_txn_per_block=4,
+    )
+    weights = QosWeights(1 / 3, 1 / 3, 1 / 3)
+    yielded = []
+    with pytest.raises(ConstraintError, match=named):
+        yielded.extend(evaluate_row(scenario, weights, m, thetas))
+    assert yielded == []
+    assert list(evaluate_row(scenario, weights, m, range(thetas.start, thetas.start))) == []
 
 
 # ---------------------------------------------------------------------------

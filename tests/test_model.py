@@ -1,5 +1,7 @@
 """Scenario schema, type invariants, and configuration validation."""
+import dataclasses
 import io
+import pickle
 import re
 
 import pytest
@@ -264,3 +266,18 @@ def test_validate_config_matches_box_conjunction_exhaustively():
         for theta in range(0, 8):
             expected = (2 <= m <= 3) and (2 <= theta <= 5)
             assert validate_config(scenario, BlockchainConfig(m, theta)) == expected
+
+
+def test_blockchain_config_is_slotted_and_behaves_as_a_value():
+    config = BlockchainConfig(9, 12)
+    assert not hasattr(config, "__dict__")
+    assert config == BlockchainConfig(9, 12) != BlockchainConfig(12, 9)
+    assert hash(config) == hash(BlockchainConfig(9, 12)) == hash((9, 12))
+    assert repr(config) == "BlockchainConfig(num_verifiers=9, txns_per_block=12)"
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        copy = pickle.loads(pickle.dumps(config, protocol))
+        assert copy == config and hash(copy) == hash(config) and repr(copy) == repr(config)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.num_verifiers = 3
+    with pytest.raises((AttributeError, TypeError)):
+        config.label = "x"

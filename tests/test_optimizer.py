@@ -21,7 +21,7 @@ from bcconf import (
 )
 from bcconf import cli, metrics, optimizer
 from bcconf.model import feasible_grid
-from bcconf.optimizer import trace_to_csv
+from bcconf.optimizer import trace_to_csv, unimodality
 from helpers import (
     ADVERSARIAL_SCENARIO,
     ADVERSARIAL_WEIGHTS,
@@ -308,6 +308,42 @@ def test_solvers_and_scan_record_the_scalar_utilities(monkeypatch):
             assert minima == [min(row) for row in rows]
 
 
+def test_unimodality_of_the_exhaustive_utilities_is_the_scan():
+    rng = random.Random(12)
+    cases = [(random_scenario(rng), random_weights(rng)) for _ in range(150)]
+    reports = set()
+    for scenario, weights in [*cases, (ADVERSARIAL_SCENARIO, ADVERSARIAL_WEIGHTS)]:
+        width = scenario.max_txn_per_block - scenario.min_txn_per_block + 1
+        report = scan_unimodality(scenario, weights)
+        assert unimodality(solve_exhaustive(scenario, weights).trace.utilities, width) == report
+        reports.add(report)
+    assert {report.greedy_exact for report in reports} == {True, False}
+
+
+@pytest.mark.parametrize(
+    "scenario", [load_scenario(TABLE2_PATH), ADVERSARIAL_SCENARIO], ids=["table2", "adversarial"]
+)
+def test_each_row_does_its_fixed_work_once(scenario, monkeypatch):
+    scenario.normalization  # derive the maxima first: their corner reads security(M) too
+    calls = []  # the m of each security call
+    security = metrics.security
+
+    def counting(s, m):
+        calls.append(m)
+        return security(s, m)
+
+    monkeypatch.setattr(metrics, "security", counting)
+    rows = list(range(scenario.min_verifiers, scenario.max_verifiers + 1))
+    scan_unimodality(scenario, ADVERSARIAL_WEIGHTS)
+    assert calls == rows
+    calls.clear()
+    solve_exhaustive(scenario, ADVERSARIAL_WEIGHTS)
+    assert calls == rows
+    calls.clear()
+    greedy = solve_greedy(scenario, ADVERSARIAL_WEIGHTS).trace
+    assert calls == sorted({config.num_verifiers for config in greedy.configs})
+
+
 # Every path that evaluates the utility, called on the lower corner or the whole grid.
 EVALUATION_PATHS = {
     "utility": lambda s: metrics.utility(
@@ -344,15 +380,26 @@ def test_broken_scenario_fails_every_evaluation_path(path, field, value, message
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """Count the calls of ``metrics.evaluate``, the one per-configuration kernel."""
-    calls = []  # the configuration of each call
-    evaluate = metrics.evaluate
+    """Count the configurations the kernels evaluate.
+
+    One entry per :func:`metrics.evaluate` call and per cell that
+    :func:`metrics.evaluate_row` actually yields, so a row walk that stops
+    early counts only the points it took.
+    """
+    calls = []  # (m, theta) of each evaluated configuration
+    evaluate, evaluate_row = metrics.evaluate, metrics.evaluate_row
 
     def counting(scenario, weights, config):
-        calls.append(config)
+        calls.append((config.num_verifiers, config.txns_per_block))
         return evaluate(scenario, weights, config)
 
+    def counting_row(scenario, weights, m, thetas):
+        for theta, cells in zip(thetas, evaluate_row(scenario, weights, m, thetas)):
+            calls.append((m, theta))
+            yield cells
+
     monkeypatch.setattr(metrics, "evaluate", counting)
+    monkeypatch.setattr(metrics, "evaluate_row", counting_row)
     return calls
 
 
