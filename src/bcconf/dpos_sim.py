@@ -16,6 +16,15 @@ per round. :func:`write_events` is the ``log`` that streams each round as
 lines of both event logs (one :class:`SimEvent` per line); without a
 ``log``, as in :func:`sweep_sim`, no event is formatted or kept.
 
+One heap loop, ``_simulate``, runs the rounds of both entry points.
+:func:`run` takes one :class:`SimConfig`, checks its configuration through
+:func:`bcconf.metrics.latency` and wraps the kernel's latencies in a
+:class:`SimReport`. :func:`sweep_sim` walks the feasible grid a row at a
+time: it validates the run parameters once, takes each row's verifier
+selection once, and per cell reads the closed form from the same
+:func:`bcconf.metrics.latency` and calls the kernel, building no
+:class:`SimConfig` or :class:`SimReport`.
+
 Randomness comes from Python's Mersenne Twister (``random.Random``) seeded
 from the run configuration, built only when the jitter spread is nonzero;
 only ``random()`` draws are consumed, in a fixed per-round order (dispatch,
@@ -28,7 +37,7 @@ import heapq
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, TextIO
+from typing import Callable, NamedTuple, Optional, Sequence, TextIO
 
 from . import metrics
 from .model import (
@@ -36,7 +45,7 @@ from .model import (
     BlockchainConfig,
     ScenarioParams,
     ValidationError,
-    feasible_grid,
+    feasible_rows,
 )
 
 # Maximum relative deviation tolerated between simulated and analytic latency
@@ -93,6 +102,15 @@ class SimConfig:
     rotate_bm: bool = False
 
     def __post_init__(self):
+        # A bool is an int, but never a count, a seed or a spread.
+        for name in ("rounds", "rng_seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValidationError(f"{name} must be an int, got {value!r}")
+        if isinstance(self.jitter, bool) or not isinstance(self.jitter, (int, float)):
+            raise ValidationError(f"jitter must be an int or a float, got {self.jitter!r}")
+        if not isinstance(self.rotate_bm, bool):  # a truthy "no" would rotate
+            raise ValidationError(f"rotate_bm must be a bool, got {self.rotate_bm!r}")
         if self.rounds < 1:
             raise ValidationError("rounds must be at least 1")
         if not 0 <= self.rng_seed < 2**64:
@@ -109,44 +127,47 @@ class SimReport:
     committed_blocks: int
 
 
-def run(sim: SimConfig, log: Optional[EventLog] = None) -> SimReport:
-    """Simulate ``sim.rounds`` sequential verification rounds.
+def _service_times(scenario: ScenarioParams, m: int, theta: int, verify_s: tuple[float, ...]) -> tuple[float, ...]:
+    """Service times of configuration (m, theta) in draw order: dispatch, each verifier, broadcast, feedback.
 
-    Rounds are back to back: a round starts when the previous block commits,
-    so the heap holds only the current round's events. Each popped heap
-    entry ``(time_s, kind rank, actor_id)`` is one event; the log is totally
-    ordered by (time, round, stage, actor). When the round commits, its
-    entries and its index go to ``log`` if one is given, and are dropped
-    either way, so memory does not grow with the events. A round that
-    commits at a non-finite time raises :class:`ValidationError` naming
-    ``rounds``.
+    ``verify_s`` is the first m of ``scenario.ranked_verify_s``.
     """
-    scenario, config = sim.scenario, sim.config
-    analytic = metrics.latency(scenario, config)  # the one feasibility check
-    m, theta = config.num_verifiers, config.txns_per_block
-    selected_ids = [profile.id for profile in scenario.ranked_verifiers[:m]]
-
     block_bits = theta * scenario.transaction_size_bits
     dispatch_s = block_bits / scenario.downlink_rate_bps
     broadcast_s = scenario.broadcast_coeff * block_bits * m
     feedback_s = scenario.feedback_size_bits / scenario.uplink_rate_bps
-    # Service times in draw order: dispatch, each verifier, broadcast, feedback.
-    service_s = (dispatch_s, *scenario.ranked_verify_s[:m], broadcast_s, feedback_s)
+    return (dispatch_s, *verify_s, broadcast_s, feedback_s)
 
-    jitter = sim.jitter
-    draw = random.Random(sim.rng_seed).random if jitter else None  # no spread draws nothing
+
+def _simulate(
+    service_s: tuple[float, ...],
+    selected_ids: list[int],
+    rounds: int,
+    jitter: float,
+    rng_seed: int,
+    rotate_bm: bool,
+    log: Optional[EventLog],
+) -> list[float]:
+    """The heap loop: each round's latency over ``rounds`` back-to-back rounds.
+
+    The one round kernel, shared by :func:`run` and :func:`sweep_sim`; its
+    arguments are already validated. ``service_s`` is as
+    :func:`_service_times` gives it, and ``selected_ids`` are the ids of the
+    verifiers it times, in the same order.
+    """
+    m = len(selected_ids)
+    draw = random.Random(rng_seed).random if jitter else None  # no spread draws nothing
     push, pop = heapq.heappush, heapq.heappop
     heap: list[HeapEntry] = []
     latencies: list[float] = []
-    committed = 0
     start_s = 0.0
-    for round_index in range(sim.rounds):
+    for round_index in range(rounds):
         if jitter:
             round_s = [s * (1.0 + jitter * (2.0 * draw() - 1.0)) for s in service_s]
         else:
             round_s = service_s
         dispatch, *verify, broadcast, feedback = round_s
-        if sim.rotate_bm:
+        if rotate_bm:
             manager = selected_ids[round_index % m]
             push(heap, (start_s, _ROTATED, manager))
         else:
@@ -175,19 +196,52 @@ def run(sim: SimConfig, log: Optional[EventLog] = None) -> SimReport:
             elif kind == _COMMITTED:
                 if not math.isfinite(time_s):
                     raise ValidationError(
-                        f"rounds={sim.rounds}: the simulated clock overflows in round {round_index}"
+                        f"rounds={rounds}: the simulated clock overflows in round {round_index}"
                     )
-                committed += 1
                 start_s = time_s
         if log is not None:
             log(round_index, entries)
+    return latencies
 
+
+def run(sim: SimConfig, log: Optional[EventLog] = None) -> SimReport:
+    """Simulate ``sim.rounds`` sequential verification rounds.
+
+    Rounds are back to back: a round starts when the previous block commits,
+    so the heap holds only the current round's events. Each popped heap
+    entry ``(time_s, kind rank, actor_id)`` is one event; the log is totally
+    ordered by (time, round, stage, actor). When the round commits, its
+    entries and its index go to ``log`` if one is given, and are dropped
+    either way, so memory does not grow with the events. A round that
+    commits at a non-finite time raises :class:`ValidationError` naming
+    ``rounds``.
+    """
+    scenario, config = sim.scenario, sim.config
+    analytic = metrics.latency(scenario, config)  # the one feasibility check
+    m, theta = config.num_verifiers, config.txns_per_block
+    service_s = _service_times(scenario, m, theta, scenario.ranked_verify_s[:m])
+    selected_ids = [profile.id for profile in scenario.ranked_verifiers[:m]]
+    latencies = _simulate(service_s, selected_ids, sim.rounds, sim.jitter, sim.rng_seed, sim.rotate_bm, log)
     return SimReport(
         per_round_latency_s=tuple(latencies),
         mean_latency_s=sum(latencies) / len(latencies),
         analytic_latency_s=analytic,
-        committed_blocks=committed,
+        committed_blocks=len(latencies),  # every round commits, or the kernel raised
     )
+
+
+def _deviations(config: BlockchainConfig, latencies: Sequence[float], analytic: float, jitter: float) -> list[float]:
+    """Per-round ``|simulated - analytic| / analytic`` latency; see :func:`closed_form_deviations`."""
+    deviations = [abs(latency - analytic) / analytic for latency in latencies]
+    if not jitter:
+        for round_index, deviation in enumerate(deviations):
+            if not deviation <= SIM_REL_TOL:  # also true for NaN
+                raise ModelMismatchError(
+                    f"config (m={config.num_verifiers}, theta={config.txns_per_block}): "
+                    f"round {round_index} simulated latency deviates from the closed form "
+                    f"by {deviation:.3e} (tolerance {SIM_REL_TOL})"
+                )
+    return deviations
 
 
 def closed_form_deviations(sim: SimConfig, report: SimReport) -> list[float]:
@@ -196,17 +250,7 @@ def closed_form_deviations(sim: SimConfig, report: SimReport) -> list[float]:
     Without jitter, the first round deviating by more than ``SIM_REL_TOL``,
     or by NaN, raises :class:`ModelMismatchError` naming the configuration.
     """
-    analytic = report.analytic_latency_s
-    deviations = [abs(latency - analytic) / analytic for latency in report.per_round_latency_s]
-    if not sim.jitter:
-        for round_index, deviation in enumerate(deviations):
-            if not deviation <= SIM_REL_TOL:  # also true for NaN
-                raise ModelMismatchError(
-                    f"config (m={sim.config.num_verifiers}, theta={sim.config.txns_per_block}): "
-                    f"round {round_index} simulated latency deviates from the closed form "
-                    f"by {deviation:.3e} (tolerance {SIM_REL_TOL})"
-                )
-    return deviations
+    return _deviations(sim.config, report.per_round_latency_s, report.analytic_latency_s, sim.jitter)
 
 
 @dataclass(frozen=True)
@@ -238,23 +282,36 @@ def sweep_sim(
 ) -> SimSweepReport:
     """Run the simulator at every feasible configuration.
 
-    Each cell is checked by :func:`closed_form_deviations`: without jitter a
-    deviation above ``SIM_REL_TOL`` raises :class:`ModelMismatchError`; with
-    jitter the deviations are only reported.
+    Each cell equals what :func:`run` and :func:`closed_form_deviations` give
+    for its :class:`SimConfig`, without building either: the grid is walked a
+    row at a time, as :func:`bcconf.model.feasible_rows` gives it (whose cap
+    check runs first), ``rounds``, ``seed`` and ``jitter`` are validated once,
+    and each row's verifier selection is taken once. Every cell reads its
+    analytic latency from :func:`bcconf.metrics.latency` and runs the round
+    kernel that :func:`run` runs. Without jitter a deviation above
+    ``SIM_REL_TOL`` raises :class:`ModelMismatchError`; with jitter the
+    deviations are only reported.
     """
+    ms, thetas = feasible_rows(scenario, grid_cap)
+    # Validates the run parameters once, before any cell is simulated.
+    SimConfig(scenario, BlockchainConfig(ms.start, thetas.start), rounds=rounds, jitter=jitter, rng_seed=seed)
     cells: list[SimSweepCell] = []
-    for config in feasible_grid(scenario, grid_cap):
-        sim = SimConfig(scenario=scenario, config=config, rounds=rounds, jitter=jitter, rng_seed=seed)
-        report = run(sim)
-        deviation = max(closed_form_deviations(sim, report))
-        cells.append(
-            SimSweepCell(
-                config=config,
-                analytic_latency_s=report.analytic_latency_s,
-                mean_latency_s=report.mean_latency_s,
-                max_abs_rel_deviation=deviation,
+    for m in ms:
+        verify_s = scenario.ranked_verify_s[:m]
+        selected_ids = [profile.id for profile in scenario.ranked_verifiers[:m]]
+        for theta in thetas:
+            config = BlockchainConfig(m, theta)
+            analytic = metrics.latency(scenario, config)
+            service_s = _service_times(scenario, m, theta, verify_s)
+            latencies = _simulate(service_s, selected_ids, rounds, jitter, seed, False, None)  # no rotation, no log
+            cells.append(
+                SimSweepCell(
+                    config=config,
+                    analytic_latency_s=analytic,
+                    mean_latency_s=sum(latencies) / len(latencies),
+                    max_abs_rel_deviation=max(_deviations(config, latencies, analytic, jitter)),
+                )
             )
-        )
     return SimSweepReport(cells=tuple(cells))
 
 

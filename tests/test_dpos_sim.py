@@ -12,6 +12,7 @@ import pytest
 from bcconf import (
     BlockchainConfig,
     ConstraintError,
+    GridCapError,
     ModelMismatchError,
     SimConfig,
     ValidationError,
@@ -32,8 +33,11 @@ from bcconf.dpos_sim import (
     STATIC_BM_ID,
     VERIFICATION_DONE,
     SimEvent,
+    SimSweepCell,
+    closed_form_deviations,
     write_events,
 )
+from bcconf.model import feasible_grid
 from helpers import (
     TABLE2_PATH,
     collect_events,
@@ -264,6 +268,35 @@ def test_sim_config_validation():
             SimConfig(scenario=scenario, config=config, jitter=jitter)
 
 
+WRONG_TYPES = [
+    ("rounds", 2.0),
+    ("rounds", "3"),
+    ("rounds", True),
+    ("rng_seed", 1.5),
+    ("rng_seed", True),
+    ("rng_seed", "1"),
+    ("jitter", "0.1"),
+    ("jitter", True),
+    ("jitter", None),
+    ("rotate_bm", "no"),
+    ("rotate_bm", 1),
+]
+
+
+@pytest.mark.parametrize("field, value", WRONG_TYPES, ids=[f"{field}={value!r}" for field, value in WRONG_TYPES])
+def test_sim_config_rejects_wrong_types(field, value):
+    scenario = make_scenario(capacities=(10.0, 5.0))
+    message = rf"^{field} must be an? (int|int or a float|bool), got {re.escape(repr(value))}$"
+    with pytest.raises(ValidationError, match=message):
+        SimConfig(scenario=scenario, config=BlockchainConfig(1, 1), **{field: value})
+
+
+def test_sim_config_accepts_int_jitter():
+    scenario = make_scenario(capacities=(10.0, 5.0))
+    sim = SimConfig(scenario=scenario, config=BlockchainConfig(2, 1), rounds=3, jitter=0)
+    assert run_simulation(sim) == run_simulation(SimConfig(scenario=scenario, config=BlockchainConfig(2, 1), rounds=3))
+
+
 def test_sweep_sim_covers_grid_and_stays_within_tolerance():
     scenario = load_scenario(TABLE2_PATH)
     report = sweep_sim(scenario, rounds=2, seed=3)
@@ -279,6 +312,83 @@ def test_sweep_sim_singleton_grid():
     report = sweep_sim(scenario, rounds=1, seed=0)
     assert len(report.cells) == 1
     assert report.cells[0].config == BlockchainConfig(1, 2)
+    for rounds, jitter in ((1, 0.0), (3, 0.1)):
+        assert sweep_sim(scenario, rounds=rounds, seed=4, jitter=jitter).cells == run_cells(scenario, rounds, 4, jitter)
+
+
+def run_cells(scenario, rounds, seed, jitter) -> tuple[SimSweepCell, ...]:
+    """The sweep's cells as :func:`run` and :func:`closed_form_deviations` give them, one configuration at a time."""
+    cells = []
+    for config in feasible_grid(scenario):
+        sim = SimConfig(scenario=scenario, config=config, rounds=rounds, jitter=jitter, rng_seed=seed)
+        report = run_simulation(sim)
+        cells.append(
+            SimSweepCell(
+                config=config,
+                analytic_latency_s=report.analytic_latency_s,
+                mean_latency_s=report.mean_latency_s,
+                max_abs_rel_deviation=max(closed_form_deviations(sim, report)),
+            )
+        )
+    return tuple(cells)
+
+
+@pytest.mark.parametrize("jitter", [0.0, 0.1])
+def test_sweep_sim_equals_run_at_every_cell(jitter):
+    rng = random.Random(17)
+    for index in range(60):
+        scenario = random_scenario(rng)
+        rounds = rng.randint(1, 3)
+        cells = sweep_sim(scenario, rounds=rounds, seed=index, jitter=jitter).cells
+        # Dataclass equality compares every field of every cell, in grid order.
+        assert cells == run_cells(scenario, rounds, index, jitter)
+
+
+@pytest.mark.parametrize(
+    "kwargs, field",
+    [
+        (dict(rounds=0), "rounds"),
+        (dict(rounds=2.5), "rounds"),
+        (dict(seed=-1), "rng_seed"),
+        (dict(jitter=math.nan), "jitter"),
+    ],
+    ids=["rounds=0", "rounds=2.5", "seed=-1", "jitter=nan"],
+)
+def test_sweep_sim_validates_before_simulating(monkeypatch, kwargs, field):
+    def no_latency(scenario, config):
+        raise AssertionError(f"configuration {config} simulated before the run parameters were validated")
+
+    monkeypatch.setattr(dpos_sim.metrics, "latency", no_latency)
+    scenario = load_scenario(TABLE2_PATH)
+    with pytest.raises(ValidationError, match=rf"^{field} "):
+        sweep_sim(scenario, **kwargs)
+    with pytest.raises(GridCapError, match="above the cap of 170"):  # the cap is refused first
+        sweep_sim(scenario, grid_cap=170, **kwargs)
+
+
+def test_sweep_sim_builds_one_sim_config_and_no_report(monkeypatch):
+    built, kernel_runs = [], []
+    sim_config, simulate = dpos_sim.SimConfig, dpos_sim._simulate
+
+    def counting_config(*args, **kwargs):
+        built.append(sim_config(*args, **kwargs))
+        return built[-1]
+
+    def counting_kernel(*args):
+        kernel_runs.append(args)
+        return simulate(*args)
+
+    def no_report(**fields):
+        raise AssertionError("sweep_sim built a SimReport")
+
+    scenario = load_scenario(TABLE2_PATH)
+    expected = sweep_sim(scenario, rounds=2, seed=1, jitter=0.1)
+    monkeypatch.setattr(dpos_sim, "SimConfig", counting_config)
+    monkeypatch.setattr(dpos_sim, "SimReport", no_report)
+    monkeypatch.setattr(dpos_sim, "_simulate", counting_kernel)
+    assert sweep_sim(scenario, rounds=2, seed=1, jitter=0.1) == expected
+    assert len(built) == 1
+    assert len(kernel_runs) == scenario.grid_size == 171
 
 
 def test_sweep_sim_with_jitter_keeps_means_within_three_percent():
