@@ -384,11 +384,12 @@ def _cmd_simulate(args: argparse.Namespace, scenario: ScenarioParams, artifacts:
     )
     report = dpos_sim.run(sim, log)
     deviations = dpos_sim.closed_form_deviations(sim, report)  # raises before anything is published
+    analytic = repr(report.analytic_latency_s)  # what csv writes for a float, formatted once per run
     _write_csv(
         artifacts.create("sim_report.csv"),
         ["round", "latency_s", "analytic_latency_s", "abs_rel_deviation"],
         [
-            [k, latency, report.analytic_latency_s, deviations[k]]
+            [k, latency, analytic, deviations[k]]
             for k, latency in enumerate(report.per_round_latency_s)
         ],
     )

@@ -21,9 +21,9 @@ One heap loop, ``_simulate``, runs the rounds of both entry points.
 :func:`bcconf.metrics.latency` and wraps the kernel's latencies in a
 :class:`SimReport`. :func:`sweep_sim` walks the feasible grid a row at a
 time: it validates the run parameters once, takes each row's verifier
-selection once, and per cell reads the closed form from the same
-:func:`bcconf.metrics.latency` and calls the kernel, building no
-:class:`SimConfig` or :class:`SimReport`.
+selection and closed-form latencies (:func:`bcconf.metrics.latency_row`,
+bit-identical to :func:`bcconf.metrics.latency`) once, and per cell calls
+the kernel, building no :class:`SimConfig` or :class:`SimReport`.
 
 Randomness comes from Python's Mersenne Twister (``random.Random``) seeded
 from the run configuration, built only when the jitter spread is nonzero;
@@ -153,7 +153,8 @@ def _simulate(
     The one round kernel, shared by :func:`run` and :func:`sweep_sim`; its
     arguments are already validated. ``service_s`` is as
     :func:`_service_times` gives it, and ``selected_ids`` are the ids of the
-    verifiers it times, in the same order.
+    verifiers it times, in the same order. A round's popped entries are
+    collected only when a ``log`` takes them.
     """
     m = len(selected_ids)
     draw = random.Random(rng_seed).random if jitter else None  # no spread draws nothing
@@ -161,12 +162,11 @@ def _simulate(
     heap: list[HeapEntry] = []
     latencies: list[float] = []
     start_s = 0.0
+    if not jitter:  # every round takes the same times
+        dispatch, *verify, broadcast, feedback = service_s
     for round_index in range(rounds):
         if jitter:
-            round_s = [s * (1.0 + jitter * (2.0 * draw() - 1.0)) for s in service_s]
-        else:
-            round_s = service_s
-        dispatch, *verify, broadcast, feedback = round_s
+            dispatch, *verify, broadcast, feedback = [s * (1.0 + jitter * (2.0 * draw() - 1.0)) for s in service_s]
         if rotate_bm:
             manager = selected_ids[round_index % m]
             push(heap, (start_s, _ROTATED, manager))
@@ -174,11 +174,13 @@ def _simulate(
             manager = STATIC_BM_ID
         push(heap, (start_s + dispatch, _DISPATCHED, manager))
         pending = m
-        entries: list[HeapEntry] = []
-        append = entries.append
+        if log is not None:
+            entries: list[HeapEntry] = []
+            append = entries.append
         while heap:
             entry = pop(heap)
-            append(entry)
+            if log is not None:
+                append(entry)
             time_s, kind, actor_id = entry
             if kind == _VERIFIED:
                 pending -= 1
@@ -286,11 +288,12 @@ def sweep_sim(
     for its :class:`SimConfig`, without building either: the grid is walked a
     row at a time, as :func:`bcconf.model.feasible_rows` gives it (whose cap
     check runs first), ``rounds``, ``seed`` and ``jitter`` are validated once,
-    and each row's verifier selection is taken once. Every cell reads its
-    analytic latency from :func:`bcconf.metrics.latency` and runs the round
-    kernel that :func:`run` runs. Without jitter a deviation above
-    ``SIM_REL_TOL`` raises :class:`ModelMismatchError`; with jitter the
-    deviations are only reported.
+    and each row's verifier selection is taken once. Each row's analytic
+    latencies come, lazily, from :func:`bcconf.metrics.latency_row`, whose
+    values are :func:`bcconf.metrics.latency`'s bit for bit, and every cell
+    runs the round kernel that :func:`run` runs. Without jitter a deviation
+    above ``SIM_REL_TOL`` raises :class:`ModelMismatchError`; with jitter
+    the deviations are only reported.
     """
     ms, thetas = feasible_rows(scenario, grid_cap)
     # Validates the run parameters once, before any cell is simulated.
@@ -299,9 +302,8 @@ def sweep_sim(
     for m in ms:
         verify_s = scenario.ranked_verify_s[:m]
         selected_ids = [profile.id for profile in scenario.ranked_verifiers[:m]]
-        for theta in thetas:
+        for theta, analytic in zip(thetas, metrics.latency_row(scenario, m, thetas)):
             config = BlockchainConfig(m, theta)
-            analytic = metrics.latency(scenario, config)
             service_s = _service_times(scenario, m, theta, verify_s)
             latencies = _simulate(service_s, selected_ids, rounds, jitter, seed, False, None)  # no rotation, no log
             cells.append(

@@ -8,23 +8,32 @@ the normalization maxima that the scenario derives from the corners of
 the feasible box on first use (``ScenarioParams.normalization``, computed
 by :func:`normalization`) and keeps for its lifetime.
 
-Two kernels give a configuration's cells, a plain tuple of floats in
-:data:`COLUMNS` order: :func:`evaluate` for one point, which :func:`utility`
-wraps in a :class:`MetricBreakdown`, and :func:`evaluate_row` for a run of
-block sizes at one verifier count, which does the work fixed for the row
-once. Both are a row function and a point function, so each formula and
-each check lives in one place: the stage, ratio and utility formulas, finite
-latency and non-negative latency, cost and utility in the point function,
-whose stages :func:`latency_terms` and :func:`latency` also use; the
-normalization read and positive security in the row function; feasibility
-in :func:`bcconf.model.require_feasible`. The point function's cost is the
-quotient :func:`cost` returns, with the payment sum read once per row.
+One row loop, the private generator ``_points``, holds every per-point
+formula and check: the stage, ratio and utility formulas, finite latency
+and non-negative latency, cost and utility. It reads the scenario's grid
+constants once per row and yields each configuration's cells, plain tuples
+of floats: the round latency and its four stages, or, given the values
+fixed for the row, all of :data:`COLUMNS`. The public entry points are its
+one-point and whole-row cases:
+
+- :func:`evaluate` gives one configuration's cells, which :func:`utility`
+  wraps in a :class:`MetricBreakdown`; :func:`latency_terms` and
+  :func:`latency` give its stages and its latency;
+- :func:`evaluate_row` gives the cells of a run of block sizes at one
+  verifier count, and :func:`latency_row` only their latencies, which need
+  no weights and no normalization.
+
+The row's fixed work is ``_row``'s, done once per row: the normalization
+read and positive security, with the payment sum whose quotient is the
+cost :func:`cost` returns. Feasibility is checked in
+:func:`bcconf.model.require_feasible`.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from operator import itemgetter
+from typing import Iterable, Iterator, Optional
 
 from .model import (
     BlockchainConfig,
@@ -95,41 +104,61 @@ _STAGE_FORMULAS = {
 }
 
 
-def _cells(scenario: ScenarioParams, m: int, theta: int, row: Optional[tuple] = None) -> tuple[float, ...]:
-    """The cells of the feasible configuration (m, theta), unchecked for feasibility.
+def _points(
+    scenario: ScenarioParams, m: int, thetas: Iterable[int], row: Optional[tuple] = None
+) -> Iterator[tuple[float, ...]]:
+    """Lazily, the cells of each feasible configuration (m, theta), theta in ``thetas``, unchecked for feasibility.
 
-    Without ``row``: the round latency, then its four stages. With the fixed
-    values of row m from :func:`_row`: all of :data:`COLUMNS`. Holds every
-    per-point formula and check: finite latency, which names the stage when
-    the latency overflows, and non-negative latency, cost and utility.
+    The row loop: reads the scenario's grid constants once, then yields, without
+    ``row``, each point's round latency and its four stages, and with the fixed
+    values of row m from :func:`_row`, all of :data:`COLUMNS`. Holds every
+    per-point formula and check: finite latency, which names the stage when the
+    latency overflows, and non-negative latency, cost and utility.
     """
-    block_bits = theta * scenario.transaction_size_bits
-    downlink_s = block_bits / scenario.downlink_rate_bps
+    transaction_size_bits = scenario.transaction_size_bits
+    downlink_rate_bps = scenario.downlink_rate_bps
+    broadcast_coeff = scenario.broadcast_coeff
     # The ranking ascends in K/x, so the slowest of the first m is the m-th.
     verify_s = scenario.ranked_verify_s[m - 1]
-    broadcast_s = scenario.broadcast_coeff * block_bits * m
     feedback_s = scenario.feedback_size_bits / scenario.uplink_rate_bps
-    total_s = downlink_s + verify_s + broadcast_s + feedback_s
-    if not math.isfinite(total_s):
-        values = dict(zip(_STAGE_FORMULAS, (downlink_s, verify_s, broadcast_s, feedback_s)))
-        # Finite stages can still sum to infinity; then every stage is named.
-        stages = [name for name, value in values.items() if not math.isfinite(value)] or values
-        details = "; ".join(f"{name} = {_STAGE_FORMULAS[name]} = {values[name]!r}" for name in stages)
-        raise ValidationError(f"configuration (m={m}, theta={theta}): round latency is not finite: {details}")
-    if row is None:
-        return total_s, downlink_s, verify_s, broadcast_s, feedback_s
-    sec, payment, max_latency, security_ratio, max_cost, latency_weight, security_term, cost_weight = row
-    per_txn_cost = payment / theta  # as in :func:`cost`, with the row's payment sum
-    latency_ratio = total_s / max_latency
-    cost_ratio = per_txn_cost / max_cost
-    value = latency_weight * latency_ratio + security_term + cost_weight * cost_ratio
-    if total_s < 0 or per_txn_cost < 0 or value < 0:
-        name = "latency_s" if total_s < 0 else "cost" if per_txn_cost < 0 else "utility"
-        raise ValidationError(f"{name} must be non-negative")
-    return (
-        total_s, downlink_s, verify_s, broadcast_s, feedback_s,
-        sec, per_txn_cost, latency_ratio, security_ratio, cost_ratio, value,
-    )
+    if row is not None:
+        sec, payment, max_latency, security_ratio, max_cost, latency_weight, security_term, cost_weight = row
+    for theta in thetas:
+        block_bits = theta * transaction_size_bits
+        downlink_s = block_bits / downlink_rate_bps
+        broadcast_s = broadcast_coeff * block_bits * m
+        total_s = downlink_s + verify_s + broadcast_s + feedback_s
+        if not math.isfinite(total_s):
+            values = dict(zip(_STAGE_FORMULAS, (downlink_s, verify_s, broadcast_s, feedback_s)))
+            # Finite stages can still sum to infinity; then every stage is named.
+            stages = [name for name, value in values.items() if not math.isfinite(value)] or values
+            details = "; ".join(f"{name} = {_STAGE_FORMULAS[name]} = {values[name]!r}" for name in stages)
+            raise ValidationError(f"configuration (m={m}, theta={theta}): round latency is not finite: {details}")
+        if row is None:
+            yield total_s, downlink_s, verify_s, broadcast_s, feedback_s
+            continue
+        per_txn_cost = payment / theta  # as in :func:`cost`, with the row's payment sum
+        latency_ratio = total_s / max_latency
+        cost_ratio = per_txn_cost / max_cost
+        value = latency_weight * latency_ratio + security_term + cost_weight * cost_ratio
+        if total_s < 0 or per_txn_cost < 0 or value < 0:
+            name = "latency_s" if total_s < 0 else "cost" if per_txn_cost < 0 else "utility"
+            raise ValidationError(f"{name} must be non-negative")
+        yield (
+            total_s, downlink_s, verify_s, broadcast_s, feedback_s,
+            sec, per_txn_cost, latency_ratio, security_ratio, cost_ratio, value,
+        )
+
+
+def _cells(scenario: ScenarioParams, m: int, theta: int, row: Optional[tuple] = None) -> tuple[float, ...]:
+    """The cells of the one feasible configuration (m, theta): :func:`_points` over a one-point row."""
+    return next(_points(scenario, m, (theta,), row))
+
+
+def _require_row(scenario: ScenarioParams, m: int, thetas: range) -> None:
+    """Feasibility of row m over the nonempty ``thetas``: a range, so every point lies between its ends."""
+    require_feasible(scenario, m, thetas[0])
+    require_feasible(scenario, m, thetas[-1])
 
 
 def _row(scenario: ScenarioParams, weights: QosWeights, m: int, theta: int) -> tuple:
@@ -171,6 +200,21 @@ def latency(scenario: ScenarioParams, config: BlockchainConfig) -> float:
     m, theta = config.num_verifiers, config.txns_per_block
     require_feasible(scenario, m, theta)
     return _cells(scenario, m, theta)[0]
+
+
+def latency_row(scenario: ScenarioParams, m: int, thetas: range) -> Iterator[float]:
+    """Lazily, :func:`latency` of each configuration (m, theta) for theta in ``thetas``.
+
+    Each value is bit-identical to :func:`latency`'s, and comes from the same
+    row loop; it needs no weights and no normalization. A row reaching
+    outside the feasible box raises :class:`ConstraintError` before any value
+    is made; a latency that overflows raises as :func:`latency` does, when
+    its point is reached.
+    """
+    if not thetas:
+        return iter(())
+    _require_row(scenario, m, thetas)
+    return map(itemgetter(0), _points(scenario, m, thetas))
 
 
 def security(scenario: ScenarioParams, m: int) -> float:
@@ -249,17 +293,16 @@ def evaluate_row(
     The row's fixed work is done once, when this is called: the feasibility
     of the ends of ``thetas`` (a range, so every point lies between them),
     the normalization maxima, security and its ratio, the payment sum and
-    the weights. Each point then costs only its own terms, and each yielded
-    tuple is bit-identical to :func:`evaluate`'s. Raises what a
-    point-by-point walk raises first, except that a row reaching outside
-    the feasible box raises :class:`ConstraintError` before any cell is made.
+    the weights. What it returns is the row loop itself, so each point costs
+    only its own terms, and each yielded tuple is bit-identical to
+    :func:`evaluate`'s. Raises what a point-by-point walk raises first,
+    except that a row reaching outside the feasible box raises
+    :class:`ConstraintError` before any cell is made.
     """
     if not thetas:
         return iter(())
-    require_feasible(scenario, m, thetas[0])
-    require_feasible(scenario, m, thetas[-1])
-    row = _row(scenario, weights, m, thetas[0])
-    return (_cells(scenario, m, theta, row) for theta in thetas)
+    _require_row(scenario, m, thetas)
+    return _points(scenario, m, thetas, _row(scenario, weights, m, thetas[0]))
 
 
 def utility(

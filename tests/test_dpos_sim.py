@@ -355,10 +355,10 @@ def test_sweep_sim_equals_run_at_every_cell(jitter):
     ids=["rounds=0", "rounds=2.5", "seed=-1", "jitter=nan"],
 )
 def test_sweep_sim_validates_before_simulating(monkeypatch, kwargs, field):
-    def no_latency(scenario, config):
-        raise AssertionError(f"configuration {config} simulated before the run parameters were validated")
+    def no_latency_row(scenario, m, thetas):
+        raise AssertionError(f"row m={m} simulated before the run parameters were validated")
 
-    monkeypatch.setattr(dpos_sim.metrics, "latency", no_latency)
+    monkeypatch.setattr(dpos_sim.metrics, "latency_row", no_latency_row)
     scenario = load_scenario(TABLE2_PATH)
     with pytest.raises(ValidationError, match=rf"^{field} "):
         sweep_sim(scenario, **kwargs)
@@ -389,6 +389,29 @@ def test_sweep_sim_builds_one_sim_config_and_no_report(monkeypatch):
     assert sweep_sim(scenario, rounds=2, seed=1, jitter=0.1) == expected
     assert len(built) == 1
     assert len(kernel_runs) == scenario.grid_size == 171
+
+
+def test_sweep_sim_reads_one_latency_row_per_row_and_no_point_latency(monkeypatch):
+    rows = []
+    latency_row = dpos_sim.metrics.latency_row
+
+    def counting_row(scenario, m, thetas):
+        rows.append((m, thetas))
+        return latency_row(scenario, m, thetas)
+
+    def no_latency(scenario, config):
+        raise AssertionError(f"sweep_sim called metrics.latency at {config}")
+
+    rng = random.Random(23)
+    for scenario in [load_scenario(TABLE2_PATH), *(random_scenario(rng) for _ in range(20))]:
+        expected = sweep_sim(scenario, rounds=2, seed=3, jitter=0.1)
+        rows.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(dpos_sim.metrics, "latency", no_latency)
+            patch.setattr(dpos_sim.metrics, "latency_row", counting_row)
+            assert sweep_sim(scenario, rounds=2, seed=3, jitter=0.1) == expected
+        thetas = range(scenario.min_txn_per_block, scenario.max_txn_per_block + 1)
+        assert rows == [(m, thetas) for m in range(scenario.min_verifiers, scenario.max_verifiers + 1)]
 
 
 def test_sweep_sim_with_jitter_keeps_means_within_three_percent():
@@ -431,7 +454,7 @@ def test_model_mismatch_raised_when_analytic_form_disagrees(monkeypatch, analyti
     from bcconf import dpos_sim, metrics
 
     scenario = make_scenario(capacities=(10.0, 5.0))
-    monkeypatch.setattr(metrics, "latency", lambda s, c: analytic)
+    monkeypatch.setattr(metrics, "latency_row", lambda s, m, thetas: (analytic for _ in thetas))
     with pytest.raises(ModelMismatchError, match="m=1, theta=1"):
         dpos_sim.sweep_sim(scenario, rounds=1, seed=0)
 

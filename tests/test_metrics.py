@@ -24,7 +24,7 @@ from bcconf import (
     select_verifiers,
     utility,
 )
-from bcconf.metrics import COLUMNS, evaluate, evaluate_row
+from bcconf.metrics import COLUMNS, evaluate, evaluate_row, latency_row
 from bcconf.model import feasible_grid, feasible_rows
 from helpers import (
     TABLE2_PATH,
@@ -462,28 +462,134 @@ def test_row_walk_fails_exactly_as_the_point_walk(breakage):
     assert re.search(message, by_rows[2])
 
 
-@pytest.mark.parametrize(
-    "m,thetas,named",
-    [
-        (1, range(2, 5), "m=1, theta=2"),  # v=2, M=3, t=2, N=4
-        (4, range(2, 5), "m=4, theta=2"),
-        (2, range(1, 5), "m=2, theta=1"),
-        (2, range(2, 6), "m=2, theta=5"),
-        (3, range(5, 6), "m=3, theta=5"),
-    ],
-)
-def test_row_reaching_outside_the_box_raises_before_any_cell(m, thetas, named):
+# Rows of the box v=2, M=3, t=2, N=4 that reach outside it, each with the point named.
+ROWS_OUTSIDE_THE_BOX = [
+    (1, range(2, 5), "m=1, theta=2"),
+    (4, range(2, 5), "m=4, theta=2"),
+    (2, range(1, 5), "m=2, theta=1"),
+    (2, range(2, 6), "m=2, theta=5"),
+    (3, range(5, 6), "m=3, theta=5"),
+]
+
+
+def _five_verifier_box():
     # Five verifiers, so the ranking and payment sums have entries past M.
-    scenario = make_scenario(
+    return make_scenario(
         capacities=(10.0, 8.0, 6.0, 4.0, 2.0), min_verifiers=2, max_verifiers=3,
         min_txn_per_block=2, max_txn_per_block=4,
     )
+
+
+@pytest.mark.parametrize("m,thetas,named", ROWS_OUTSIDE_THE_BOX)
+def test_row_reaching_outside_the_box_raises_before_any_cell(m, thetas, named):
+    scenario = _five_verifier_box()
     weights = QosWeights(1 / 3, 1 / 3, 1 / 3)
     yielded = []
     with pytest.raises(ConstraintError, match=named):
         yielded.extend(evaluate_row(scenario, weights, m, thetas))
     assert yielded == []
     assert list(evaluate_row(scenario, weights, m, range(thetas.start, thetas.start))) == []
+
+
+@pytest.mark.parametrize("m,thetas,named", ROWS_OUTSIDE_THE_BOX)
+def test_latency_row_refuses_a_row_outside_the_box_before_any_value(m, thetas, named):
+    scenario = _five_verifier_box()
+    yielded = []
+    with pytest.raises(ConstraintError, match=named):
+        yielded.extend(latency_row(scenario, m, thetas))
+    assert yielded == []
+    assert list(latency_row(scenario, m, range(thetas.start, thetas.start))) == []
+
+
+# ---------------------------------------------------------------------------
+# The row loop: the point path and the row path give the same bits and errors
+# ---------------------------------------------------------------------------
+
+# Every point overflows its round latency; the first in the sum, the rest in a stage.
+ALL_OVERFLOW = dict(capacities=(10.0,), transaction_size_bits=1e308, downlink_rate_bps=1.0, broadcast_coeff=1.0)
+# Row m=1 overflows from theta=18 on, where the downlink stage passes the largest float.
+INTERIOR_OVERFLOW = dict(transaction_size_bits=1e307, downlink_rate_bps=1.0, broadcast_coeff=0.0, max_txn_per_block=20)
+
+
+def row_loop_inputs():
+    """Seeded random scenarios, then two whose latency overflows, each with its weight triples.
+
+    Each scenario has a random triple and the three zero-weight corners.
+    """
+    rng = random.Random(1414)
+    corners = (QosWeights(1.0, 0.0, 0.0), QosWeights(0.0, 1.0, 0.0), QosWeights(0.0, 0.0, 1.0))
+    scenarios = [random_scenario(rng, max_m=6, max_n=10) for _ in range(150)]
+    for scenario in [*scenarios, make_scenario(**ALL_OVERFLOW), make_scenario(**INTERIOR_OVERFLOW)]:
+        yield scenario, (random_weights(rng), *corners)
+
+
+def _outcome(walk):
+    """The reprs of what ``walk()`` yields until it ends, then the message that ended it, or None."""
+    seen = []
+    try:
+        for value in walk():
+            seen.append(repr(value))
+    except ValidationError as exc:
+        return seen, str(exc)
+    return seen, None
+
+
+def test_latency_row_gives_latency_bit_for_bit():
+    overflows = 0
+    for scenario, _ in row_loop_inputs():
+        ms, thetas = feasible_rows(scenario)
+        for m in ms:
+            by_row = _outcome(lambda: latency_row(scenario, m, thetas))
+            assert by_row == _outcome(lambda: (latency(scenario, BlockchainConfig(m, theta)) for theta in thetas))
+            overflows += by_row[1] is not None
+    assert overflows == 3  # the one row of ALL_OVERFLOW and both rows of INTERIOR_OVERFLOW
+
+
+def test_evaluate_row_and_latency_terms_match_the_point_path_on_random_scenarios():
+    failed_rows = 0
+    for scenario, weight_sets in row_loop_inputs():
+        ms, thetas = feasible_rows(scenario)
+        for m in ms:
+            configs = [BlockchainConfig(m, theta) for theta in thetas]
+            terms = _outcome(lambda: (tuple(vars(latency_terms(scenario, config)).values()) for config in configs))
+            for weights in weight_sets:
+                by_row = _outcome(lambda: evaluate_row(scenario, weights, m, thetas))
+                assert by_row == _outcome(lambda: (evaluate(scenario, weights, config) for config in configs))
+                if by_row[1] is None:
+                    stages = _outcome(lambda: (cells[1:5] for cells in evaluate_row(scenario, weights, m, thetas)))
+                    assert stages == terms
+                else:
+                    failed_rows += 1
+    # The overflowing rows under each of four weight triples: their maxima do not exist.
+    assert failed_rows == 3 * 4
+
+
+@pytest.mark.parametrize(
+    "theta,named",
+    [(2, ["downlink_s", "broadcast_s"]), (1, ["downlink_s", "verify_s", "broadcast_s", "feedback_s"])],
+    ids=["stage", "sum"],
+)
+def test_non_finite_latency_raises_one_message_on_the_point_and_row_paths(theta, named):
+    scenario = make_scenario(**ALL_OVERFLOW)
+    config, thetas = BlockchainConfig(1, theta), range(theta, scenario.max_txn_per_block + 1)
+    weights = QosWeights(1 / 3, 1 / 3, 1 / 3)
+    paths = {
+        "latency": lambda: latency(scenario, config),
+        "latency_terms": lambda: latency_terms(scenario, config),
+        "evaluate": lambda: evaluate(scenario, weights, config),
+        "latency_row": lambda: list(latency_row(scenario, 1, thetas)),
+        "evaluate_row": lambda: list(evaluate_row(scenario, weights, 1, thetas)),
+    }
+    messages = {}
+    for name, path in paths.items():
+        with pytest.raises(ValidationError) as excinfo:
+            path()
+        messages[name] = str(excinfo.value)
+    assert set(messages.values()) == {messages["latency"]}, messages
+    message = messages["latency"]
+    assert message.startswith(f"configuration (m=1, theta={theta}): round latency is not finite: ")
+    stages = ["downlink_s", "verify_s", "broadcast_s", "feedback_s"]
+    assert [stage for stage in stages if f"{stage} = " in message] == named
 
 
 # ---------------------------------------------------------------------------
