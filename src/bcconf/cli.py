@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import functools
 import hashlib
 import io
 import itertools
@@ -377,11 +376,7 @@ def _cmd_simulate(args: argparse.Namespace, scenario: ScenarioParams, artifacts:
         rng_seed=args.seed,
         rotate_bm=args.rotate_bm,
     )
-    log = functools.partial(
-        dpos_sim.write_events,
-        csv_file=artifacts.create("events.csv"),
-        ndjson_file=artifacts.create("events.ndjson"),
-    )
+    log = dpos_sim.event_writer(artifacts.create("events.csv"), artifacts.create("events.ndjson"))
     report = dpos_sim.run(sim, log)
     deviations = dpos_sim.closed_form_deviations(sim, report)  # raises before anything is published
     analytic = repr(report.analytic_latency_s)  # what csv writes for a float, formatted once per run

@@ -12,9 +12,10 @@ holds one round at a time and is empty after every commit; the clock runs
 on across rounds and must stay finite. The simulator keeps no event log:
 at each commit it hands the round's popped heap entries to an optional
 ``log`` callback and drops them, so its memory grows only by one latency
-per round. :func:`write_events` is the ``log`` that streams each round as
-lines of both event logs (one :class:`SimEvent` per line); without a
-``log``, as in :func:`sweep_sim`, no event is formatted or kept.
+per round. :func:`event_writer` builds the ``log`` that streams each round
+as lines of both event logs (one :class:`SimEvent` per line), keeping only
+the fixed ends of lines it has formatted; without a ``log``, as in
+:func:`sweep_sim`, no event is formatted or kept.
 
 One heap loop, ``_simulate``, runs the rounds of both entry points.
 :func:`run` takes one :class:`SimConfig`, checks its configuration through
@@ -317,18 +318,37 @@ def sweep_sim(
     return SimSweepReport(cells=tuple(cells))
 
 
-def write_events(round_index: int, entries: list[HeapEntry], csv_file: TextIO, ndjson_file: TextIO) -> None:
-    """Stream one round's events to both logs: CSV (round 0 writes the header first) and NDJSON.
+def event_writer(csv_file: TextIO, ndjson_file: TextIO) -> EventLog:
+    """A ``log`` for :func:`run` that streams each round to both event logs: CSV and NDJSON.
 
-    Pass it to :func:`run` as ``log``, with the two handles bound. Each time
-    is formatted once with ``repr``, which is what ``csv`` and ``json`` write
-    for the finite floats :func:`run` logs; kinds match ``[a-z_]+``, so
-    nothing needs CSV quoting or JSON escaping.
+    Round 0 writes the CSV header first, so a run that raises before its
+    first commit writes nothing. Each round goes to each file in one
+    ``write``. A line's fixed end (kind and actor) is formatted once per run
+    for each ``(kind rank, actor_id)`` pair, at most ``len(EVENT_KINDS) *
+    (m + 1)`` of them, and its round once per round; each time is formatted
+    once with ``repr``, which is what ``csv`` and ``json`` write for the
+    finite floats :func:`run` logs. Kinds match ``[a-z_]+``, so nothing
+    needs CSV quoting or JSON escaping.
     """
     write_csv, write_ndjson = csv_file.write, ndjson_file.write
-    if round_index == 0:
-        write_csv(",".join(SimEvent._fields) + "\n")
-    for time_s, rank, actor_id in entries:
-        t, kind = repr(time_s), EVENT_KINDS[rank]
-        write_csv(f"{t},{round_index},{kind},{actor_id}\n")
-        write_ndjson(f'{{"time_s": {t}, "round": {round_index}, "kind": "{kind}", "actor_id": {actor_id}}}\n')
+    tails: dict[tuple[int, int], tuple[str, str]] = {}  # (rank, actor_id) -> (CSV end, NDJSON end)
+
+    def log(round_index: int, entries: list[HeapEntry]) -> None:
+        csv_round, ndjson_round = f",{round_index}", f', "round": {round_index}'
+        csv_lines = [",".join(SimEvent._fields) + "\n"] if round_index == 0 else []
+        ndjson_lines = []
+        for time_s, rank, actor_id in entries:
+            tail = tails.get((rank, actor_id))
+            if tail is None:
+                kind = EVENT_KINDS[rank]
+                tail = tails[rank, actor_id] = (
+                    f",{kind},{actor_id}\n",
+                    f', "kind": "{kind}", "actor_id": {actor_id}}}\n',
+                )
+            t = repr(time_s)
+            csv_lines.append(f"{t}{csv_round}{tail[0]}")
+            ndjson_lines.append(f'{{"time_s": {t}{ndjson_round}{tail[1]}')
+        write_csv("".join(csv_lines))
+        write_ndjson("".join(ndjson_lines))
+
+    return log

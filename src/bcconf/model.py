@@ -423,10 +423,34 @@ def _parse_mode_table(raw: Any) -> tuple[ModeTableRule, ...]:
     return tuple(rules)
 
 
+class _ScenarioLoader(yaml.SafeLoader):
+    """PyYAML's safe loader, except that a key given twice in one mapping is a :class:`ParseError`.
+
+    A ``<<`` merge may still override merged keys. Without a merge or a
+    repeat, the check is one length comparison per mapping.
+    """
+
+    def construct_mapping(self, node, deep=False):
+        own = node.value  # the merge step deletes '<<' entries from this list and puts merged ones before it
+        mapping = super().construct_mapping(node, deep=deep)
+        if len(mapping) < len(node.value):  # a key given twice, or a merged key overridden
+            first_lines: dict[Any, int] = {}
+            for key_node, _ in own:
+                key, line = self.construct_object(key_node, deep=deep), key_node.start_mark.line + 1
+                if key in first_lines:
+                    raise ParseError(f"duplicate key {key!r} on line {line} (first on line {first_lines[key]})")
+                first_lines[key] = line
+        return mapping
+
+
 def parse_scenario(text: str) -> ScenarioParams:
     """Parse and validate a scenario document given as YAML text."""
     try:
-        raw = yaml.safe_load(text)
+        raw = yaml.load(text, Loader=_ScenarioLoader)
+    except ParseError:
+        raise
+    except RecursionError:
+        raise ParseError("not a valid scenario document: nested too deeply") from None
     except (yaml.YAMLError, ValueError) as exc:
         # PyYAML raises a bare ValueError for out-of-range timestamps and bad explicit tags.
         raise ParseError(f"not a valid scenario document: {exc}") from exc

@@ -265,15 +265,20 @@ def snapshot(directory):
 
 
 def count_logged_rounds(monkeypatch):
-    """Wrap the event writer and return the list it appends each round index to."""
+    """Wrap each log that the event writer returns; return the list it appends each round index to."""
     rounds = []
-    write_events = dpos_sim.write_events
+    event_writer = dpos_sim.event_writer
 
-    def counting(round_index, entries, **handles):
-        rounds.append(round_index)
-        write_events(round_index, entries, **handles)
+    def counting_writer(csv_file, ndjson_file):
+        log = event_writer(csv_file, ndjson_file)
 
-    monkeypatch.setattr(dpos_sim, "write_events", counting)
+        def counting(round_index, entries):
+            rounds.append(round_index)
+            log(round_index, entries)
+
+        return counting
+
+    monkeypatch.setattr(dpos_sim, "event_writer", counting_writer)
     return rounds
 
 
@@ -405,16 +410,39 @@ def test_out_dir_defaults_to_environment_variable(tmp_path, monkeypatch):
     assert (target / "result.csv").is_file()
 
 
-def test_console_entry_point_runs():
-    # The child must import the same bcconf as this process, installed or not.
+def run_cli_process(*argv):
+    """Run the CLI in a child process, which imports the same bcconf as this one, installed or not."""
     package_root = str(Path(bcconf.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "bcconf.cli", "--version"], capture_output=True, text=True, env=env
-    )
+    return subprocess.run([sys.executable, "-m", "bcconf.cli", *argv], capture_output=True, text=True, env=env)
+
+
+def test_console_entry_point_runs():
+    proc = run_cli_process("--version")
     assert proc.returncode == 0
     assert "bcconf" in proc.stdout
+
+
+def test_deeply_nested_scenario_exits_2_without_traceback(tmp_path):
+    bad = tmp_path / "deep.scenario"
+    bad.write_text(TABLE2_PATH.read_text().split("verifiers:\n")[0] + "verifiers: " + "[" * 5000 + "\n")
+    proc = run_cli_process("optimize", "--scenario", str(bad), "--out", str(tmp_path / "o"))
+    assert proc.returncode == 2
+    assert "error:" in proc.stderr and "nested too deeply" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "o").exists()
+
+
+def test_duplicated_key_exits_2_naming_key_and_line(tmp_path, capsys):
+    text = TABLE2_PATH.read_text()
+    bad = tmp_path / "dup.scenario"
+    bad.write_text(text + "max_verifiers: 3\n")
+    assert run_cli("optimize", "--scenario", str(bad), "--out", str(tmp_path / "o")) == 2
+    first = text.splitlines().index("max_verifiers: 10") + 1
+    repeat = text.count("\n") + 1
+    assert f"error: duplicate key 'max_verifiers' on line {repeat} (first on line {first})" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_rotate_bm_flag(tmp_path):

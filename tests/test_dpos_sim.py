@@ -1,5 +1,4 @@
 """Event-driven round simulation against the closed-form latency oracle."""
-import functools
 import io
 import json
 import math
@@ -35,7 +34,7 @@ from bcconf.dpos_sim import (
     SimEvent,
     SimSweepCell,
     closed_form_deviations,
-    write_events,
+    event_writer,
 )
 from bcconf.model import feasible_grid
 from helpers import (
@@ -49,10 +48,17 @@ from helpers import (
 
 
 def event_logs(sim: SimConfig) -> tuple[str, str]:
-    """What :func:`write_events` streams for ``sim`` as its ``log``: (CSV, NDJSON)."""
+    """What a fresh :func:`event_writer` streams for ``sim`` as its ``log``: (CSV, NDJSON)."""
     csv_file, ndjson_file = io.StringIO(), io.StringIO()
-    run_simulation(sim, functools.partial(write_events, csv_file=csv_file, ndjson_file=ndjson_file))
+    run_simulation(sim, event_writer(csv_file, ndjson_file))
     return csv_file.getvalue(), ndjson_file.getvalue()
+
+
+class DiscardingSink:
+    """A text sink whose ``write`` keeps nothing."""
+
+    def write(self, text: str) -> int:
+        return len(text)
 
 
 def test_zero_jitter_matches_closed_form_per_round():
@@ -126,6 +132,26 @@ def test_run_memory_does_not_grow_with_events():
         tracemalloc.start()
         try:
             run_simulation(sim)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert (peak_bytes(2000) - peak_bytes(200)) / 1800 < 128
+
+
+def test_event_writer_memory_does_not_grow_with_rounds():
+    # The writer keeps one pair of line ends per (kind, actor), formed in the
+    # first m rounds; each round's lines are joined, written and dropped.
+    scenario = load_scenario(TABLE2_PATH)
+
+    def peak_bytes(rounds: int) -> int:
+        sim = SimConfig(
+            scenario=scenario, config=BlockchainConfig(9, 12), rounds=rounds, jitter=0.1, rotate_bm=True
+        )
+        run_simulation(sim, event_writer(DiscardingSink(), DiscardingSink()))  # warm up outside the measurement
+        tracemalloc.start()
+        try:
+            run_simulation(sim, event_writer(DiscardingSink(), DiscardingSink()))
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -478,21 +504,27 @@ def test_event_kinds_need_no_quoting_or_escaping():
         assert re.fullmatch(r"[a-z_]+", kind), kind
 
 
+# Thirteen verifiers, so a rotated run names every kind with every actor, ids of two digits included.
+ROTATED_M13 = dict(capacities=tuple(float(c) for c in range(20, 7, -1)), max_txn_per_block=6)
+
+
 @pytest.mark.parametrize(
-    "scenario_kwargs, config, jitter, rotate_bm, exponent",
+    "scenario_kwargs, config, rounds, jitter, rotate_bm, exponent",
     [
-        (None, BlockchainConfig(4, 9), 0.2, True, None),
-        (None, BlockchainConfig(9, 12), 0.0, False, None),
+        (None, BlockchainConfig(4, 9), 30, 0.2, True, None),
+        (None, BlockchainConfig(9, 12), 30, 0.0, False, None),
         (dict(transaction_size_bits=1e-3, verification_workload=1e-4, feedback_size_bits=1e-3,
-              broadcast_coeff=1e-3), BlockchainConfig(2, 3), 0.3, True, "e-"),
+              broadcast_coeff=1e-3), BlockchainConfig(2, 3), 30, 0.3, True, "e-"),
         (dict(transaction_size_bits=1e21, verification_workload=1e18, feedback_size_bits=1e21),
-         BlockchainConfig(2, 4), 0.1, False, "e+"),
+         BlockchainConfig(2, 4), 30, 0.1, False, "e+"),
+        (ROTATED_M13, BlockchainConfig(13, 5), 30, 0.1, True, None),
+        (None, BlockchainConfig(4, 9), 1, 0.2, False, None),
     ],
-    ids=["table2-jitter-rotate", "table2-plain", "tiny-times", "huge-times"],
+    ids=["table2-jitter-rotate", "table2-plain", "tiny-times", "huge-times", "rotated-m13", "one-round"],
 )
-def test_write_events_matches_csv_and_json_reference(scenario_kwargs, config, jitter, rotate_bm, exponent):
+def test_event_writer_matches_csv_and_json_reference(scenario_kwargs, config, rounds, jitter, rotate_bm, exponent):
     scenario = load_scenario(TABLE2_PATH) if scenario_kwargs is None else make_scenario(**scenario_kwargs)
-    sim = SimConfig(scenario=scenario, config=config, rounds=30, jitter=jitter, rng_seed=17, rotate_bm=rotate_bm)
+    sim = SimConfig(scenario=scenario, config=config, rounds=rounds, jitter=jitter, rng_seed=17, rotate_bm=rotate_bm)
     _, events = collect_events(sim)
     csv_text, ndjson_text = event_logs(sim)
     assert (csv_text, ndjson_text) == reference_event_logs(events)
@@ -500,3 +532,12 @@ def test_write_events_matches_csv_and_json_reference(scenario_kwargs, config, ji
         assert exponent in csv_text and exponent in ndjson_text
     lines = ndjson_text.splitlines()
     assert [SimEvent(**json.loads(line)) for line in lines] == events
+
+
+def test_event_writers_in_sequence_each_write_what_they_would_alone():
+    rotated = SimConfig(
+        scenario=make_scenario(**ROTATED_M13), config=BlockchainConfig(13, 5), rounds=20, jitter=0.1, rotate_bm=True
+    )
+    static = SimConfig(scenario=load_scenario(TABLE2_PATH), config=BlockchainConfig(4, 9), rounds=20, jitter=0.2)
+    alone = [reference_event_logs(collect_events(sim)[1]) for sim in (rotated, static)]
+    assert [event_logs(rotated), event_logs(static), event_logs(rotated)] == [*alone, alone[0]]

@@ -129,6 +129,37 @@ def test_unknown_field_is_a_parse_error():
             parse_scenario(doc)
 
 
+@pytest.mark.parametrize(
+    "doc, key, line, first",
+    [
+        (MINIMAL_DOC + "max_verifiers: 1\n", "max_verifiers", 17, 11),
+        (
+            MINIMAL_DOC.replace("unit_price: 0.5}", "unit_price: 0.5, unit_price: 0.7}"),
+            "unit_price", 16, 16,
+        ),
+        (
+            MINIMAL_DOC + "mode_table:\n  restricted: {verifier_bounds: [1, 1]}\n  restricted: {}\n",
+            "restricted", 19, 18,
+        ),
+        (MINIMAL_DOC + "mode_table:\n  economy: {weights: [1, 0, 0], weights: [0, 0, 1]}\n", "weights", 18, 18),
+    ],
+    ids=["top-level", "verifier", "mode-table", "mode-rule"],
+)
+def test_repeated_key_is_a_parse_error_naming_key_and_lines(doc, key, line, first):
+    with pytest.raises(ParseError, match=re.escape(f"duplicate key '{key}' on line {line} (first on line {first})")):
+        parse_scenario(doc)
+
+
+def test_merged_keys_may_be_overridden():
+    doc = MINIMAL_DOC.replace(
+        "  - {id: 0, compute_capacity: 10.0, unit_price: 1.0}\n  - {id: 1, compute_capacity: 5.0, unit_price: 0.5}\n",
+        "  - &first {id: 0, compute_capacity: 10.0, unit_price: 1.0}\n  - {<<: *first, id: 1, compute_capacity: 5.0}\n",
+    )
+    assert parse_scenario(doc).verifiers[1] == VerifierProfile(id=1, compute_capacity=5.0, unit_price=1.0)
+    with pytest.raises(ParseError, match="duplicate key 'id'"):
+        parse_scenario(doc.replace("{<<: *first, id: 1,", "{<<: *first, id: 1, id: 2,"))
+
+
 def test_min_verifiers_above_max_is_a_validation_error():
     doc = MINIMAL_DOC.replace("min_verifiers: 1", "min_verifiers: 5").replace(
         "max_verifiers: 2", "max_verifiers: 3"

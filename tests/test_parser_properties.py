@@ -131,6 +131,8 @@ def test_dump_then_parse_round_trips(scenario):
 @example("1: a\nzzz: 2\n")
 @example("a: 2001-13-45\n")
 @example("a: !!int abc\n")
+@example("verifiers: " + "[" * 5000 + "\n")
+@example("a: 1\nb: 2\na: 3\n")
 def test_bad_documents_raise_only_scenario_errors(text):
     try:
         parse_scenario(text)
