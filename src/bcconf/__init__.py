@@ -25,16 +25,11 @@ from .model import (
     validate_config,
 )
 from .metrics import (
-    LatencyTerms,
-    MetricBreakdown,
-    NormalizedTerms,
     cost,
     latency,
-    latency_terms,
     normalization,
     security,
     select_verifiers,
-    utility,
 )
 from .optimizer import (
     ComparisonReport,

@@ -16,9 +16,7 @@ of floats: the round latency and its four stages, or, given the values
 fixed for the row, all of :data:`COLUMNS`. The public entry points are its
 one-point and whole-row cases:
 
-- :func:`evaluate` gives one configuration's cells, which :func:`utility`
-  wraps in a :class:`MetricBreakdown`; :func:`latency_terms` and
-  :func:`latency` give its stages and its latency;
+- :func:`evaluate` gives one configuration's cells, :func:`latency` its latency;
 - :func:`evaluate_row` gives the cells of a run of block sizes at one
   verifier count, and :func:`latency_row` only their latencies, which need
   no weights and no normalization.
@@ -31,7 +29,6 @@ cost :func:`cost` returns. Feasibility is checked in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional
 
@@ -45,42 +42,6 @@ from .model import (
     VerifierProfile,
     require_feasible,
 )
-
-
-@dataclass(frozen=True)
-class LatencyTerms:
-    """The four sequential stages of one block-verification round."""
-
-    downlink_s: float   # block transmission to the verifiers
-    verify_s: float     # slowest selected verifier's processing time
-    broadcast_s: float  # result broadcast and cross-comparison
-    feedback_s: float   # feedback transmission back to the manager
-
-    @property
-    def total_s(self) -> float:
-        return self.downlink_s + self.verify_s + self.broadcast_s + self.feedback_s
-
-
-@dataclass(frozen=True)
-class NormalizedTerms:
-    latency_ratio: float   # L / max_latency, in (0, 1]
-    security_ratio: float  # max_security / S, at least 1
-    cost_ratio: float      # C / max_cost, in (0, 1]
-
-
-@dataclass(frozen=True)
-class MetricBreakdown:
-    """One configuration's metrics, their normalized forms, and the utility."""
-
-    latency_terms: LatencyTerms
-    security: float
-    cost: float
-    utility: float
-    normalized: NormalizedTerms
-
-    @property
-    def latency_s(self) -> float:
-        return self.latency_terms.total_s
 
 
 def select_verifiers(scenario: ScenarioParams, m: int) -> tuple[VerifierProfile, ...]:
@@ -183,16 +144,6 @@ def _row(scenario: ScenarioParams, weights: QosWeights, m: int, theta: int) -> t
         # The utility's middle term is fixed for the row: the sum adds it in the same order.
         weights.latency_weight, weights.security_weight * security_ratio, weights.cost_weight,
     )
-
-
-def latency_terms(scenario: ScenarioParams, config: BlockchainConfig) -> LatencyTerms:
-    """Per-stage latency of one verification round for a feasible configuration.
-
-    Raises :class:`ValidationError` naming the stage when the latency overflows.
-    """
-    m, theta = config.num_verifiers, config.txns_per_block
-    require_feasible(scenario, m, theta)
-    return LatencyTerms(*_cells(scenario, m, theta)[1:])
 
 
 def latency(scenario: ScenarioParams, config: BlockchainConfig) -> float:
@@ -303,19 +254,3 @@ def evaluate_row(
         return iter(())
     _require_row(scenario, m, thetas)
     return _points(scenario, m, thetas, _row(scenario, weights, m, thetas[0]))
-
-
-def utility(
-    scenario: ScenarioParams, weights: QosWeights, config: BlockchainConfig
-) -> MetricBreakdown:
-    """:func:`evaluate`'s metrics of one configuration as a :class:`MetricBreakdown`."""
-    _, *stages, sec, per_txn_cost, latency_ratio, security_ratio, cost_ratio, value = evaluate(
-        scenario, weights, config
-    )
-    return MetricBreakdown(
-        latency_terms=LatencyTerms(*stages),
-        security=sec,
-        cost=per_txn_cost,
-        utility=value,
-        normalized=NormalizedTerms(latency_ratio, security_ratio, cost_ratio),
-    )

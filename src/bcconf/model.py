@@ -16,7 +16,7 @@ import math
 import os
 import re
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Mapping, Optional, TextIO, Union
+from typing import Any, Mapping, Optional, TextIO, Union
 
 import yaml
 
@@ -426,16 +426,27 @@ def _parse_mode_table(raw: Any) -> tuple[ModeTableRule, ...]:
 class _ScenarioLoader(yaml.SafeLoader):
     """PyYAML's safe loader, except that a key given twice in one mapping is a :class:`ParseError`.
 
-    A ``<<`` merge may still override merged keys. Without a merge or a
-    repeat, the check is one length comparison per mapping.
+    A ``<<`` merge may still override merged keys; each merge source is
+    constructed, and so checked, before PyYAML splices its entries in. Without
+    a merge or a repeat, the check is one length comparison per mapping.
     """
 
+    def __init__(self, stream):
+        super().__init__(stream)
+        self._own: dict = {}  # each mapping node's own entries, kept before merged ones join them
+
+    def flatten_mapping(self, node):
+        for key_node, value_node in node.value:
+            if key_node.tag == "tag:yaml.org,2002:merge":
+                self.construct_object(value_node, deep=True)  # a mapping, or a list of them
+        self._own.setdefault(node, node.value)  # merging deletes this list's '<<' entries, adds to a copy
+        super().flatten_mapping(node)
+
     def construct_mapping(self, node, deep=False):
-        own = node.value  # the merge step deletes '<<' entries from this list and puts merged ones before it
         mapping = super().construct_mapping(node, deep=deep)
         if len(mapping) < len(node.value):  # a key given twice, or a merged key overridden
             first_lines: dict[Any, int] = {}
-            for key_node, _ in own:
+            for key_node, _ in self._own[node]:
                 key, line = self.construct_object(key_node, deep=deep), key_node.start_mark.line + 1
                 if key in first_lines:
                     raise ParseError(f"duplicate key {key!r} on line {line} (first on line {first_lines[key]})")
@@ -564,18 +575,6 @@ def feasible_rows(scenario: ScenarioParams, grid_cap: int = DEFAULT_GRID_CAP) ->
         range(scenario.min_verifiers, scenario.max_verifiers + 1),
         range(scenario.min_txn_per_block, scenario.max_txn_per_block + 1),
     )
-
-
-def feasible_grid(
-    scenario: ScenarioParams, grid_cap: int = DEFAULT_GRID_CAP
-) -> Iterator[BlockchainConfig]:
-    """Every feasible configuration in row-major order (m outer, theta inner).
-
-    The configurations of :func:`feasible_rows`, whose cap check runs at
-    call time; the iterator itself is lazy.
-    """
-    ms, thetas = feasible_rows(scenario, grid_cap)
-    return (BlockchainConfig(m, theta) for m in ms for theta in thetas)
 
 
 def require_feasible(scenario: ScenarioParams, m: int, theta: int) -> None:

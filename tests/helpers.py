@@ -9,6 +9,7 @@ from pathlib import Path
 
 from bcconf import QosWeights, ScenarioParams, SimConfig, SimEvent, SimReport, VerifierProfile, load_scenario
 from bcconf.dpos_sim import EVENT_KINDS, run
+from bcconf.metrics import COLUMNS
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 TABLE2_PATH = REPO_ROOT / "scenarios" / "table2.scenario"
@@ -150,6 +151,11 @@ def bit_identity_inputs():
     corners = (QosWeights(1.0, 0.0, 0.0), QosWeights(0.0, 1.0, 0.0), QosWeights(0.0, 0.0, 1.0))
     for scenario in [*normalization_scenarios(), ADVERSARIAL_SCENARIO]:
         yield scenario, (random_weights(rng), random_weights(rng), *corners)
+
+
+def by_column(cells) -> dict[str, float]:
+    """A configuration's cells by column name; the five cells of a latency alone name its stages."""
+    return dict(zip(COLUMNS, cells))
 
 
 def reference_event_logs(events) -> tuple[str, str]:

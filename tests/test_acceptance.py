@@ -17,7 +17,6 @@ from bcconf import (
     apply_directive,
     cli,
     compare,
-    latency_terms,
     load_scenario,
     map_class,
     scan_unimodality,
@@ -25,11 +24,11 @@ from bcconf import (
     solve_exhaustive,
     solve_greedy,
     sweep_sim,
-    utility,
 )
 from bcconf import cost as cost_metric
 from bcconf import latency as latency_metric
-from helpers import TABLE2_PATH, random_feasible_config, random_scenario, random_weights
+from bcconf.metrics import _cells, evaluate
+from helpers import TABLE2_PATH, by_column, random_feasible_config, random_scenario, random_weights
 
 EQUAL_WEIGHTS = QosWeights(1 / 3, 1 / 3, 1 / 3)
 
@@ -60,7 +59,7 @@ def test_criterion_2_oracle_optimality_and_greedy_agreement():
         best = None
         for theta in range(scenario.min_txn_per_block, scenario.max_txn_per_block + 1):
             for m in range(scenario.min_verifiers, scenario.max_verifiers + 1):
-                value = utility(scenario, weights, BlockchainConfig(m, theta)).utility
+                value = evaluate(scenario, weights, BlockchainConfig(m, theta))[-1]
                 assert exhaustive.best_utility <= value
                 if best is None or value < best:
                     best = value
@@ -105,11 +104,11 @@ def test_criterion_3_monotonicity_and_normalization_bounds():
                 scenario, config
             )
         weights = random_weights(rng)
-        breakdown = utility(scenario, weights, config)
-        assert 0.0 < breakdown.normalized.latency_ratio <= 1.0
-        assert 0.0 < breakdown.normalized.cost_ratio <= 1.0
-        assert breakdown.normalized.security_ratio >= 1.0
-        assert breakdown.utility >= weights.security_weight
+        cells = by_column(evaluate(scenario, weights, config))
+        assert 0.0 < cells["latency_ratio"] <= 1.0
+        assert 0.0 < cells["cost_ratio"] <= 1.0
+        assert cells["security_ratio"] >= 1.0
+        assert cells["utility"] >= weights.security_weight
         draws += 1
     print(f"[criterion 3] PASS: {draws} random (scenario, config) draws")
 
@@ -138,17 +137,17 @@ def test_criterion_4_greedy_efficiency_on_fixture(tmp_path):
 
 def test_criterion_5_forced_arithmetic_from_reference_parameters():
     scenario = load_scenario(TABLE2_PATH)
-    terms = latency_terms(scenario, BlockchainConfig(scenario.max_verifiers, 20))
-    assert terms.downlink_s == pytest.approx(0.016667, abs=1e-6)
-    assert terms.feedback_s == pytest.approx(0.384615, abs=1e-6)
+    terms = by_column(_cells(scenario, scenario.max_verifiers, 20))
+    assert terms["downlink_s"] == pytest.approx(0.016667, abs=1e-6)
+    assert terms["feedback_s"] == pytest.approx(0.384615, abs=1e-6)
     grid = (scenario.max_verifiers - scenario.min_verifiers + 1) * (
         scenario.max_txn_per_block - scenario.min_txn_per_block + 1
     )
     assert grid == 171
     assert solve_exhaustive(scenario, EQUAL_WEIGHTS).trace.evaluations == 171
     print(
-        f"[criterion 5] PASS: downlink {terms.downlink_s:.6f}s, "
-        f"feedback {terms.feedback_s:.6f}s, grid {grid} points"
+        f"[criterion 5] PASS: downlink {terms['downlink_s']:.6f}s, "
+        f"feedback {terms['feedback_s']:.6f}s, grid {grid} points"
     )
 
 

@@ -36,7 +36,7 @@ from bcconf.dpos_sim import (
     closed_form_deviations,
     event_writer,
 )
-from bcconf.model import feasible_grid
+from bcconf.model import feasible_rows
 from helpers import (
     TABLE2_PATH,
     collect_events,
@@ -345,7 +345,8 @@ def test_sweep_sim_singleton_grid():
 def run_cells(scenario, rounds, seed, jitter) -> tuple[SimSweepCell, ...]:
     """The sweep's cells as :func:`run` and :func:`closed_form_deviations` give them, one configuration at a time."""
     cells = []
-    for config in feasible_grid(scenario):
+    ms, thetas = feasible_rows(scenario)
+    for config in (BlockchainConfig(m, theta) for m in ms for theta in thetas):
         sim = SimConfig(scenario=scenario, config=config, rounds=rounds, jitter=jitter, rng_seed=seed)
         report = run_simulation(sim)
         cells.append(

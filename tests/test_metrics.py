@@ -16,19 +16,18 @@ from bcconf import (
     ValidationError,
     cost,
     latency,
-    latency_terms,
     load_scenario,
     normalization,
     run_simulation,
     security,
     select_verifiers,
-    utility,
 )
-from bcconf.metrics import COLUMNS, evaluate, evaluate_row, latency_row
-from bcconf.model import feasible_grid, feasible_rows
+from bcconf.metrics import _cells, evaluate, evaluate_row, latency_row
+from bcconf.model import feasible_rows
 from helpers import (
     TABLE2_PATH,
     bit_identity_inputs,
+    by_column,
     make_scenario,
     normalization_scenarios,
     random_feasible_config,
@@ -127,11 +126,11 @@ def test_latency_term_by_term_example():
     # theta=2, B=1e6 b, r_d=1e6 b/s, selected K/x = {2s, 4s}, psi=1e-7,
     # m=2, O=1e6 b, r_u=1e6 b/s  ->  2 + 4 + 0.4 + 1 = 7.4 s.
     scenario = make_scenario(capacities=(10.0, 5.0), verification_workload=20.0)
-    terms = latency_terms(scenario, BlockchainConfig(2, 2))
-    assert terms.downlink_s == pytest.approx(2.0, abs=1e-12)
-    assert terms.verify_s == pytest.approx(4.0, abs=1e-12)
-    assert terms.broadcast_s == pytest.approx(0.4, abs=1e-12)
-    assert terms.feedback_s == pytest.approx(1.0, abs=1e-12)
+    terms = by_column(_cells(scenario, 2, 2))
+    assert terms["downlink_s"] == pytest.approx(2.0, abs=1e-12)
+    assert terms["verify_s"] == pytest.approx(4.0, abs=1e-12)
+    assert terms["broadcast_s"] == pytest.approx(0.4, abs=1e-12)
+    assert terms["feedback_s"] == pytest.approx(1.0, abs=1e-12)
     assert latency(scenario, BlockchainConfig(2, 2)) == pytest.approx(7.4, abs=1e-12)
 
 
@@ -142,9 +141,9 @@ def test_latency_without_broadcast_term():
 
 def test_table2_transmission_terms():
     scenario = load_scenario(TABLE2_PATH)
-    terms = latency_terms(scenario, BlockchainConfig(scenario.max_verifiers, 20))
-    assert terms.downlink_s == pytest.approx(0.016667, abs=1e-6)
-    assert terms.feedback_s == pytest.approx(0.384615, abs=1e-6)
+    terms = by_column(_cells(scenario, scenario.max_verifiers, 20))
+    assert terms["downlink_s"] == pytest.approx(0.016667, abs=1e-6)
+    assert terms["feedback_s"] == pytest.approx(0.384615, abs=1e-6)
 
 
 def test_latency_rejects_infeasible_config():
@@ -168,9 +167,9 @@ def test_overflowing_round_latency_is_a_validation_error(theta, named):
         capacities=(10.0,), transaction_size_bits=1e308, downlink_rate_bps=1.0, broadcast_coeff=1.0
     )
     stages = ["downlink_s", "verify_s", "broadcast_s", "feedback_s"]
-    for evaluate in (latency_terms, latency):
+    for entry in (latency, lambda s, c: evaluate(s, QosWeights(1 / 3, 1 / 3, 1 / 3), c)):
         with pytest.raises(ValidationError, match=f"m=1, theta={theta}") as excinfo:
-            evaluate(scenario, BlockchainConfig(1, theta))
+            entry(scenario, BlockchainConfig(1, theta))
         message = str(excinfo.value)
         assert "transaction_size_bits" in message
         assert [stage for stage in stages if f"{stage} = " in message] == named
@@ -181,8 +180,9 @@ def test_latency_decomposition_is_exact():
     for _ in range(200):
         scenario = random_scenario(rng)
         config = random_feasible_config(rng, scenario)
-        terms = latency_terms(scenario, config)
-        assert latency(scenario, config) == terms.total_s
+        m, theta = config.num_verifiers, config.txns_per_block
+        _, downlink_s, verify_s, broadcast_s, feedback_s = _cells(scenario, m, theta)
+        assert latency(scenario, config) == downlink_s + verify_s + broadcast_s + feedback_s
 
 
 # ---------------------------------------------------------------------------
@@ -225,18 +225,26 @@ def test_cost_halves_exactly_when_theta_doubles():
             ) / 2
 
 
+def _one_point(config):
+    """The one-point row of ``config``."""
+    return range(config.txns_per_block, config.txns_per_block + 1)
+
+
 @pytest.mark.parametrize(
-    "evaluate",
+    "entry",
     [
-        lambda s, c: utility(s, QosWeights(1 / 3, 1 / 3, 1 / 3), c),
+        lambda s, c: evaluate(s, QosWeights(1 / 3, 1 / 3, 1 / 3), c),
         cost,
-        latency_terms,
+        latency,
         lambda s, c: run_simulation(SimConfig(scenario=s, config=c)),
+        lambda s, c: list(evaluate_row(s, QosWeights(1 / 3, 1 / 3, 1 / 3), c.num_verifiers, _one_point(c))),
+        lambda s, c: list(latency_row(s, c.num_verifiers, _one_point(c))),
     ],
-    ids=["utility", "cost", "latency_terms", "run_simulation"],
+    # "utility" is the point evaluation, whose last cell is the utility.
+    ids=["utility", "cost", "latency", "run_simulation", "evaluate_row", "latency_row"],
 )
 @pytest.mark.parametrize("m,theta", [(1, 2), (4, 2), (2, 1), (2, 5)])
-def test_every_entry_point_rejects_configs_just_outside_the_box(evaluate, m, theta):
+def test_every_entry_point_rejects_configs_just_outside_the_box(entry, m, theta):
     # v=2, M=3, t=2, N=4 over five verifiers: just past M the ranking and the
     # payment sums still have entries, so only the feasibility check can refuse.
     scenario = make_scenario(
@@ -244,7 +252,7 @@ def test_every_entry_point_rejects_configs_just_outside_the_box(evaluate, m, the
         min_txn_per_block=2, max_txn_per_block=4,
     )
     with pytest.raises(ConstraintError, match=f"m={m}, theta={theta}"):
-        evaluate(scenario, BlockchainConfig(m, theta))
+        entry(scenario, BlockchainConfig(m, theta))
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +305,7 @@ def test_overflowing_security_level_is_a_validation_error(kappa, q):
         normalization(scenario)
     # The largest m would overflow in its own security term first.
     with pytest.raises(ValidationError, match="network_scale_exponent"):
-        utility(scenario, QosWeights(1 / 3, 1 / 3, 1 / 3), BlockchainConfig(10, 1))
+        evaluate(scenario, QosWeights(1 / 3, 1 / 3, 1 / 3), BlockchainConfig(10, 1))
 
 
 def test_degenerate_box_has_unit_ratios():
@@ -305,10 +313,10 @@ def test_degenerate_box_has_unit_ratios():
         capacities=(4.0,), min_verifiers=1, max_verifiers=1,
         min_txn_per_block=1, max_txn_per_block=1,
     )
-    breakdown = utility(scenario, QosWeights(1 / 3, 1 / 3, 1 / 3), BlockchainConfig(1, 1))
-    assert breakdown.normalized.latency_ratio == 1.0
-    assert breakdown.normalized.security_ratio == 1.0
-    assert breakdown.normalized.cost_ratio == 1.0
+    cells = by_column(evaluate(scenario, QosWeights(1 / 3, 1 / 3, 1 / 3), BlockchainConfig(1, 1)))
+    assert cells["latency_ratio"] == 1.0
+    assert cells["security_ratio"] == 1.0
+    assert cells["cost_ratio"] == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -318,25 +326,24 @@ def test_degenerate_box_has_unit_ratios():
 def test_utility_weighted_sum_arithmetic():
     scenario = make_scenario(capacities=(10.0, 5.0), prices=(3.0, 2.0))
     weights = QosWeights(1 / 3, 1 / 3, 1 / 3)
-    breakdown = utility(scenario, weights, BlockchainConfig(1, 2))
-    norm = breakdown.normalized
-    expected = (norm.latency_ratio + norm.security_ratio + norm.cost_ratio) / 3
-    assert breakdown.utility == pytest.approx(expected, rel=1e-15)
+    cells = by_column(evaluate(scenario, weights, BlockchainConfig(1, 2)))
+    expected = (cells["latency_ratio"] + cells["security_ratio"] + cells["cost_ratio"]) / 3
+    assert cells["utility"] == pytest.approx(expected, rel=1e-15)
 
 
 def test_utility_collapses_to_latency_ratio():
     scenario = make_scenario(capacities=(10.0, 5.0), prices=(3.0, 2.0))
-    breakdown = utility(scenario, QosWeights(1.0, 0.0, 0.0), BlockchainConfig(1, 2))
-    assert breakdown.utility == breakdown.normalized.latency_ratio
-    assert 0.0 < breakdown.utility <= 1.0
+    cells = by_column(evaluate(scenario, QosWeights(1.0, 0.0, 0.0), BlockchainConfig(1, 2)))
+    assert cells["utility"] == cells["latency_ratio"]
+    assert 0.0 < cells["utility"] <= 1.0
 
 
 def test_table2_upper_corner_ratios_are_exactly_one():
     scenario = load_scenario(TABLE2_PATH)
     corner = BlockchainConfig(scenario.max_verifiers, scenario.max_txn_per_block)
-    breakdown = utility(scenario, QosWeights(1 / 3, 1 / 3, 1 / 3), corner)
-    assert breakdown.normalized.latency_ratio == 1.0
-    assert breakdown.normalized.security_ratio == 1.0
+    cells = by_column(evaluate(scenario, QosWeights(1 / 3, 1 / 3, 1 / 3), corner))
+    assert cells["latency_ratio"] == 1.0
+    assert cells["security_ratio"] == 1.0
 
 
 def test_utility_agrees_with_independent_oracle():
@@ -346,27 +353,14 @@ def test_utility_agrees_with_independent_oracle():
         weights = random_weights(rng)
         config = random_feasible_config(rng, scenario)
         expected = oracle_utility(scenario, weights, config.num_verifiers, config.txns_per_block)
-        got = utility(scenario, weights, config).utility
-        assert got == pytest.approx(expected, rel=1e-12)
+        cells = by_column(evaluate(scenario, weights, config))
+        assert cells["utility"] == pytest.approx(expected, rel=1e-12)
         # The prefix-sum and ranked-index paths are bit-identical to the oracle.
         m, theta = config.num_verifiers, config.txns_per_block
         assert cost(scenario, config) == oracle_cost(scenario, m, theta)
-        assert latency_terms(scenario, config).verify_s == max(
+        assert cells["verify_s"] == max(
             scenario.verification_workload / p.compute_capacity for p in oracle_rank(scenario)[:m]
         )
-
-
-def breakdown_cells(breakdown):
-    """The fields of a :class:`MetricBreakdown`, read by name, in ``COLUMNS`` order."""
-    fields = {
-        "latency_s": breakdown.latency_s,
-        **vars(breakdown.latency_terms),
-        "security": breakdown.security,
-        "cost": breakdown.cost,
-        **vars(breakdown.normalized),
-        "utility": breakdown.utility,
-    }
-    return tuple(fields[name] for name in COLUMNS)
 
 
 def test_evaluate_matches_utility_and_the_metric_functions_bit_for_bit():
@@ -374,13 +368,12 @@ def test_evaluate_matches_utility_and_the_metric_functions_bit_for_bit():
         constants = normalization(scenario)
         for m, theta in oracle_grid(scenario):
             config = BlockchainConfig(m, theta)
-            # Each cell, recomputed from each metric's own function and the maxima.
+            # Each cell, recomputed from each metric's own function and the maxima; the stages from the point loop.
             total, sec, per_txn_cost = latency(scenario, config), security(scenario, m), cost(scenario, config)
             ratios = (total / constants.max_latency, constants.max_security / sec, per_txn_cost / constants.max_cost)
-            expected = (total, *vars(latency_terms(scenario, config)).values(), sec, per_txn_cost, *ratios)
+            expected = (total, *_cells(scenario, m, theta)[1:], sec, per_txn_cost, *ratios)
             for weights in weight_sets:
                 cells = evaluate(scenario, weights, config)
-                assert cells == breakdown_cells(utility(scenario, weights, config))
                 (a, b, c), (x, y, z) = weights.as_tuple(), ratios
                 assert cells == (*expected, a * x + b * y + c * z)
 
@@ -420,7 +413,8 @@ def _walk(scenario, by_rows):
             for m in ms:
                 cells.extend(evaluate_row(scenario, weights, m, thetas))
         else:
-            cells.extend(evaluate(scenario, weights, config) for config in feasible_grid(scenario))
+            ms, thetas = feasible_rows(scenario)
+            cells.extend(evaluate(scenario, weights, BlockchainConfig(m, theta)) for m in ms for theta in thetas)
     except Exception as exc:  # noqa: BLE001 - the walks must fail alike, whatever the failure
         return repr(cells), type(exc), str(exc)
     return repr(cells), None, None
@@ -545,13 +539,13 @@ def test_latency_row_gives_latency_bit_for_bit():
     assert overflows == 3  # the one row of ALL_OVERFLOW and both rows of INTERIOR_OVERFLOW
 
 
-def test_evaluate_row_and_latency_terms_match_the_point_path_on_random_scenarios():
+def test_evaluate_row_and_stages_match_the_point_path_on_random_scenarios():
     failed_rows = 0
     for scenario, weight_sets in row_loop_inputs():
         ms, thetas = feasible_rows(scenario)
         for m in ms:
             configs = [BlockchainConfig(m, theta) for theta in thetas]
-            terms = _outcome(lambda: (tuple(vars(latency_terms(scenario, config)).values()) for config in configs))
+            terms = _outcome(lambda: (_cells(scenario, m, theta)[1:] for theta in thetas))
             for weights in weight_sets:
                 by_row = _outcome(lambda: evaluate_row(scenario, weights, m, thetas))
                 assert by_row == _outcome(lambda: (evaluate(scenario, weights, config) for config in configs))
@@ -575,7 +569,6 @@ def test_non_finite_latency_raises_one_message_on_the_point_and_row_paths(theta,
     weights = QosWeights(1 / 3, 1 / 3, 1 / 3)
     paths = {
         "latency": lambda: latency(scenario, config),
-        "latency_terms": lambda: latency_terms(scenario, config),
         "evaluate": lambda: evaluate(scenario, weights, config),
         "latency_row": lambda: list(latency_row(scenario, 1, thetas)),
         "evaluate_row": lambda: list(evaluate_row(scenario, weights, 1, thetas)),
@@ -646,11 +639,11 @@ def test_normalized_ratios_stay_in_bounds():
         scenario = random_scenario(rng)
         weights = random_weights(rng)
         config = random_feasible_config(rng, scenario)
-        breakdown = utility(scenario, weights, config)
-        assert 0.0 < breakdown.normalized.latency_ratio <= 1.0
-        assert 0.0 < breakdown.normalized.cost_ratio <= 1.0
-        assert breakdown.normalized.security_ratio >= 1.0
-        assert breakdown.utility >= weights.security_weight
+        cells = by_column(evaluate(scenario, weights, config))
+        assert 0.0 < cells["latency_ratio"] <= 1.0
+        assert 0.0 < cells["cost_ratio"] <= 1.0
+        assert cells["security_ratio"] >= 1.0
+        assert cells["utility"] >= weights.security_weight
 
 
 @settings(max_examples=200, deadline=None)
@@ -663,7 +656,7 @@ def test_utility_invariant_under_security_coeff_rescaling(seed, scale):
     weights = random_weights(rng)
     config = random_feasible_config(rng, scenario)
     rescaled = replace(scenario, security_coeff=scenario.security_coeff * scale)
-    original = utility(scenario, weights, config).utility
-    shifted = utility(rescaled, weights, config).utility
+    original = evaluate(scenario, weights, config)[-1]
+    shifted = evaluate(rescaled, weights, config)[-1]
     assert shifted == pytest.approx(original, rel=1e-12)
 

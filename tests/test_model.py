@@ -5,6 +5,7 @@ import pickle
 import re
 
 import pytest
+import yaml
 
 from bcconf import (
     BlockchainConfig,
@@ -17,6 +18,8 @@ from bcconf import (
     parse_scenario,
     validate_config,
 )
+from bcconf import cli
+from bcconf.model import _ScenarioLoader
 from helpers import TABLE2_PATH, make_scenario
 
 MINIMAL_DOC = """
@@ -158,6 +161,42 @@ def test_merged_keys_may_be_overridden():
     assert parse_scenario(doc).verifiers[1] == VerifierProfile(id=1, compute_capacity=5.0, unit_price=1.0)
     with pytest.raises(ParseError, match="duplicate key 'id'"):
         parse_scenario(doc.replace("{<<: *first, id: 1,", "{<<: *first, id: 1, id: 2,"))
+
+
+SECOND_VERIFIER = "  - {id: 1, compute_capacity: 5.0, unit_price: 0.5}\n"
+
+
+@pytest.mark.parametrize(
+    "verifier",
+    [
+        "  - {<<: {id: 1, id: 2}, compute_capacity: 5.0, unit_price: 0.5}\n",
+        "  - {<<: [{unit_price: 0.5}, {id: 1, id: 2}], compute_capacity: 5.0}\n",
+    ],
+    ids=["inline-source", "list-of-sources"],
+)
+def test_repeated_key_inside_a_merge_source_is_a_parse_error(verifier, tmp_path, capsys):
+    doc = MINIMAL_DOC.replace(SECOND_VERIFIER, verifier)
+    message = "duplicate key 'id' on line 16 (first on line 16)"
+    with pytest.raises(ParseError, match=re.escape(message)):
+        parse_scenario(doc)
+    scenario = tmp_path / "merge.scenario"
+    scenario.write_text(doc)
+    assert cli.main(["optimize", "--scenario", str(scenario), "--out", str(tmp_path / "out")]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_merge_sources_may_be_overridden_and_reused():
+    doc = MINIMAL_DOC.replace(SECOND_VERIFIER, "  - {<<: {id: 0, unit_price: 0.5}, id: 1, compute_capacity: 5.0}\n")
+    assert parse_scenario(doc).verifiers[1] == VerifierProfile(id=1, compute_capacity=5.0, unit_price=0.5)
+    # Each mapping's own keys are checked, never the ones merged into it, wherever it is used again.
+    for text, loaded in (
+        ("c: {<<: {k: 1}, k: 2}", {"c": {"k": 2}}),
+        ("b: &b {<<: {k: 1}, k: 2}\nc: {<<: *b}", {"b": {"k": 2}, "c": {"k": 2}}),
+        ("c: {<<: &s {<<: {k: 1}, k: 2}}\nd: *s", {"c": {"k": 2}, "d": {"k": 2}}),
+        ("c: {<<: [&s {k: 1}, {k: 2}], j: 0}\nd: {<<: *s, k: 3}", {"c": {"k": 1, "j": 0}, "d": {"k": 3}}),
+    ):
+        assert yaml.load(text, Loader=_ScenarioLoader) == loaded
 
 
 def test_min_verifiers_above_max_is_a_validation_error():

@@ -20,7 +20,7 @@ from bcconf import (
     sweep_sim,
 )
 from bcconf import cli, metrics, optimizer
-from bcconf.model import feasible_grid
+from bcconf.model import feasible_rows
 from bcconf.optimizer import trace_to_csv, unimodality
 from helpers import (
     ADVERSARIAL_SCENARIO,
@@ -40,7 +40,7 @@ def reenumerate_min(scenario, weights):
     best = None
     for theta in range(scenario.min_txn_per_block, scenario.max_txn_per_block + 1):
         for m in range(scenario.min_verifiers, scenario.max_verifiers + 1):
-            value = metrics.utility(scenario, weights, BlockchainConfig(m, theta)).utility
+            value = metrics.evaluate(scenario, weights, BlockchainConfig(m, theta))[-1]
             if best is None or value < best:
                 best = value
     return best
@@ -67,7 +67,7 @@ def test_greedy_equals_exhaustive_on_small_unimodal_instance():
     exhaustive = solve_exhaustive(scenario, EQUAL_WEIGHTS)
     # Brute force over all nine configurations, written out independently.
     brute = min(
-        metrics.utility(scenario, EQUAL_WEIGHTS, BlockchainConfig(m, t)).utility
+        metrics.evaluate(scenario, EQUAL_WEIGHTS, BlockchainConfig(m, t))[-1]
         for m in (1, 2, 3)
         for t in (1, 2, 3)
     )
@@ -82,7 +82,8 @@ def test_exhaustive_covers_full_grid_row_major():
     expected = tuple(
         BlockchainConfig(m, t) for m in range(2, 11) for t in range(2, 21)
     )
-    assert result.trace.configs == expected == tuple(feasible_grid(scenario))
+    ms, thetas = feasible_rows(scenario)
+    assert result.trace.configs == expected == tuple(BlockchainConfig(m, t) for m in ms for t in thetas)
 
 
 def test_greedy_beats_grid_size_on_table2():
@@ -123,7 +124,7 @@ def test_recorded_best_matches_fresh_evaluation():
         weights = random_weights(rng)
         for solve in (solve_greedy, solve_exhaustive):
             result = solve(scenario, weights)
-            fresh = metrics.utility(scenario, weights, result.best_config).utility
+            fresh = metrics.evaluate(scenario, weights, result.best_config)[-1]
             assert result.best_utility == pytest.approx(fresh, rel=1e-12)
 
 
@@ -142,12 +143,11 @@ def test_exhaustive_tie_break_prefers_smaller_config():
 
 
 # Every entry point that enumerates the feasible grid; a string names a CLI command.
-# feasible_grid must refuse when called, before anything iterates it, and no entry
-# point may evaluate a configuration before it refuses. The CLI commands that
-# enumerate no grid must reject --grid-cap as an unknown flag.
+# No entry point may evaluate a configuration before it refuses. The CLI commands
+# that enumerate no grid must reject --grid-cap as an unknown flag.
 GRID_CAP_UNREAD_COMMANDS = ("optimize", "simulate")
 GRID_CAP_ENTRY_POINTS = {
-    "feasible_grid": feasible_grid,
+    "feasible_rows": feasible_rows,
     "solve_exhaustive": lambda s, cap: solve_exhaustive(s, EQUAL_WEIGHTS, grid_cap=cap),
     "scan_unimodality": lambda s, cap: scan_unimodality(s, EQUAL_WEIGHTS, grid_cap=cap),
     "compare": lambda s, cap: compare(s, EQUAL_WEIGHTS, grid_cap=cap),
@@ -288,9 +288,10 @@ def test_solvers_and_scan_record_the_scalar_utilities(monkeypatch):
     for scenario, weight_sets in bit_identity_inputs():
         for weights in weight_sets:
             def scalar(config):
-                return metrics.utility(scenario, weights, config).utility
+                return metrics.evaluate(scenario, weights, config)[-1]
 
-            grid = list(feasible_grid(scenario))
+            ms, thetas = feasible_rows(scenario)
+            grid = [BlockchainConfig(m, theta) for m in ms for theta in thetas]
             width = scenario.max_txn_per_block - scenario.min_txn_per_block + 1
             values = [scalar(config) for config in grid]
             rows = [values[i:i + width] for i in range(0, len(values), width)]
@@ -346,7 +347,7 @@ def test_each_row_does_its_fixed_work_once(scenario, monkeypatch):
 
 # Every path that evaluates the utility, called on the lower corner or the whole grid.
 EVALUATION_PATHS = {
-    "utility": lambda s: metrics.utility(
+    "utility": lambda s: metrics.evaluate(
         s, EQUAL_WEIGHTS, BlockchainConfig(s.min_verifiers, s.min_txn_per_block)
     ),
     "scan_unimodality": lambda s: scan_unimodality(s, EQUAL_WEIGHTS),

@@ -16,8 +16,8 @@ from bcconf import (
     scan_unimodality,
     select_verifiers,
     solve_exhaustive,
-    utility,
 )
+from bcconf.metrics import evaluate
 from helpers import make_scenario, normalization_scenarios
 
 EQUAL_WEIGHTS = QosWeights(1 / 3, 1 / 3, 1 / 3)
@@ -25,7 +25,7 @@ EQUAL_WEIGHTS = QosWeights(1 / 3, 1 / 3, 1 / 3)
 
 def test_no_scenario_outlives_its_last_user():
     scenario = make_scenario(capacities=(10.0, 5.0, 2.0), max_txn_per_block=6)
-    utility(scenario, EQUAL_WEIGHTS, BlockchainConfig(2, 3))
+    evaluate(scenario, EQUAL_WEIGHTS, BlockchainConfig(2, 3))
     solve_exhaustive(scenario, EQUAL_WEIGHTS)
     scan_unimodality(scenario, EQUAL_WEIGHTS)
     ref = weakref.ref(scenario)
@@ -59,7 +59,7 @@ def test_derived_ranking_is_invisible_and_follows_the_verifiers():
 def test_derived_normalization_is_invisible():
     scenario = make_scenario(capacities=(10.0, 5.0, 2.0), prices=(1.0, 2.0, 3.0))
     twin = make_scenario(capacities=(10.0, 5.0, 2.0), prices=(1.0, 2.0, 3.0))
-    utility(scenario, EQUAL_WEIGHTS, BlockchainConfig(2, 3))
+    evaluate(scenario, EQUAL_WEIGHTS, BlockchainConfig(2, 3))
     assert scenario.normalization is scenario.normalization
     assert "normalization" not in repr(scenario)
     assert repr(scenario) == repr(twin)
@@ -84,4 +84,4 @@ def test_all_free_verifiers_raise_on_every_utility_call():
     scenario = make_scenario(capacities=(10.0, 5.0), prices=(0.0, 0.0))
     for _ in range(2):
         with pytest.raises(ValidationError, match="max_cost"):
-            utility(scenario, EQUAL_WEIGHTS, BlockchainConfig(1, 1))
+            evaluate(scenario, EQUAL_WEIGHTS, BlockchainConfig(1, 1))
