@@ -33,7 +33,6 @@ from .metrics import (
 )
 from .optimizer import (
     ComparisonReport,
-    OptimizationTrace,
     SolverResult,
     UnimodalityReport,
     compare,

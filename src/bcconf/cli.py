@@ -278,12 +278,12 @@ def _cmd_optimize(args: argparse.Namespace, scenario: ScenarioParams, artifacts:
                 result.best_config.txns_per_block,
                 result.best_utility,
                 *breakdown,
-                result.solver_name,
-                result.trace.evaluations,
+                "greedy",
+                result.evaluations,
             ]
         ],
     )
-    artifacts.create("trace.csv").write(optimizer.trace_to_csv(result.trace))
+    artifacts.create("trace.csv").write(optimizer.trace_to_csv(result))
 
 
 def _cmd_sweep(args: argparse.Namespace, scenario: ScenarioParams, artifacts: _ArtifactSet) -> None:
@@ -299,9 +299,7 @@ def _cmd_sweep(args: argparse.Namespace, scenario: ScenarioParams, artifacts: _A
 def _cmd_compare(args: argparse.Namespace, scenario: ScenarioParams, artifacts: _ArtifactSet) -> None:
     effective, weights = _resolve_directive_and_weights(scenario, args)
     report = optimizer.compare(effective, weights, grid_cap=args.grid_cap)
-    series = itertools.zip_longest(
-        report.greedy.trace.best_so_far(), report.exhaustive.trace.best_so_far(), fillvalue=""
-    )
+    series = itertools.zip_longest(report.greedy.best_so_far(), report.exhaustive.best_so_far(), fillvalue="")
     rows = [[i, *pair] for i, pair in enumerate(series, start=1)]
     _write_csv(artifacts.create("compare.csv"), ["iteration", "greedy_best_so_far", "exhaustive_best_so_far"], rows)
     _write_csv(
@@ -323,11 +321,11 @@ def _cmd_compare(args: argparse.Namespace, scenario: ScenarioParams, artifacts: 
                 report.greedy.best_config.num_verifiers,
                 report.greedy.best_config.txns_per_block,
                 report.greedy.best_utility,
-                report.greedy.trace.evaluations,
+                report.greedy.evaluations,
                 report.exhaustive.best_config.num_verifiers,
                 report.exhaustive.best_config.txns_per_block,
                 report.exhaustive.best_utility,
-                report.exhaustive.trace.evaluations,
+                report.exhaustive.evaluations,
                 report.utility_gap,
                 "true" if report.greedy_suboptimal else "false",
             ]

@@ -125,7 +125,6 @@ class SimReport:
     per_round_latency_s: tuple[float, ...]
     mean_latency_s: float
     analytic_latency_s: float
-    committed_blocks: int
 
 
 def _service_times(scenario: ScenarioParams, m: int, theta: int, verify_s: tuple[float, ...]) -> tuple[float, ...]:
@@ -229,12 +228,16 @@ def run(sim: SimConfig, log: Optional[EventLog] = None) -> SimReport:
         per_round_latency_s=tuple(latencies),
         mean_latency_s=sum(latencies) / len(latencies),
         analytic_latency_s=analytic,
-        committed_blocks=len(latencies),  # every round commits, or the kernel raised
     )
 
 
 def _deviations(config: BlockchainConfig, latencies: Sequence[float], analytic: float, jitter: float) -> list[float]:
     """Per-round ``|simulated - analytic| / analytic`` latency; see :func:`closed_form_deviations`."""
+    if analytic <= 0:  # one that underflows to 0 leaves no relative deviation; NaN is a mismatch below
+        raise ValidationError(
+            f"config (m={config.num_verifiers}, theta={config.txns_per_block}): "
+            f"the closed-form latency must be positive, got {analytic!r}"
+        )
     deviations = [abs(latency - analytic) / analytic for latency in latencies]
     if not jitter:
         for round_index, deviation in enumerate(deviations):
@@ -250,8 +253,9 @@ def _deviations(config: BlockchainConfig, latencies: Sequence[float], analytic: 
 def closed_form_deviations(sim: SimConfig, report: SimReport) -> list[float]:
     """Per-round ``|simulated - analytic| / analytic`` latency of a finished run.
 
-    Without jitter, the first round deviating by more than ``SIM_REL_TOL``,
-    or by NaN, raises :class:`ModelMismatchError` naming the configuration.
+    A closed-form latency of 0 or less raises :class:`ValidationError`;
+    without jitter, the first round deviating by more than ``SIM_REL_TOL``,
+    or by NaN, raises :class:`ModelMismatchError`. Both name the configuration.
     """
     return _deviations(sim.config, report.per_round_latency_s, report.analytic_latency_s, sim.jitter)
 
@@ -292,9 +296,10 @@ def sweep_sim(
     and each row's verifier selection is taken once. Each row's analytic
     latencies come, lazily, from :func:`bcconf.metrics.latency_row`, whose
     values are :func:`bcconf.metrics.latency`'s bit for bit, and every cell
-    runs the round kernel that :func:`run` runs. Without jitter a deviation
-    above ``SIM_REL_TOL`` raises :class:`ModelMismatchError`; with jitter
-    the deviations are only reported.
+    runs the round kernel that :func:`run` runs. A cell's checks are
+    :func:`closed_form_deviations`': without jitter a deviation above
+    ``SIM_REL_TOL`` raises :class:`ModelMismatchError`; with jitter the
+    deviations are only reported.
     """
     ms, thetas = feasible_rows(scenario, grid_cap)
     # Validates the run parameters once, before any cell is simulated.

@@ -1,8 +1,11 @@
 """Domain types and scenario-file handling.
 
 The types here describe scenarios, weights and configurations; solver
-traces live with the solvers in :mod:`bcconf.optimizer`. All types are immutable
+results live with the solvers in :mod:`bcconf.optimizer`. All types are immutable
 after construction (frozen dataclasses) and safe to share across threads.
+A scenario document's schema is stated once: ``_SCALAR_FIELDS`` names each
+scalar field with its reader, in :class:`ScenarioParams`' order, and both
+:func:`parse_scenario` and :func:`dump_scenario` walk it.
 Beyond invariant checks, this module computes only what a scenario derives
 from itself: the verifier ranking and the running sums of its payments,
 once when it is built, and its normalization maxima, on first use, kept
@@ -11,12 +14,13 @@ closed forms.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
 import re
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Optional, TextIO, Union
+from typing import Any, Callable, Mapping, Optional, TextIO, Union
 
 import yaml
 
@@ -284,24 +288,6 @@ _QUANTITY_RE = re.compile(
 )
 _SIZE_SCALE = {"b": 1.0, "kb": 1e3, "mb": 1e6, "gb": 1e9}
 
-_REQUIRED_FIELDS = (
-    "transaction_size_bits",
-    "verification_workload",
-    "feedback_size_bits",
-    "downlink_rate_bps",
-    "uplink_rate_bps",
-    "broadcast_coeff",
-    "security_coeff",
-    "network_scale_exponent",
-    "min_verifiers",
-    "max_verifiers",
-    "min_txn_per_block",
-    "max_txn_per_block",
-    "verifiers",
-)
-_OPTIONAL_FIELDS = ("weights", "qos_class", "mode_table")
-
-
 def _parse_quantity(name: str, value: Any, kind: str) -> float:
     """Normalize a size (bits) or rate (bits/second) field.
 
@@ -352,6 +338,26 @@ def _parse_int(name: str, value: Any) -> int:
     raise ParseError(f"field '{name}': expected an integer, got {value!r}")
 
 
+# The scalar fields of a scenario document, in ScenarioParams' order, each with its reader.
+_SCALAR_FIELDS: dict[str, Callable[[str, Any], float]] = {
+    "transaction_size_bits": functools.partial(_parse_quantity, kind="bits"),
+    "verification_workload": _parse_number,
+    "feedback_size_bits": functools.partial(_parse_quantity, kind="bits"),
+    "downlink_rate_bps": functools.partial(_parse_quantity, kind="bps"),
+    "uplink_rate_bps": functools.partial(_parse_quantity, kind="bps"),
+    "broadcast_coeff": _parse_number,
+    "security_coeff": _parse_number,
+    "network_scale_exponent": _parse_number,
+    "min_verifiers": _parse_int,
+    "max_verifiers": _parse_int,
+    "min_txn_per_block": _parse_int,
+    "max_txn_per_block": _parse_int,
+}
+_REQUIRED_FIELDS = (*_SCALAR_FIELDS, "verifiers")
+_OPTIONAL_FIELDS = ("weights", "qos_class", "mode_table")
+_WEIGHT_KEYS = ("latency", "security", "cost")  # a weights mapping's keys, in QosWeights' order
+
+
 def _check_keys(
     raw: Any, where: str, required: tuple[str, ...], optional: tuple[str, ...] = ()
 ) -> Mapping:
@@ -380,9 +386,8 @@ def _parse_weights(raw: Any, where: str) -> QosWeights:
             raise ParseError(f"field '{where}': expected 3 weights (latency, security, cost), got {len(raw)}")
         named = [(f"{where}[{i}]", w) for i, w in enumerate(raw)]
     else:
-        keys = ("latency", "security", "cost")
-        raw = _check_keys(raw, where, keys)
-        named = [(f"{where}.{key}", raw[key]) for key in keys]
+        raw = _check_keys(raw, where, _WEIGHT_KEYS)
+        named = [(f"{where}.{key}", raw[key]) for key in _WEIGHT_KEYS]
     return QosWeights(*(_parse_number(name, w) for name, w in named))
 
 
@@ -470,18 +475,7 @@ def parse_scenario(text: str) -> ScenarioParams:
         raise ParseError("field 'verifiers': expected a list")
     verifiers = tuple(_parse_verifier(v, i) for i, v in enumerate(raw["verifiers"]))
     return ScenarioParams(
-        transaction_size_bits=_parse_quantity("transaction_size_bits", raw["transaction_size_bits"], "bits"),
-        verification_workload=_parse_number("verification_workload", raw["verification_workload"]),
-        feedback_size_bits=_parse_quantity("feedback_size_bits", raw["feedback_size_bits"], "bits"),
-        downlink_rate_bps=_parse_quantity("downlink_rate_bps", raw["downlink_rate_bps"], "bps"),
-        uplink_rate_bps=_parse_quantity("uplink_rate_bps", raw["uplink_rate_bps"], "bps"),
-        broadcast_coeff=_parse_number("broadcast_coeff", raw["broadcast_coeff"]),
-        security_coeff=_parse_number("security_coeff", raw["security_coeff"]),
-        network_scale_exponent=_parse_number("network_scale_exponent", raw["network_scale_exponent"]),
-        min_verifiers=_parse_int("min_verifiers", raw["min_verifiers"]),
-        max_verifiers=_parse_int("max_verifiers", raw["max_verifiers"]),
-        min_txn_per_block=_parse_int("min_txn_per_block", raw["min_txn_per_block"]),
-        max_txn_per_block=_parse_int("max_txn_per_block", raw["max_txn_per_block"]),
+        **{name: read(name, raw[name]) for name, read in _SCALAR_FIELDS.items()},
         verifiers=verifiers,
         weights=_parse_weights(raw["weights"], "weights") if "weights" in raw else None,
         qos_class=_parse_qos_class(raw["qos_class"]) if "qos_class" in raw else None,
@@ -504,30 +498,13 @@ def load_scenario(source: Union[str, os.PathLike, TextIO]) -> ScenarioParams:
 
 def dump_scenario(scenario: ScenarioParams) -> str:
     """Serialize a scenario back to YAML with all quantities in base units."""
-    doc: dict[str, Any] = {
-        "transaction_size_bits": scenario.transaction_size_bits,
-        "verification_workload": scenario.verification_workload,
-        "feedback_size_bits": scenario.feedback_size_bits,
-        "downlink_rate_bps": scenario.downlink_rate_bps,
-        "uplink_rate_bps": scenario.uplink_rate_bps,
-        "broadcast_coeff": scenario.broadcast_coeff,
-        "security_coeff": scenario.security_coeff,
-        "network_scale_exponent": scenario.network_scale_exponent,
-        "min_verifiers": scenario.min_verifiers,
-        "max_verifiers": scenario.max_verifiers,
-        "min_txn_per_block": scenario.min_txn_per_block,
-        "max_txn_per_block": scenario.max_txn_per_block,
-        "verifiers": [
-            {"id": p.id, "compute_capacity": p.compute_capacity, "unit_price": p.unit_price}
-            for p in scenario.verifiers
-        ],
-    }
+    doc: dict[str, Any] = {name: getattr(scenario, name) for name in _SCALAR_FIELDS}
+    doc["verifiers"] = [
+        {"id": p.id, "compute_capacity": p.compute_capacity, "unit_price": p.unit_price}
+        for p in scenario.verifiers
+    ]
     if scenario.weights is not None:
-        doc["weights"] = {
-            "latency": scenario.weights.latency_weight,
-            "security": scenario.weights.security_weight,
-            "cost": scenario.weights.cost_weight,
-        }
+        doc["weights"] = dict(zip(_WEIGHT_KEYS, scenario.weights.as_tuple()))
     if scenario.qos_class is not None:
         doc["qos_class"] = {
             "priority": scenario.qos_class.priority,
@@ -539,11 +516,7 @@ def dump_scenario(scenario: ScenarioParams) -> str:
         for rule in scenario.mode_table:
             entry: dict[str, Any] = {}
             if rule.weights is not None:
-                entry["weights"] = {
-                    "latency": rule.weights.latency_weight,
-                    "security": rule.weights.security_weight,
-                    "cost": rule.weights.cost_weight,
-                }
+                entry["weights"] = dict(zip(_WEIGHT_KEYS, rule.weights.as_tuple()))
             if rule.verifier_bounds is not None:
                 entry["verifier_bounds"] = list(rule.verifier_bounds)
             table[rule.mode] = entry

@@ -10,8 +10,9 @@ at a time through :func:`bcconf.metrics.evaluate_row`, which holds every
 evaluation check and does each row's fixed work once; the solvers and the
 scan read only each configuration's last cell, the utility.
 
-A solver's trace (:class:`OptimizationTrace`) is its evaluations in order:
-``configs[k]`` scored ``utilities[k]``. Only this module builds or renders one.
+A solver run (:class:`SolverResult`) is its optimum and its evaluations in
+order: ``configs[k]`` scored ``utilities[k]``. Only this module builds or
+renders one.
 """
 from __future__ import annotations
 
@@ -32,24 +33,22 @@ from .model import (
     feasible_rows,
 )
 
-GREEDY = "greedy"
-EXHAUSTIVE = "exhaustive"
-
 
 @dataclass(frozen=True)
-class OptimizationTrace:
-    """Every utility evaluation a solver made, in order: ``configs[k]`` scored ``utilities[k]``."""
+class SolverResult:
+    """A solver's optimum and every utility evaluation it made, in order: ``configs[k]`` scored ``utilities[k]``."""
 
+    best_config: BlockchainConfig
+    best_utility: float
     configs: tuple[BlockchainConfig, ...]
     utilities: tuple[float, ...]
-    result: BlockchainConfig
 
     def __post_init__(self):
         if len(self.configs) != len(self.utilities):
             raise ValidationError(
                 f"trace has {len(self.configs)} configurations but {len(self.utilities)} utilities"
             )
-        if self.result not in self.configs:
+        if self.best_config not in self.configs:
             raise ValidationError("trace result must appear among its configurations")
 
     @property
@@ -60,14 +59,6 @@ class OptimizationTrace:
     def best_so_far(self) -> tuple[float, ...]:
         """Running minimum of the utilities, one value per evaluation."""
         return tuple(itertools.accumulate(self.utilities, min))
-
-
-@dataclass(frozen=True)
-class SolverResult:
-    best_config: BlockchainConfig
-    best_utility: float
-    trace: OptimizationTrace
-    solver_name: str
 
 
 @dataclass(frozen=True)
@@ -150,14 +141,7 @@ def solve_greedy(scenario: ScenarioParams, weights: QosWeights) -> SolverResult:
         prev = (theta_star, u_star)
     assert prev is not None
     best_theta, best_value = prev
-
-    best = BlockchainConfig(result_m, best_theta)
-    return SolverResult(
-        best_config=best,
-        best_utility=best_value,
-        trace=OptimizationTrace(tuple(configs), tuple(utilities), best),
-        solver_name=GREEDY,
-    )
+    return SolverResult(BlockchainConfig(result_m, best_theta), best_value, tuple(configs), tuple(utilities))
 
 
 def solve_exhaustive(
@@ -173,12 +157,7 @@ def solve_exhaustive(
         configs.extend(BlockchainConfig(m, theta) for theta in thetas)
         utilities.extend(cells[-1] for cells in row)
     best = utilities.index(min(utilities))  # the first minimum wins ties
-    return SolverResult(
-        best_config=configs[best],
-        best_utility=utilities[best],
-        trace=OptimizationTrace(tuple(configs), tuple(utilities), configs[best]),
-        solver_name=EXHAUSTIVE,
-    )
+    return SolverResult(configs[best], utilities[best], tuple(configs), tuple(utilities))
 
 
 def compare(
@@ -226,15 +205,15 @@ def scan_unimodality(
     return unimodality(values, width)
 
 
-def trace_to_csv(trace: OptimizationTrace) -> str:
-    """Render a trace as CSV: iteration, m, theta, utility, best_so_far."""
+def trace_to_csv(result: SolverResult) -> str:
+    """Render a solver's evaluations as CSV: iteration, m, theta, utility, best_so_far."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["iteration", "m", "theta", "utility", "best_so_far"])
     writer.writerows(
         (k, config.num_verifiers, config.txns_per_block, value, best)
         for k, (config, value, best) in enumerate(
-            zip(trace.configs, trace.utilities, trace.best_so_far()), start=1
+            zip(result.configs, result.utilities, result.best_so_far()), start=1
         )
     )
     return buffer.getvalue()

@@ -117,7 +117,7 @@ def test_criterion_4_greedy_efficiency_on_fixture(tmp_path):
     scenario = load_scenario(TABLE2_PATH)
     prescan = scan_unimodality(scenario, EQUAL_WEIGHTS)
     report = compare(scenario, EQUAL_WEIGHTS)
-    assert report.greedy.trace.evaluations < 171
+    assert report.greedy.evaluations < 171
     assert prescan.greedy_exact
     assert report.greedy.best_utility == pytest.approx(
         report.exhaustive.best_utility, abs=1e-9
@@ -127,10 +127,10 @@ def test_criterion_4_greedy_efficiency_on_fixture(tmp_path):
 
     for name, result in (("greedy", report.greedy), ("exhaustive", report.exhaustive)):
         path = tmp_path / f"{name}_trace.csv"
-        path.write_text(trace_to_csv(result.trace), encoding="utf-8")
+        path.write_text(trace_to_csv(result), encoding="utf-8")
         assert path.stat().st_size > 0
     print(
-        f"[criterion 4] PASS: greedy {report.greedy.trace.evaluations} evaluations < 171, "
+        f"[criterion 4] PASS: greedy {report.greedy.evaluations} evaluations < 171, "
         f"pre-scan unimodal, gap {report.utility_gap:.3e} <= 1e-9"
     )
 
@@ -144,7 +144,7 @@ def test_criterion_5_forced_arithmetic_from_reference_parameters():
         scenario.max_txn_per_block - scenario.min_txn_per_block + 1
     )
     assert grid == 171
-    assert solve_exhaustive(scenario, EQUAL_WEIGHTS).trace.evaluations == 171
+    assert solve_exhaustive(scenario, EQUAL_WEIGHTS).evaluations == 171
     print(
         f"[criterion 5] PASS: downlink {terms['downlink_s']:.6f}s, "
         f"feedback {terms['feedback_s']:.6f}s, grid {grid} points"

@@ -120,6 +120,37 @@ def test_clock_overflow_across_rounds_exits_2(tmp_path, capsys):
         assert not out.exists()
 
 
+# Table2's fields, scaled until the closed-form latency underflows to 0.
+ZERO_LATENCY_SCENARIO = """\
+transaction_size_bits: 1.0e-300
+verification_workload: 1.0e-300
+feedback_size_bits: 1.0e-300
+downlink_rate_bps: 1.0e+300
+uplink_rate_bps: 1.0e+300
+broadcast_coeff: 0.0
+security_coeff: 1.0
+network_scale_exponent: 2.0
+min_verifiers: 1
+max_verifiers: 2
+min_txn_per_block: 1
+max_txn_per_block: 3
+verifiers:
+  - {id: 0, compute_capacity: 1.0e+300, unit_price: 1.0e-300}
+  - {id: 1, compute_capacity: 1.0e+300, unit_price: 1.0e-300}
+"""
+
+
+def test_zero_closed_form_latency_simulate_exits_2(tmp_path, capsys):
+    bad = tmp_path / "zero.scenario"
+    bad.write_text(ZERO_LATENCY_SCENARIO)
+    for k, extra in enumerate(((), ("--jitter", "uniform:0.1"))):
+        out = tmp_path / str(k)
+        code = run_cli("simulate", "--scenario", str(bad), "--out", str(out), "--m", "1", "--theta", "1", *extra)
+        assert code == 2
+        assert "(m=1, theta=1)" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_infeasible_simulate_config_leaves_no_out_dir(tmp_path, capsys):
     out = tmp_path / "run"
     assert run_cli("simulate", "--scenario", SCENARIO, "--out", str(out), "--m", "99", "--theta", "6") == 2

@@ -94,7 +94,7 @@ def test_single_verifier_round_structure():
         FEEDBACK_RECEIVED,
         BLOCK_COMMITTED,
     ]
-    assert report.committed_blocks == 1
+    assert len(report.per_round_latency_s) == 1
 
 
 def test_same_seed_gives_byte_identical_logs():
@@ -223,7 +223,7 @@ def test_jitter_mean_close_to_analytic_with_upward_bias():
 def test_rounds_are_sequential_and_all_commit():
     scenario = make_scenario(capacities=(10.0, 5.0))
     report, events = collect_events(SimConfig(scenario=scenario, config=BlockchainConfig(2, 2), rounds=5))
-    assert report.committed_blocks == 5
+    assert len(report.per_round_latency_s) == 5
     commits = [e for e in events if e.kind == BLOCK_COMMITTED]
     assert [e.round for e in commits] == [0, 1, 2, 3, 4]
     dispatches = [e for e in events if e.kind == BLOCK_DISPATCHED]
@@ -268,6 +268,23 @@ def test_clock_overflow_across_rounds_is_a_validation_error():
             run_simulation(SimConfig(scenario=scenario, config=config, rounds=30, jitter=jitter))
 
 
+@pytest.mark.parametrize("jitter", [0.0, 0.1], ids=["no_jitter", "jitter"])
+def test_zero_closed_form_latency_is_a_validation_error(jitter):
+    # Every stage time underflows to 0, so no relative deviation exists.
+    scenario = make_scenario(
+        capacities=(1e300, 1e300), prices=(1e-300, 1e-300), transaction_size_bits=1e-300,
+        verification_workload=1e-300, feedback_size_bits=1e-300, downlink_rate_bps=1e300,
+        uplink_rate_bps=1e300, broadcast_coeff=0.0, max_txn_per_block=3,
+    )
+    sim = SimConfig(scenario=scenario, config=BlockchainConfig(1, 1), rounds=2, jitter=jitter)
+    report = run_simulation(sim)
+    assert report.analytic_latency_s == 0.0
+    with pytest.raises(ValidationError, match=r"\(m=1, theta=1\).*closed-form latency must be positive"):
+        closed_form_deviations(sim, report)
+    with pytest.raises(ValidationError, match=r"\(m=1, theta=1\).*closed-form latency must be positive"):
+        sweep_sim(scenario, rounds=2, jitter=jitter)
+
+
 def test_run_without_jitter_builds_no_rng(monkeypatch):
     def no_rng(seed):
         raise AssertionError(f"random.Random({seed}) built for a run that draws nothing")
@@ -276,7 +293,7 @@ def test_run_without_jitter_builds_no_rng(monkeypatch):
     scenario = load_scenario(TABLE2_PATH)
     config = BlockchainConfig(9, 12)
     sim = SimConfig(scenario=scenario, config=config, rounds=3, rng_seed=5, rotate_bm=True)
-    assert run_simulation(sim).committed_blocks == 3
+    assert len(run_simulation(sim).per_round_latency_s) == 3
     assert len(sweep_sim(scenario, rounds=1, seed=5).cells) == 171
     with pytest.raises(AssertionError, match=r"random.Random\(5\)"):
         run_simulation(SimConfig(scenario=scenario, config=config, jitter=0.1, rng_seed=5))

@@ -11,6 +11,7 @@ from bcconf import (
     BlockchainConfig,
     ParseError,
     QosWeights,
+    ScenarioParams,
     ValidationError,
     VerifierProfile,
     dump_scenario,
@@ -19,7 +20,7 @@ from bcconf import (
     validate_config,
 )
 from bcconf import cli
-from bcconf.model import _ScenarioLoader
+from bcconf.model import _OPTIONAL_FIELDS, _SCALAR_FIELDS, _ScenarioLoader
 from helpers import TABLE2_PATH, make_scenario
 
 MINIMAL_DOC = """
@@ -299,6 +300,22 @@ def test_round_trip_preserves_optional_sections():
     )
     original = parse_scenario(doc)
     assert parse_scenario(dump_scenario(original)) == original
+
+
+def test_schema_table_names_every_scenario_field_in_order():
+    # A field added to ScenarioParams but not to the schema table fails here.
+    init_fields = [f.name for f in dataclasses.fields(ScenarioParams) if f.init]
+    assert [*_SCALAR_FIELDS, "verifiers", *_OPTIONAL_FIELDS] == init_fields
+    doc = (
+        MINIMAL_DOC
+        + "mode_table:\n  economy: {weights: [0.05, 0.05, 0.9]}\n"
+        + "qos_class: {priority: low, security_need: high}\n"
+        + "weights: {cost: 0.3, security: 0.5, latency: 0.2}\n"
+    )
+    dumped = yaml.safe_load(dump_scenario(parse_scenario(doc)))
+    assert list(dumped) == init_fields
+    for weights in (dumped["weights"], dumped["mode_table"]["economy"]["weights"]):
+        assert list(weights) == ["latency", "security", "cost"]
 
 
 def test_qos_weights_invariants():

@@ -9,8 +9,8 @@ import pytest
 from bcconf import (
     BlockchainConfig,
     GridCapError,
-    OptimizationTrace,
     QosWeights,
+    SolverResult,
     ValidationError,
     compare,
     load_scenario,
@@ -53,7 +53,7 @@ def test_degenerate_box_needs_one_evaluation():
     )
     for solve in (solve_greedy, solve_exhaustive):
         result = solve(scenario, EQUAL_WEIGHTS)
-        assert result.trace.evaluations == 1
+        assert result.evaluations == 1
         assert result.best_config == BlockchainConfig(2, 3)
 
 
@@ -78,18 +78,18 @@ def test_greedy_equals_exhaustive_on_small_unimodal_instance():
 def test_exhaustive_covers_full_grid_row_major():
     scenario = load_scenario(TABLE2_PATH)
     result = solve_exhaustive(scenario, EQUAL_WEIGHTS)
-    assert result.trace.evaluations == 171
+    assert result.evaluations == 171
     expected = tuple(
         BlockchainConfig(m, t) for m in range(2, 11) for t in range(2, 21)
     )
     ms, thetas = feasible_rows(scenario)
-    assert result.trace.configs == expected == tuple(BlockchainConfig(m, t) for m in ms for t in thetas)
+    assert result.configs == expected == tuple(BlockchainConfig(m, t) for m in ms for t in thetas)
 
 
 def test_greedy_beats_grid_size_on_table2():
     scenario = load_scenario(TABLE2_PATH)
     greedy = solve_greedy(scenario, EQUAL_WEIGHTS)
-    assert greedy.trace.evaluations < 171
+    assert greedy.evaluations < 171
     exhaustive = solve_exhaustive(scenario, EQUAL_WEIGHTS)
     assert greedy.best_utility == pytest.approx(exhaustive.best_utility, abs=1e-12)
 
@@ -98,23 +98,23 @@ def test_optimization_trace_invariants():
     cfg = BlockchainConfig(1, 1)
     configs = (cfg, BlockchainConfig(1, 2), BlockchainConfig(1, 3), BlockchainConfig(2, 1))
     utilities = (0.5, 0.4, 0.45, 0.2)
-    trace = OptimizationTrace(configs, utilities, cfg)
-    assert trace.evaluations == 4
+    result = SolverResult(cfg, 0.5, configs, utilities)
+    assert result.evaluations == 4
     # The running minimum, written out by hand.
-    assert trace.best_so_far() == (0.5, 0.4, 0.4, 0.2)
-    assert OptimizationTrace((cfg,), (0.7,), cfg).best_so_far() == (0.7,)
+    assert result.best_so_far() == (0.5, 0.4, 0.4, 0.2)
+    assert SolverResult(cfg, 0.7, (cfg,), (0.7,)).best_so_far() == (0.7,)
     with pytest.raises(ValidationError, match="4 configurations but 3 utilities"):
-        OptimizationTrace(configs, utilities[:3], cfg)
+        SolverResult(cfg, 0.5, configs, utilities[:3])
     with pytest.raises(ValidationError, match="3 configurations but 4 utilities"):
-        OptimizationTrace(configs[:3], utilities, cfg)
+        SolverResult(cfg, 0.5, configs[:3], utilities)
     with pytest.raises(ValidationError, match="result must appear among its configurations"):
-        OptimizationTrace(configs, utilities, BlockchainConfig(9, 9))
+        SolverResult(BlockchainConfig(9, 9), 0.5, configs, utilities)
 
 
 def test_greedy_trace_starts_at_lower_corner():
     scenario = load_scenario(TABLE2_PATH)
-    trace = solve_greedy(scenario, EQUAL_WEIGHTS).trace
-    assert trace.configs[0] == BlockchainConfig(2, 2)
+    result = solve_greedy(scenario, EQUAL_WEIGHTS)
+    assert result.configs[0] == BlockchainConfig(2, 2)
 
 
 def test_recorded_best_matches_fresh_evaluation():
@@ -193,7 +193,7 @@ def test_greedy_never_evaluates_more_than_exhaustive():
         scenario = random_scenario(rng)
         weights = random_weights(rng)
         report = compare(scenario, weights)
-        assert report.greedy.trace.evaluations <= report.exhaustive.trace.evaluations
+        assert report.greedy.evaluations <= report.exhaustive.evaluations
 
 
 def test_exhaustive_is_global_minimum_against_reenumeration():
@@ -251,29 +251,29 @@ def test_compare_on_degenerate_box():
     )
     report = compare(scenario, EQUAL_WEIGHTS)
     assert report.utility_gap == 0.0
-    assert report.greedy.trace.configs == report.exhaustive.trace.configs
-    assert report.greedy.trace.utilities == report.exhaustive.trace.utilities
-    assert report.greedy.trace.best_so_far() == report.exhaustive.trace.best_so_far()
+    assert report.greedy.configs == report.exhaustive.configs
+    assert report.greedy.utilities == report.exhaustive.utilities
+    assert report.greedy.best_so_far() == report.exhaustive.best_so_far()
 
 
 def test_best_so_far_series_is_nonincreasing():
     scenario = load_scenario(TABLE2_PATH)
     report = compare(scenario, EQUAL_WEIGHTS)
-    for series in (report.greedy.trace.best_so_far(), report.exhaustive.trace.best_so_far()):
+    for series in (report.greedy.best_so_far(), report.exhaustive.best_so_far()):
         assert all(a >= b for a, b in zip(series, series[1:]))
-    assert report.exhaustive.trace.best_so_far()[-1] == report.exhaustive.best_utility
+    assert report.exhaustive.best_so_far()[-1] == report.exhaustive.best_utility
 
 
 def test_trace_csv_round_trips():
     scenario = make_scenario(capacities=(8.0, 4.0), max_txn_per_block=3)
     result = solve_greedy(scenario, EQUAL_WEIGHTS)
-    text = trace_to_csv(result.trace)
+    text = trace_to_csv(result)
     rows = list(csv.reader(io.StringIO(text)))
     assert rows[0] == ["iteration", "m", "theta", "utility", "best_so_far"]
-    assert len(rows) == result.trace.evaluations + 1
-    assert [int(row[0]) for row in rows[1:]] == list(range(1, result.trace.evaluations + 1))
+    assert len(rows) == result.evaluations + 1
+    assert [int(row[0]) for row in rows[1:]] == list(range(1, result.evaluations + 1))
     first = rows[1]
-    assert float(first[3]) == result.trace.utilities[0]
+    assert float(first[3]) == result.utilities[0]
 
 
 def test_solvers_and_scan_record_the_scalar_utilities(monkeypatch):
@@ -296,9 +296,9 @@ def test_solvers_and_scan_record_the_scalar_utilities(monkeypatch):
             values = [scalar(config) for config in grid]
             rows = [values[i:i + width] for i in range(0, len(values), width)]
             exhaustive = solve_exhaustive(scenario, weights)
-            assert exhaustive.trace.configs == tuple(grid)
-            assert exhaustive.trace.utilities == tuple(values)
-            greedy = solve_greedy(scenario, weights).trace
+            assert exhaustive.configs == tuple(grid)
+            assert exhaustive.utilities == tuple(values)
+            greedy = solve_greedy(scenario, weights)
             for config, value in zip(greedy.configs, greedy.utilities):
                 assert value == scalar(config)
             # The scan checks rows until one is not unimodal, then the row minima.
@@ -316,7 +316,7 @@ def test_unimodality_of_the_exhaustive_utilities_is_the_scan():
     for scenario, weights in [*cases, (ADVERSARIAL_SCENARIO, ADVERSARIAL_WEIGHTS)]:
         width = scenario.max_txn_per_block - scenario.min_txn_per_block + 1
         report = scan_unimodality(scenario, weights)
-        assert unimodality(solve_exhaustive(scenario, weights).trace.utilities, width) == report
+        assert unimodality(solve_exhaustive(scenario, weights).utilities, width) == report
         reports.add(report)
     assert {report.greedy_exact for report in reports} == {True, False}
 
@@ -341,7 +341,7 @@ def test_each_row_does_its_fixed_work_once(scenario, monkeypatch):
     solve_exhaustive(scenario, ADVERSARIAL_WEIGHTS)
     assert calls == rows
     calls.clear()
-    greedy = solve_greedy(scenario, ADVERSARIAL_WEIGHTS).trace
+    greedy = solve_greedy(scenario, ADVERSARIAL_WEIGHTS)
     assert calls == sorted({config.num_verifiers for config in greedy.configs})
 
 
@@ -416,7 +416,7 @@ def test_each_entry_point_evaluates_each_configuration_once(scenario, kernel_cal
     solve_exhaustive(scenario, weights)
     assert len(kernel_calls) == grid
     kernel_calls.clear()
-    greedy = solve_greedy(scenario, weights).trace.evaluations
+    greedy = solve_greedy(scenario, weights).evaluations
     assert len(kernel_calls) == greedy
     kernel_calls.clear()
     compare(scenario, weights)
