@@ -7,18 +7,19 @@ disabled the simulated round latency reproduces the closed-form latency
 exactly (up to floating-point accumulation), which is the central
 validation property of the analytic model.
 
-A round starts only when the previous block commits, so the event heap
-holds one round at a time and is empty after every commit; the clock runs
-on across rounds and must stay finite. The simulator keeps no event log:
-at each commit it hands the round's popped heap entries to an optional
-``log`` callback and drops them, so its memory grows only by one latency
-per round. :func:`event_writer` builds the ``log`` that streams each round
-as lines of both event logs (one :class:`SimEvent` per line), keeping only
-the fixed ends of lines it has formatted; without a ``log``, as in
-:func:`sweep_sim`, no event is formatted or kept.
+A round starts when the previous block commits and each stage when the one
+before it ends, so the round kernel ``_simulate`` writes a round's events
+stage by stage: the optional manager rotation, dispatch, the verifications,
+broadcast from the last of them, feedback and commit. Only the verifications
+overlap; sorting them by time, then verifier id, gives the order an event
+queue would pop them in. At each commit the round's events go to an optional
+``log`` callback and are dropped, so memory grows only by one latency per
+round. :func:`event_writer` builds the ``log`` that streams them to both
+event logs, one :class:`SimEvent` per line; without a ``log``, as in
+:func:`sweep_sim`, no event is built.
 
-One heap loop, ``_simulate``, runs the rounds of both entry points.
-:func:`run` takes one :class:`SimConfig`, checks its configuration through
+The one kernel runs the rounds of both entry points. :func:`run` takes one
+:class:`SimConfig`, checks its configuration through
 :func:`bcconf.metrics.latency` and wraps the kernel's latencies in a
 :class:`SimReport`. :func:`sweep_sim` walks the feasible grid a row at a
 time: it validates the run parameters once, takes each row's verifier
@@ -34,7 +35,6 @@ round starts, so replays are reproducible across platforms.
 """
 from __future__ import annotations
 
-import heapq
 import math
 import random
 from dataclasses import dataclass
@@ -68,12 +68,12 @@ EVENT_KINDS = (
     FEEDBACK_RECEIVED,
     BLOCK_COMMITTED,
 )
-# A heap entry is (time_s, kind rank, actor_id): each kind travels as its rank
-# in EVENT_KINDS, which also orders the events of one instant.
+# An event entry is (time_s, kind rank, actor_id): each kind travels as its
+# rank in EVENT_KINDS, which also orders the events of one instant.
 _ROTATED, _DISPATCHED, _VERIFIED, _BROADCAST, _FEEDBACK, _COMMITTED = range(len(EVENT_KINDS))
-HeapEntry = tuple[float, int, int]
-# Called with (round index, the round's popped heap entries) at each commit.
-EventLog = Callable[[int, list[HeapEntry]], None]
+EventEntry = tuple[float, int, int]
+# Called with (round index, the round's entries in event order) at each commit.
+EventLog = Callable[[int, list[EventEntry]], None]
 
 # Actor id recorded for the static block manager (the entity-side edge node);
 # with rotation enabled the role carries the current verifier's id instead.
@@ -95,10 +95,21 @@ class SimEvent(NamedTuple):
 
 @dataclass(frozen=True)
 class SimConfig:
+    """One run: ``rounds`` back-to-back rounds of ``config`` under ``scenario``.
+
+    ``jitter`` is the spread j, a fraction in [0, 1): each round, every
+    service time in seconds (dispatch, each verification, broadcast,
+    feedback) scales by its own factor, drawn uniformly from [1 - j, 1 + j];
+    at 0 every round takes the closed form's times and nothing is drawn.
+    ``rng_seed``, in [0, 2**64), seeds the draws. ``rotate_bm`` hands the
+    manager role to the selected verifiers round-robin, in selection order.
+    A wrong type or value raises :class:`ValidationError` naming the field.
+    """
+
     scenario: ScenarioParams
     config: BlockchainConfig
     rounds: int = 1
-    jitter: float = 0.0  # spread j: each service time scales by uniform [1 - j, 1 + j]
+    jitter: float = 0.0
     rng_seed: int = 0
     rotate_bm: bool = False
 
@@ -122,6 +133,8 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class SimReport:
+    """Each round's latency in seconds (dispatch to feedback) in round order, their mean, and the closed form."""
+
     per_round_latency_s: tuple[float, ...]
     mean_latency_s: float
     analytic_latency_s: float
@@ -148,18 +161,22 @@ def _simulate(
     rotate_bm: bool,
     log: Optional[EventLog],
 ) -> list[float]:
-    """The heap loop: each round's latency over ``rounds`` back-to-back rounds.
+    """The round kernel: each round's latency over ``rounds`` back-to-back rounds.
 
-    The one round kernel, shared by :func:`run` and :func:`sweep_sim`; its
-    arguments are already validated. ``service_s`` is as
-    :func:`_service_times` gives it, and ``selected_ids`` are the ids of the
-    verifiers it times, in the same order. A round's popped entries are
-    collected only when a ``log`` takes them.
+    Shared by :func:`run` and :func:`sweep_sim`, with arguments already
+    validated: ``service_s`` as :func:`_service_times` gives it,
+    ``selected_ids`` the ids of the verifiers it times, in the same order. Each
+    stage starts where the one before ends: rotation (with ``rotate_bm``) at
+    the round's start, dispatch, verify, broadcast from the last verification,
+    at ``dispatched_s + max(verify)`` since rounding is monotonic, feedback,
+    and commit at the feedback time. No service time is negative, so stages
+    never overlap and kind ranks order those of one instant; sorting the verify
+    stage by time, then verifier id, puts the round's entries in the order an
+    event queue would pop them in. They are built, and the verify stage sorted,
+    only for a ``log``.
     """
     m = len(selected_ids)
     draw = random.Random(rng_seed).random if jitter else None  # no spread draws nothing
-    push, pop = heapq.heappush, heapq.heappop
-    heap: list[HeapEntry] = []
     latencies: list[float] = []
     start_s = 0.0
     if not jitter:  # every round takes the same times
@@ -167,53 +184,30 @@ def _simulate(
     for round_index in range(rounds):
         if jitter:
             dispatch, *verify, broadcast, feedback = [s * (1.0 + jitter * (2.0 * draw() - 1.0)) for s in service_s]
-        if rotate_bm:
-            manager = selected_ids[round_index % m]
-            push(heap, (start_s, _ROTATED, manager))
-        else:
-            manager = STATIC_BM_ID
-        push(heap, (start_s + dispatch, _DISPATCHED, manager))
-        pending = m
+        manager = selected_ids[round_index % m] if rotate_bm else STATIC_BM_ID
+        dispatched_s = start_s + dispatch
+        broadcast_s = dispatched_s + max(verify) + broadcast
+        feedback_s = broadcast_s + feedback
+        latencies.append(feedback_s - start_s)
+        if not math.isfinite(feedback_s):
+            raise ValidationError(f"rounds={rounds}: the simulated clock overflows in round {round_index}")
         if log is not None:
-            entries: list[HeapEntry] = []
-            append = entries.append
-        while heap:
-            entry = pop(heap)
-            if log is not None:
-                append(entry)
-            time_s, kind, actor_id = entry
-            if kind == _VERIFIED:
-                pending -= 1
-                if pending == 0:
-                    # The popped event is the latest finisher; broadcast starts here.
-                    push(heap, (time_s + broadcast, _BROADCAST, manager))
-            elif kind == _DISPATCHED:
-                for verifier_id, verify_s in zip(selected_ids, verify):
-                    push(heap, (time_s + verify_s, _VERIFIED, verifier_id))
-            elif kind == _BROADCAST:
-                push(heap, (time_s + feedback, _FEEDBACK, manager))
-            elif kind == _FEEDBACK:
-                latencies.append(time_s - start_s)
-                push(heap, (time_s, _COMMITTED, manager))
-            elif kind == _COMMITTED:
-                if not math.isfinite(time_s):
-                    raise ValidationError(
-                        f"rounds={rounds}: the simulated clock overflows in round {round_index}"
-                    )
-                start_s = time_s
-        if log is not None:
+            verified = sorted([(dispatched_s + v, _VERIFIED, i) for i, v in zip(selected_ids, verify)])
+            entries = [(start_s, _ROTATED, manager)] if rotate_bm else []
+            entries += (dispatched_s, _DISPATCHED, manager), *verified, (broadcast_s, _BROADCAST, manager)
+            entries += (feedback_s, _FEEDBACK, manager), (feedback_s, _COMMITTED, manager)
             log(round_index, entries)
+        start_s = feedback_s
     return latencies
 
 
 def run(sim: SimConfig, log: Optional[EventLog] = None) -> SimReport:
     """Simulate ``sim.rounds`` sequential verification rounds.
 
-    Rounds are back to back: a round starts when the previous block commits,
-    so the heap holds only the current round's events. Each popped heap
-    entry ``(time_s, kind rank, actor_id)`` is one event; the log is totally
-    ordered by (time, round, stage, actor). When the round commits, its
-    entries and its index go to ``log`` if one is given, and are dropped
+    Rounds are back to back: a round starts when the previous block commits.
+    Each entry ``(time_s, kind rank, actor_id)`` is one event; the log is
+    totally ordered by (time, round, stage, actor). When the round commits,
+    its entries and its index go to ``log`` if one is given, and are dropped
     either way, so memory does not grow with the events. A round that
     commits at a non-finite time raises :class:`ValidationError` naming
     ``rounds``.
@@ -262,6 +256,9 @@ def closed_form_deviations(sim: SimConfig, report: SimReport) -> list[float]:
 
 @dataclass(frozen=True)
 class SimSweepCell:
+    """A sweep's configuration, its closed-form and mean simulated latency in seconds, and its largest
+    per-round ``|simulated - analytic| / analytic`` under the sweep's jitter (see :class:`SimConfig`)."""
+
     config: BlockchainConfig
     analytic_latency_s: float
     mean_latency_s: float
@@ -338,7 +335,7 @@ def event_writer(csv_file: TextIO, ndjson_file: TextIO) -> EventLog:
     write_csv, write_ndjson = csv_file.write, ndjson_file.write
     tails: dict[tuple[int, int], tuple[str, str]] = {}  # (rank, actor_id) -> (CSV end, NDJSON end)
 
-    def log(round_index: int, entries: list[HeapEntry]) -> None:
+    def log(round_index: int, entries: list[EventEntry]) -> None:
         csv_round, ndjson_round = f",{round_index}", f', "round": {round_index}'
         csv_lines = [",".join(SimEvent._fields) + "\n"] if round_index == 0 else []
         ndjson_lines = []

@@ -188,8 +188,8 @@ def normalization(scenario: ScenarioParams) -> NormalizationConstants:
     Latency and security peak at (M, N) by monotonicity; cost peaks at
     (M, t) since it scales with the selected payment sum and inversely
     with theta. Raises :class:`ValidationError` when a maximum is
-    undefined: every selectable verifier is free, or the security level at
-    M does not fit in a float.
+    undefined: every selectable verifier is free, the security level at M
+    does not fit in a float, or the round latency at (M, N) underflows to 0.
     """
     corner_high = BlockchainConfig(scenario.max_verifiers, scenario.max_txn_per_block)
     corner_cost = BlockchainConfig(scenario.max_verifiers, scenario.min_txn_per_block)
@@ -208,11 +208,14 @@ def normalization(scenario: ScenarioParams) -> NormalizationConstants:
             "security_coeff * max_verifiers ** network_scale_exponent overflows a float "
             f"(network_scale_exponent={scenario.network_scale_exponent!r})"
         )
-    return NormalizationConstants(
-        max_latency=latency(scenario, corner_high),
-        max_security=max_security,
-        max_cost=max_cost,
-    )
+    max_latency = latency(scenario, corner_high)
+    if max_latency <= 0:  # the largest round latency, so every configuration's is 0
+        raise ValidationError(
+            f"the round latency at (m={scenario.max_verifiers}, theta={scenario.max_txn_per_block}) underflows "
+            f"to {max_latency!r}: transaction_size_bits, verification_workload and feedback_size_bits are too "
+            "small for downlink_rate_bps, uplink_rate_bps and compute_capacity; the normalized utility is undefined"
+        )
+    return NormalizationConstants(max_latency=max_latency, max_security=max_security, max_cost=max_cost)
 
 
 # The metrics of one configuration as :func:`evaluate` returns them, in ``surface.csv`` column order.

@@ -2,13 +2,34 @@
 from __future__ import annotations
 
 import csv
+import heapq
 import io
 import json
+import math
 import random
 from pathlib import Path
 
-from bcconf import QosWeights, ScenarioParams, SimConfig, SimEvent, SimReport, VerifierProfile, load_scenario
-from bcconf.dpos_sim import EVENT_KINDS, run
+from bcconf import (
+    QosWeights,
+    ScenarioParams,
+    SimConfig,
+    SimEvent,
+    SimReport,
+    ValidationError,
+    VerifierProfile,
+    load_scenario,
+)
+from bcconf.dpos_sim import (
+    _BROADCAST,
+    _COMMITTED,
+    _DISPATCHED,
+    _FEEDBACK,
+    _ROTATED,
+    _VERIFIED,
+    EVENT_KINDS,
+    STATIC_BM_ID,
+    run,
+)
 from bcconf.metrics import COLUMNS
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -55,6 +76,15 @@ def make_scenario(
         min_txn_per_block=min_txn_per_block,
         max_txn_per_block=max_txn_per_block,
         verifiers=verifiers,
+    )
+
+
+def zero_latency_scenario() -> ScenarioParams:
+    """A scenario whose every stage time underflows to 0, at every (m, theta) of its box [1, 2] x [1, 3]."""
+    return make_scenario(
+        capacities=(1e300, 1e300), prices=(1e-300, 1e-300), transaction_size_bits=1e-300,
+        verification_workload=1e-300, feedback_size_bits=1e-300, downlink_rate_bps=1e300,
+        uplink_rate_bps=1e300, broadcast_coeff=0.0, max_txn_per_block=3,
     )
 
 
@@ -182,3 +212,60 @@ def collect_events(sim: SimConfig) -> tuple[SimReport, list[SimEvent]]:
         events.extend(SimEvent(t, round_index, EVENT_KINDS[rank], actor_id) for t, rank, actor_id in entries)
 
     return run(sim, log), events
+
+
+def reference_simulate(service_s, selected_ids, rounds, jitter, rng_seed, rotate_bm, log):
+    """The round kernel as an event queue: the oracle for :func:`bcconf.dpos_sim._simulate`.
+
+    Same arguments and results. Each round's entries go through a heap keyed
+    by ``(time_s, kind rank, actor_id)``, each popped entry pushes the next
+    stage's, and ``log`` gets the round's entries in the order they popped.
+    """
+    m = len(selected_ids)
+    draw = random.Random(rng_seed).random if jitter else None  # no spread draws nothing
+    push, pop = heapq.heappush, heapq.heappop
+    heap = []
+    latencies = []
+    start_s = 0.0
+    if not jitter:  # every round takes the same times
+        dispatch, *verify, broadcast, feedback = service_s
+    for round_index in range(rounds):
+        if jitter:
+            dispatch, *verify, broadcast, feedback = [s * (1.0 + jitter * (2.0 * draw() - 1.0)) for s in service_s]
+        if rotate_bm:
+            manager = selected_ids[round_index % m]
+            push(heap, (start_s, _ROTATED, manager))
+        else:
+            manager = STATIC_BM_ID
+        push(heap, (start_s + dispatch, _DISPATCHED, manager))
+        pending = m
+        if log is not None:
+            entries = []
+            append = entries.append
+        while heap:
+            entry = pop(heap)
+            if log is not None:
+                append(entry)
+            time_s, kind, actor_id = entry
+            if kind == _VERIFIED:
+                pending -= 1
+                if pending == 0:
+                    # The popped event is the latest finisher; broadcast starts here.
+                    push(heap, (time_s + broadcast, _BROADCAST, manager))
+            elif kind == _DISPATCHED:
+                for verifier_id, verify_s in zip(selected_ids, verify):
+                    push(heap, (time_s + verify_s, _VERIFIED, verifier_id))
+            elif kind == _BROADCAST:
+                push(heap, (time_s + feedback, _FEEDBACK, manager))
+            elif kind == _FEEDBACK:
+                latencies.append(time_s - start_s)
+                push(heap, (time_s, _COMMITTED, manager))
+            elif kind == _COMMITTED:
+                if not math.isfinite(time_s):
+                    raise ValidationError(
+                        f"rounds={rounds}: the simulated clock overflows in round {round_index}"
+                    )
+                start_s = time_s
+        if log is not None:
+            log(round_index, entries)
+    return latencies

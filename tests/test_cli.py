@@ -151,6 +151,20 @@ def test_zero_closed_form_latency_simulate_exits_2(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_zero_closed_form_latency_optimize_sweep_compare_exit_2(tmp_path, capsys):
+    bad = tmp_path / "zero.scenario"
+    bad.write_text(ZERO_LATENCY_SCENARIO)
+    for command in ("optimize", "sweep", "compare"):
+        out = tmp_path / command
+        assert run_cli(command, "--scenario", str(bad), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        # The corner where the latency peaks, and the fields that set it, not the derived maximum.
+        assert "(m=2, theta=3) underflows to 0.0" in err
+        assert "transaction_size_bits" in err and "downlink_rate_bps" in err
+        assert "max_latency" not in err
+        assert not out.exists()
+
+
 def test_infeasible_simulate_config_leaves_no_out_dir(tmp_path, capsys):
     out = tmp_path / "run"
     assert run_cli("simulate", "--scenario", SCENARIO, "--out", str(out), "--m", "99", "--theta", "6") == 2

@@ -1,4 +1,6 @@
 """Event-driven round simulation against the closed-form latency oracle."""
+import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -44,6 +46,8 @@ from helpers import (
     random_feasible_config,
     random_scenario,
     reference_event_logs,
+    reference_simulate,
+    zero_latency_scenario,
 )
 
 
@@ -258,9 +262,13 @@ def test_infeasible_config_rejected():
         run_simulation(SimConfig(scenario=scenario, config=BlockchainConfig(3, 1)))
 
 
+def clock_overflow_scenario():
+    """Each round of (1, 1) takes a finite 1e307 s; the 18th commit passes the largest float."""
+    return make_scenario(capacities=(10.0,), transaction_size_bits=1e307, downlink_rate_bps=1.0)
+
+
 def test_clock_overflow_across_rounds_is_a_validation_error():
-    # Each round takes a finite 1e307 s; the 18th commit passes the largest float.
-    scenario = make_scenario(capacities=(10.0,), transaction_size_bits=1e307, downlink_rate_bps=1.0)
+    scenario = clock_overflow_scenario()
     config = BlockchainConfig(1, 1)
     assert math.isfinite(run_simulation(SimConfig(scenario=scenario, config=config, rounds=17)).mean_latency_s)
     for jitter, round_index in ((0.0, "17"), (0.1, r"\d+")):
@@ -270,12 +278,7 @@ def test_clock_overflow_across_rounds_is_a_validation_error():
 
 @pytest.mark.parametrize("jitter", [0.0, 0.1], ids=["no_jitter", "jitter"])
 def test_zero_closed_form_latency_is_a_validation_error(jitter):
-    # Every stage time underflows to 0, so no relative deviation exists.
-    scenario = make_scenario(
-        capacities=(1e300, 1e300), prices=(1e-300, 1e-300), transaction_size_bits=1e-300,
-        verification_workload=1e-300, feedback_size_bits=1e-300, downlink_rate_bps=1e300,
-        uplink_rate_bps=1e300, broadcast_coeff=0.0, max_txn_per_block=3,
-    )
+    scenario = zero_latency_scenario()
     sim = SimConfig(scenario=scenario, config=BlockchainConfig(1, 1), rounds=2, jitter=jitter)
     report = run_simulation(sim)
     assert report.analytic_latency_s == 0.0
@@ -559,3 +562,110 @@ def test_event_writers_in_sequence_each_write_what_they_would_alone():
     static = SimConfig(scenario=load_scenario(TABLE2_PATH), config=BlockchainConfig(4, 9), rounds=20, jitter=0.2)
     alone = [reference_event_logs(collect_events(sim)[1]) for sim in (rotated, static)]
     assert [event_logs(rotated), event_logs(static), event_logs(rotated)] == [*alone, alone[0]]
+
+
+# The staged round kernel against the event-queue reference, ``helpers.reference_simulate``.
+JITTERS = (0, 0.1, 0.5, 0.999)
+
+
+def kernel_args(scenario, config, rounds, jitter, seed, rotate_bm):
+    """The kernel's arguments for one run, as :func:`run_simulation` builds them."""
+    m, theta = config.num_verifiers, config.txns_per_block
+    service_s = dpos_sim._service_times(scenario, m, theta, scenario.ranked_verify_s[:m])
+    selected_ids = [profile.id for profile in scenario.ranked_verifiers[:m]]
+    return service_s, selected_ids, rounds, jitter, seed, rotate_bm
+
+
+def kernel_outcome(kernel, args) -> tuple[str, str, str]:
+    """What ``kernel`` gives for ``args``, bit for bit: with a ``log``, then without one.
+
+    The latencies or the error raised, and the digest of every round's index
+    and entries as the ``log`` got them; floats go through ``repr``, which
+    round-trips them.
+    """
+    digest = hashlib.sha256()
+
+    def log(round_index, entries):
+        digest.update(repr((round_index, entries)).encode())
+
+    def outcome(log):
+        try:
+            return repr(kernel(*args, log))
+        except ValidationError as error:
+            return f"ValidationError: {error}"
+
+    return outcome(log), digest.hexdigest(), outcome(None)
+
+
+def with_equal_capacities(scenario):
+    """``scenario`` with every verifier at the first one's capacity: verifications tie, ordered by id."""
+    capacity = scenario.verifiers[0].compute_capacity
+    verifiers = tuple(dataclasses.replace(v, compute_capacity=capacity) for v in scenario.verifiers)
+    return dataclasses.replace(scenario, verifiers=verifiers)
+
+
+def test_staged_kernel_equals_the_event_queue_reference_on_random_runs():
+    rng = random.Random(1801)
+    ties = 0
+    for _ in range(1200):
+        scenario = random_scenario(rng)
+        if rng.random() < 0.3:
+            scenario = with_equal_capacities(scenario)
+        config = random_feasible_config(rng, scenario)
+        jitter = rng.choice(JITTERS)
+        args = kernel_args(scenario, config, rng.randint(1, 30), jitter, rng.randrange(2**64), rng.random() < 0.5)
+        outcome = kernel_outcome(dpos_sim._simulate, args)
+        assert outcome == kernel_outcome(reference_simulate, args), args
+        verify_s = scenario.ranked_verify_s[: config.num_verifiers]
+        ties += not jitter and len(verify_s) > 1 and len(set(verify_s)) == 1
+    assert ties >= 60  # unjittered runs in which every verification ends at once
+
+
+@pytest.mark.parametrize("jitter", JITTERS)
+def test_sweep_sim_equals_the_event_queue_reference_on_random_grids(monkeypatch, jitter):
+    rng = random.Random(1802)
+    grids = [(random_scenario(rng), rng.randint(1, 4), rng.randrange(2**64)) for _ in range(100)]
+    grids = [(with_equal_capacities(s) if k % 3 == 0 else s, r, seed) for k, (s, r, seed) in enumerate(grids)]
+    staged = [repr(sweep_sim(s, rounds=r, seed=seed, jitter=jitter)) for s, r, seed in grids]
+    monkeypatch.setattr(dpos_sim, "_simulate", reference_simulate)
+    assert staged == [repr(sweep_sim(s, rounds=r, seed=seed, jitter=jitter)) for s, r, seed in grids]
+
+
+OVERFLOW_RUNS = [
+    (clock_overflow_scenario, BlockchainConfig(1, 1), 30),
+    # table2 as the CLI's clock-overflow test gives it: the clock overflows past round 8,000.
+    (
+        lambda: dataclasses.replace(load_scenario(TABLE2_PATH), transaction_size_bits=1e307),
+        BlockchainConfig(9, 12),
+        10000,
+    ),
+]
+
+
+@pytest.mark.parametrize("make, config, rounds", OVERFLOW_RUNS, ids=["one-verifier", "table2"])
+@pytest.mark.parametrize("jitter, rotate_bm", [(0.0, False), (0.1, True)], ids=["plain", "jitter-rotate"])
+def test_clock_overflow_raises_in_the_same_round_as_the_reference(make, config, rounds, jitter, rotate_bm):
+    args = kernel_args(make(), config, rounds, jitter, 11, rotate_bm)
+    outcome = kernel_outcome(dpos_sim._simulate, args)
+    assert outcome == kernel_outcome(reference_simulate, args)
+    assert re.fullmatch(rf"ValidationError: rounds={rounds}: the simulated clock overflows in round \d+", outcome[0])
+
+
+@pytest.mark.parametrize("jitter", [0.0, 0.1], ids=["no_jitter", "jitter"])
+def test_zero_latency_raises_as_with_the_reference(monkeypatch, jitter):
+    scenario = zero_latency_scenario()
+    sim = SimConfig(scenario=scenario, config=BlockchainConfig(2, 3), rounds=3, jitter=jitter, rotate_bm=True)
+    args = kernel_args(scenario, sim.config, sim.rounds, jitter, sim.rng_seed, True)
+    assert kernel_outcome(dpos_sim._simulate, args) == kernel_outcome(reference_simulate, args)
+
+    def errors():
+        with pytest.raises(ValidationError) as by_run:
+            closed_form_deviations(sim, run_simulation(sim))
+        with pytest.raises(ValidationError) as by_sweep:
+            sweep_sim(scenario, rounds=3, jitter=jitter)
+        return str(by_run.value), str(by_sweep.value)
+
+    staged = errors()
+    monkeypatch.setattr(dpos_sim, "_simulate", reference_simulate)
+    assert errors() == staged
+    assert all("closed-form latency must be positive" in message for message in staged)

@@ -33,6 +33,7 @@ from helpers import (
     random_feasible_config,
     random_scenario,
     random_weights,
+    zero_latency_scenario,
 )
 
 
@@ -292,6 +293,14 @@ def test_normalization_matches_bruteforce_on_random_scenarios():
 def test_normalization_rejects_all_free_verifiers():
     scenario = make_scenario(capacities=(10.0, 5.0), prices=(0.0, 0.0))
     with pytest.raises(ValidationError, match="max_cost"):
+        normalization(scenario)
+
+
+def test_normalization_rejects_zero_latency_naming_the_corner_and_fields():
+    # The latency maximum, at (M, N) = (2, 3), is 0 like every other.
+    scenario = zero_latency_scenario()
+    message = r"^the round latency at \(m=2, theta=3\) underflows to 0\.0: transaction_size_bits"
+    with pytest.raises(ValidationError, match=message):
         normalization(scenario)
 
 
