@@ -377,14 +377,16 @@ def _cmd_simulate(args: argparse.Namespace, scenario: ScenarioParams, artifacts:
     log = dpos_sim.event_writer(artifacts.create("events.csv"), artifacts.create("events.ndjson"))
     report = dpos_sim.run(sim, log)
     deviations = dpos_sim.closed_form_deviations(sim, report)  # raises before anything is published
-    analytic = repr(report.analytic_latency_s)  # what csv writes for a float, formatted once per run
-    _write_csv(
-        artifacts.create("sim_report.csv"),
-        ["round", "latency_s", "analytic_latency_s", "abs_rel_deviation"],
-        [
-            [k, latency, analytic, deviations[k]]
-            for k, latency in enumerate(report.per_round_latency_s)
-        ],
+    # Written in one pass as csv would write it: repr for each float, str for
+    # the round; no cell needs quoting. The closed form is formatted once.
+    analytic = repr(report.analytic_latency_s)
+    handle = artifacts.create("sim_report.csv")
+    handle.write("round,latency_s,analytic_latency_s,abs_rel_deviation\n")
+    handle.write(
+        "".join(
+            f"{k},{latency!r},{analytic},{deviation!r}\n"
+            for k, (latency, deviation) in enumerate(zip(report.per_round_latency_s, deviations))
+        )
     )
 
 

@@ -15,8 +15,9 @@ overlap; sorting them by time, then verifier id, gives the order an event
 queue would pop them in. At each commit the round's events go to an optional
 ``log`` callback and are dropped, so memory grows only by one latency per
 round. :func:`event_writer` builds the ``log`` that streams them to both
-event logs, one :class:`SimEvent` per line; without a ``log``, as in
-:func:`sweep_sim`, no event is built.
+event logs, one :class:`SimEvent` per line, formatting each instant once:
+a commit shares its feedback's time, and a rotation the previous commit's.
+Without a ``log``, as in :func:`sweep_sim`, no event is built.
 
 The one kernel runs the rounds of both entry points. :func:`run` takes one
 :class:`SimConfig`, checks its configuration through
@@ -169,7 +170,9 @@ def _simulate(
     stage starts where the one before ends: rotation (with ``rotate_bm``) at
     the round's start, dispatch, verify, broadcast from the last verification,
     at ``dispatched_s + max(verify)`` since rounding is monotonic, feedback,
-    and commit at the feedback time. No service time is negative, so stages
+    and commit at the feedback time. ``max(verify)`` is taken once per run
+    without jitter, since every round then has the same service times, and
+    once per round with it. No service time is negative, so stages
     never overlap and kind ranks order those of one instant; sorting the verify
     stage by time, then verifier id, puts the round's entries in the order an
     event queue would pop them in. They are built, and the verify stage sorted,
@@ -179,14 +182,16 @@ def _simulate(
     draw = random.Random(rng_seed).random if jitter else None  # no spread draws nothing
     latencies: list[float] = []
     start_s = 0.0
-    if not jitter:  # every round takes the same times
+    if not jitter:  # every round takes the same times, and the same slowest verification
         dispatch, *verify, broadcast, feedback = service_s
+        slowest = max(verify)
     for round_index in range(rounds):
         if jitter:
             dispatch, *verify, broadcast, feedback = [s * (1.0 + jitter * (2.0 * draw() - 1.0)) for s in service_s]
+            slowest = max(verify)
         manager = selected_ids[round_index % m] if rotate_bm else STATIC_BM_ID
         dispatched_s = start_s + dispatch
-        broadcast_s = dispatched_s + max(verify) + broadcast
+        broadcast_s = dispatched_s + slowest + broadcast
         feedback_s = broadcast_s + feedback
         latencies.append(feedback_s - start_s)
         if not math.isfinite(feedback_s):
@@ -327,29 +332,38 @@ def event_writer(csv_file: TextIO, ndjson_file: TextIO) -> EventLog:
     first commit writes nothing. Each round goes to each file in one
     ``write``. A line's fixed end (kind and actor) is formatted once per run
     for each ``(kind rank, actor_id)`` pair, at most ``len(EVENT_KINDS) *
-    (m + 1)`` of them, and its round once per round; each time is formatted
-    once with ``repr``, which is what ``csv`` and ``json`` write for the
-    finite floats :func:`run` logs. Kinds match ``[a-z_]+``, so nothing
-    needs CSV quoting or JSON escaping.
+    (m + 1)`` of them, and its round once per round. Each instant is
+    formatted once with ``repr``, which is what ``csv`` and ``json`` write
+    for the finite floats :func:`run` logs: an entry whose time is the very
+    float object of the entry before it, as a commit's is its feedback's and
+    a rotation's the previous commit's, reuses that entry's text. The test is
+    identity, not equality, so ``-0.0`` never takes the text of ``0.0``.
+    Kinds match ``[a-z_]+``, so nothing needs CSV quoting or JSON escaping.
     """
     write_csv, write_ndjson = csv_file.write, ndjson_file.write
-    tails: dict[tuple[int, int], tuple[str, str]] = {}  # (rank, actor_id) -> (CSV end, NDJSON end)
+    tails: list[dict[int, tuple[str, str]]] = [{} for _ in EVENT_KINDS]  # [rank][actor_id] -> (CSV end, NDJSON end)
+    last_time: Optional[float] = None  # the last entry's time, held so that identity with it stays exact
+    last_text = ""
 
     def log(round_index: int, entries: list[EventEntry]) -> None:
+        nonlocal last_time, last_text
         csv_round, ndjson_round = f",{round_index}", f', "round": {round_index}'
         csv_lines = [",".join(SimEvent._fields) + "\n"] if round_index == 0 else []
         ndjson_lines = []
+        previous, t = last_time, last_text
         for time_s, rank, actor_id in entries:
-            tail = tails.get((rank, actor_id))
+            tail = tails[rank].get(actor_id)
             if tail is None:
                 kind = EVENT_KINDS[rank]
-                tail = tails[rank, actor_id] = (
+                tail = tails[rank][actor_id] = (
                     f",{kind},{actor_id}\n",
                     f', "kind": "{kind}", "actor_id": {actor_id}}}\n',
                 )
-            t = repr(time_s)
+            if time_s is not previous:
+                previous, t = time_s, repr(time_s)
             csv_lines.append(f"{t}{csv_round}{tail[0]}")
             ndjson_lines.append(f'{{"time_s": {t}{ndjson_round}{tail[1]}')
+        last_time, last_text = previous, t
         write_csv("".join(csv_lines))
         write_ndjson("".join(ndjson_lines))
 

@@ -1,4 +1,5 @@
 """Event-driven round simulation against the closed-form latency oracle."""
+import csv
 import dataclasses
 import hashlib
 import io
@@ -17,14 +18,19 @@ from bcconf import (
     ModelMismatchError,
     SimConfig,
     ValidationError,
+    dump_scenario,
     latency,
     load_scenario,
     run_simulation,
     select_verifiers,
     sweep_sim,
 )
-from bcconf import dpos_sim
+from bcconf import cli, dpos_sim
 from bcconf.dpos_sim import (
+    _COMMITTED,
+    _DISPATCHED,
+    _FEEDBACK,
+    _ROTATED,
     BLOCK_COMMITTED,
     BLOCK_DISPATCHED,
     BM_ROTATED,
@@ -529,7 +535,8 @@ def test_event_kinds_need_no_quoting_or_escaping():
 ROTATED_M13 = dict(capacities=tuple(float(c) for c in range(20, 7, -1)), max_txn_per_block=6)
 
 
-@pytest.mark.parametrize(
+# The runs whose artifacts are checked against csv.writer and json.dumps.
+WRITER_CASES = pytest.mark.parametrize(
     "scenario_kwargs, config, rounds, jitter, rotate_bm, exponent",
     [
         (None, BlockchainConfig(4, 9), 30, 0.2, True, None),
@@ -543,9 +550,16 @@ ROTATED_M13 = dict(capacities=tuple(float(c) for c in range(20, 7, -1)), max_txn
     ],
     ids=["table2-jitter-rotate", "table2-plain", "tiny-times", "huge-times", "rotated-m13", "one-round"],
 )
-def test_event_writer_matches_csv_and_json_reference(scenario_kwargs, config, rounds, jitter, rotate_bm, exponent):
+
+
+def writer_case_sim(scenario_kwargs, config, rounds, jitter, rotate_bm) -> SimConfig:
     scenario = load_scenario(TABLE2_PATH) if scenario_kwargs is None else make_scenario(**scenario_kwargs)
-    sim = SimConfig(scenario=scenario, config=config, rounds=rounds, jitter=jitter, rng_seed=17, rotate_bm=rotate_bm)
+    return SimConfig(scenario=scenario, config=config, rounds=rounds, jitter=jitter, rng_seed=17, rotate_bm=rotate_bm)
+
+
+@WRITER_CASES
+def test_event_writer_matches_csv_and_json_reference(scenario_kwargs, config, rounds, jitter, rotate_bm, exponent):
+    sim = writer_case_sim(scenario_kwargs, config, rounds, jitter, rotate_bm)
     _, events = collect_events(sim)
     csv_text, ndjson_text = event_logs(sim)
     assert (csv_text, ndjson_text) == reference_event_logs(events)
@@ -553,6 +567,44 @@ def test_event_writer_matches_csv_and_json_reference(scenario_kwargs, config, ro
         assert exponent in csv_text and exponent in ndjson_text
     lines = ndjson_text.splitlines()
     assert [SimEvent(**json.loads(line)) for line in lines] == events
+
+
+@WRITER_CASES
+def test_simulate_report_matches_csv_reference(tmp_path, scenario_kwargs, config, rounds, jitter, rotate_bm, exponent):
+    sim = writer_case_sim(scenario_kwargs, config, rounds, jitter, rotate_bm)
+    report = run_simulation(sim)
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(["round", "latency_s", "analytic_latency_s", "abs_rel_deviation"])
+    writer.writerows(
+        [k, latency, report.analytic_latency_s, deviation]
+        for k, (latency, deviation) in enumerate(zip(report.per_round_latency_s, closed_form_deviations(sim, report)))
+    )
+    scenario_path = tmp_path / "case.scenario"
+    scenario_path.write_text(dump_scenario(sim.scenario), encoding="utf-8")
+    argv = ["simulate", "--scenario", str(scenario_path), "--out", str(tmp_path / "out"), "--seed", "17",
+            "--m", str(config.num_verifiers), "--theta", str(config.txns_per_block), "--rounds", str(rounds),
+            "--jitter", f"uniform:{jitter!r}", *(["--rotate-bm"] if rotate_bm else [])]
+    assert cli.main(argv) == 0
+    out = tmp_path / "out"
+    assert (out / "sim_report.csv").read_text(encoding="utf-8") == buffer.getvalue()
+    if exponent is not None:
+        assert exponent in buffer.getvalue()
+    logs = tuple((out / name).read_text(encoding="utf-8") for name in ("events.csv", "events.ndjson"))
+    assert logs == reference_event_logs(collect_events(sim)[1])
+
+
+def test_event_writer_formats_each_time_object_once_and_tells_zeros_apart():
+    shared = 0.1 + 0.2  # one float object, logged twice
+    zero = 0.0
+    negative_zero = -zero
+    assert zero == negative_zero and zero is not negative_zero
+    entries = [(shared, _FEEDBACK, 3), (shared, _COMMITTED, 3), (zero, _ROTATED, 4), (negative_zero, _DISPATCHED, 4)]
+    csv_file, ndjson_file = io.StringIO(), io.StringIO()
+    event_writer(csv_file, ndjson_file)(0, entries)
+    events = [SimEvent(t, 0, EVENT_KINDS[rank], actor_id) for t, rank, actor_id in entries]
+    assert (csv_file.getvalue(), ndjson_file.getvalue()) == reference_event_logs(events)
+    assert csv_file.getvalue().splitlines()[-2:] == ["0.0,0,bm_rotated,4", "-0.0,0,block_dispatched,4"]
 
 
 def test_event_writers_in_sequence_each_write_what_they_would_alone():
