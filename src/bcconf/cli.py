@@ -288,12 +288,16 @@ def _cmd_optimize(args: argparse.Namespace, scenario: ScenarioParams, artifacts:
 
 def _cmd_sweep(args: argparse.Namespace, scenario: ScenarioParams, artifacts: _ArtifactSet) -> None:
     effective, weights = _resolve_directive_and_weights(scenario, args)
-    rows = [
-        [m, theta, *cells]
+    # Written in one pass as csv would write it: str for m and theta, repr
+    # for each float; no cell needs quoting. The whole grid is evaluated first.
+    rows = "".join(
+        f"{m},{theta},{','.join(map(repr, cells))}\n"
         for m, thetas, row in optimizer.evaluate_grid(effective, weights, grid_cap=args.grid_cap)
         for theta, cells in zip(thetas, row)
-    ]
-    _write_csv(artifacts.create("surface.csv"), ["m", "theta", *metrics.COLUMNS], rows)
+    )
+    handle = artifacts.create("surface.csv")
+    handle.write(",".join(["m", "theta", *metrics.COLUMNS]) + "\n")
+    handle.write(rows)
 
 
 def _cmd_compare(args: argparse.Namespace, scenario: ScenarioParams, artifacts: _ArtifactSet) -> None:

@@ -23,10 +23,15 @@ The one kernel runs the rounds of both entry points. :func:`run` takes one
 :class:`SimConfig`, checks its configuration through
 :func:`bcconf.metrics.latency` and wraps the kernel's latencies in a
 :class:`SimReport`. :func:`sweep_sim` walks the feasible grid a row at a
-time: it validates the run parameters once, takes each row's verifier
-selection and closed-form latencies (:func:`bcconf.metrics.latency_row`,
-bit-identical to :func:`bcconf.metrics.latency`) once, and per cell calls
-the kernel, building no :class:`SimConfig` or :class:`SimReport`.
+time: it validates the run parameters once, and takes once per row the
+verifier selection, the verification times (the row's slice of
+``ranked_verify_s``, which every cell of the row shares uncopied), the
+service times (one walk of ``_service_times``, this module's own statement
+of the dispatch, broadcast and feedback formulas) and the closed-form
+latencies (:func:`bcconf.metrics.latency_row`, bit-identical to
+:func:`bcconf.metrics.latency`). Per cell it calls the kernel and builds
+one :class:`SimSweepCell`, a named tuple, and no :class:`SimConfig` or
+:class:`SimReport`.
 
 Randomness comes from Python's Mersenne Twister (``random.Random``) seeded
 from the run configuration, built only when the jitter spread is nonzero;
@@ -39,7 +44,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, TextIO
 
 from . import metrics
 from .model import (
@@ -141,20 +146,26 @@ class SimReport:
     analytic_latency_s: float
 
 
-def _service_times(scenario: ScenarioParams, m: int, theta: int, verify_s: tuple[float, ...]) -> tuple[float, ...]:
-    """Service times of configuration (m, theta) in draw order: dispatch, each verifier, broadcast, feedback.
+def _service_times(scenario: ScenarioParams, m: int, thetas: Iterable[int]) -> Iterator[tuple[float, float, float]]:
+    """Lazily, ``(dispatch_s, broadcast_s, feedback_s)`` of each configuration (m, theta) for theta in ``thetas``.
 
-    ``verify_s`` is the first m of ``scenario.ranked_verify_s``.
+    This module's own statement of the dispatch, broadcast and feedback
+    formulas, so that the closed form is checked against an independent
+    computation. ``feedback_s`` does not depend on the configuration and is
+    taken once per row. The verification times are not among them: the
+    kernel reads the row's slice of ``scenario.ranked_verify_s`` as it is.
     """
-    block_bits = theta * scenario.transaction_size_bits
-    dispatch_s = block_bits / scenario.downlink_rate_bps
-    broadcast_s = scenario.broadcast_coeff * block_bits * m
+    transaction_bits, downlink_bps = scenario.transaction_size_bits, scenario.downlink_rate_bps
+    broadcast_coeff = scenario.broadcast_coeff
     feedback_s = scenario.feedback_size_bits / scenario.uplink_rate_bps
-    return (dispatch_s, *verify_s, broadcast_s, feedback_s)
+    for theta in thetas:
+        block_bits = theta * transaction_bits
+        yield block_bits / downlink_bps, broadcast_coeff * block_bits * m, feedback_s
 
 
 def _simulate(
-    service_s: tuple[float, ...],
+    service: tuple[float, float, float],
+    verify_s: tuple[float, ...],
     selected_ids: list[int],
     rounds: int,
     jitter: float,
@@ -165,31 +176,35 @@ def _simulate(
     """The round kernel: each round's latency over ``rounds`` back-to-back rounds.
 
     Shared by :func:`run` and :func:`sweep_sim`, with arguments already
-    validated: ``service_s`` as :func:`_service_times` gives it,
-    ``selected_ids`` the ids of the verifiers it times, in the same order. Each
-    stage starts where the one before ends: rotation (with ``rotate_bm``) at
-    the round's start, dispatch, verify, broadcast from the last verification,
-    at ``dispatched_s + max(verify)`` since rounding is monotonic, feedback,
-    and commit at the feedback time. ``max(verify)`` is taken once per run
-    without jitter, since every round then has the same service times, and
-    once per round with it. No service time is negative, so stages
-    never overlap and kind ranks order those of one instant; sorting the verify
-    stage by time, then verifier id, puts the round's entries in the order an
-    event queue would pop them in. They are built, and the verify stage sorted,
-    only for a ``log``.
+    validated: ``service`` as :func:`_service_times` yields it, ``verify_s``
+    the row's ``scenario.ranked_verify_s[:m]``, read as it is, and
+    ``selected_ids`` the ids of the verifiers it times, in the same order.
+    Each stage starts where the one before ends: rotation (with
+    ``rotate_bm``) at the round's start, dispatch, verify, broadcast from the
+    last verification, at ``dispatched_s + max(verify)`` since rounding is
+    monotonic, feedback, and commit at the feedback time. Without jitter
+    every round takes these times, and ``max(verify)`` is taken once per run.
+    With jitter, each round draws its factors in the order dispatch, each
+    verifier, broadcast, feedback, and takes ``max(verify)`` of its own. No
+    service time is negative, so stages never overlap and kind ranks order
+    those of one instant; sorting the verify stage by time, then verifier id,
+    puts the round's entries in the order an event queue would pop them in.
+    The entries, the manager's id and the sorted verify stage are built only
+    for a ``log``.
     """
-    m = len(selected_ids)
-    draw = random.Random(rng_seed).random if jitter else None  # no spread draws nothing
     latencies: list[float] = []
     start_s = 0.0
-    if not jitter:  # every round takes the same times, and the same slowest verification
-        dispatch, *verify, broadcast, feedback = service_s
-        slowest = max(verify)
+    if jitter:
+        draw = random.Random(rng_seed).random
+        drawn_s = (service[0], *verify_s, service[1], service[2])  # in draw order
+    else:  # every round takes the same times, and the same slowest verification; nothing is drawn
+        dispatch, broadcast, feedback = service
+        verify = verify_s
+        slowest = max(verify_s)
     for round_index in range(rounds):
         if jitter:
-            dispatch, *verify, broadcast, feedback = [s * (1.0 + jitter * (2.0 * draw() - 1.0)) for s in service_s]
+            dispatch, *verify, broadcast, feedback = [s * (1.0 + jitter * (2.0 * draw() - 1.0)) for s in drawn_s]
             slowest = max(verify)
-        manager = selected_ids[round_index % m] if rotate_bm else STATIC_BM_ID
         dispatched_s = start_s + dispatch
         broadcast_s = dispatched_s + slowest + broadcast
         feedback_s = broadcast_s + feedback
@@ -197,6 +212,7 @@ def _simulate(
         if not math.isfinite(feedback_s):
             raise ValidationError(f"rounds={rounds}: the simulated clock overflows in round {round_index}")
         if log is not None:
+            manager = selected_ids[round_index % len(selected_ids)] if rotate_bm else STATIC_BM_ID
             verified = sorted([(dispatched_s + v, _VERIFIED, i) for i, v in zip(selected_ids, verify)])
             entries = [(start_s, _ROTATED, manager)] if rotate_bm else []
             entries += (dispatched_s, _DISPATCHED, manager), *verified, (broadcast_s, _BROADCAST, manager)
@@ -220,9 +236,11 @@ def run(sim: SimConfig, log: Optional[EventLog] = None) -> SimReport:
     scenario, config = sim.scenario, sim.config
     analytic = metrics.latency(scenario, config)  # the one feasibility check
     m, theta = config.num_verifiers, config.txns_per_block
-    service_s = _service_times(scenario, m, theta, scenario.ranked_verify_s[:m])
+    service = next(_service_times(scenario, m, (theta,)))
     selected_ids = [profile.id for profile in scenario.ranked_verifiers[:m]]
-    latencies = _simulate(service_s, selected_ids, sim.rounds, sim.jitter, sim.rng_seed, sim.rotate_bm, log)
+    latencies = _simulate(
+        service, scenario.ranked_verify_s[:m], selected_ids, sim.rounds, sim.jitter, sim.rng_seed, sim.rotate_bm, log
+    )
     return SimReport(
         per_round_latency_s=tuple(latencies),
         mean_latency_s=sum(latencies) / len(latencies),
@@ -259,10 +277,13 @@ def closed_form_deviations(sim: SimConfig, report: SimReport) -> list[float]:
     return _deviations(sim.config, report.per_round_latency_s, report.analytic_latency_s, sim.jitter)
 
 
-@dataclass(frozen=True)
-class SimSweepCell:
+class SimSweepCell(NamedTuple):
     """A sweep's configuration, its closed-form and mean simulated latency in seconds, and its largest
-    per-round ``|simulated - analytic| / analytic`` under the sweep's jitter (see :class:`SimConfig`)."""
+    per-round ``|simulated - analytic| / analytic`` under the sweep's jitter (see :class:`SimConfig`).
+
+    A named tuple, like :class:`SimEvent`: it equals the plain tuple of its
+    fields, and unpacks in this order.
+    """
 
     config: BlockchainConfig
     analytic_latency_s: float
@@ -295,10 +316,13 @@ def sweep_sim(
     for its :class:`SimConfig`, without building either: the grid is walked a
     row at a time, as :func:`bcconf.model.feasible_rows` gives it (whose cap
     check runs first), ``rounds``, ``seed`` and ``jitter`` are validated once,
-    and each row's verifier selection is taken once. Each row's analytic
-    latencies come, lazily, from :func:`bcconf.metrics.latency_row`, whose
-    values are :func:`bcconf.metrics.latency`'s bit for bit, and every cell
-    runs the round kernel that :func:`run` runs. A cell's checks are
+    and each row's verifier selection is taken once: every cell of the row
+    hands the kernel the same ``scenario.ranked_verify_s[:m]`` tuple, not a
+    copy of it. Each row's service times come from one walk of
+    :func:`_service_times`, and its analytic latencies, lazily, from one
+    :func:`bcconf.metrics.latency_row` call, whose values are
+    :func:`bcconf.metrics.latency`'s bit for bit; every cell runs the round
+    kernel that :func:`run` runs. A cell's checks are
     :func:`closed_form_deviations`': without jitter a deviation above
     ``SIM_REL_TOL`` raises :class:`ModelMismatchError`; with jitter the
     deviations are only reported.
@@ -310,18 +334,13 @@ def sweep_sim(
     for m in ms:
         verify_s = scenario.ranked_verify_s[:m]
         selected_ids = [profile.id for profile in scenario.ranked_verifiers[:m]]
-        for theta, analytic in zip(thetas, metrics.latency_row(scenario, m, thetas)):
+        row = zip(thetas, _service_times(scenario, m, thetas), metrics.latency_row(scenario, m, thetas))
+        for theta, service, analytic in row:
             config = BlockchainConfig(m, theta)
-            service_s = _service_times(scenario, m, theta, verify_s)
-            latencies = _simulate(service_s, selected_ids, rounds, jitter, seed, False, None)  # no rotation, no log
-            cells.append(
-                SimSweepCell(
-                    config=config,
-                    analytic_latency_s=analytic,
-                    mean_latency_s=sum(latencies) / len(latencies),
-                    max_abs_rel_deviation=max(_deviations(config, latencies, analytic, jitter)),
-                )
-            )
+            # The row's own verify_s tuple; no rotation, no log.
+            latencies = _simulate(service, verify_s, selected_ids, rounds, jitter, seed, False, None)
+            deviation = max(_deviations(config, latencies, analytic, jitter))
+            cells.append(SimSweepCell(config, analytic, sum(latencies) / len(latencies), deviation))
     return SimSweepReport(cells=tuple(cells))
 
 

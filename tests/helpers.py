@@ -217,7 +217,9 @@ def collect_events(sim: SimConfig) -> tuple[SimReport, list[SimEvent]]:
 def reference_simulate(service_s, selected_ids, rounds, jitter, rng_seed, rotate_bm, log):
     """The round kernel as an event queue: the oracle for :func:`bcconf.dpos_sim._simulate`.
 
-    Same arguments and results. Each round's entries go through a heap keyed
+    Same results. ``service_s`` holds the service times in draw order:
+    dispatch, each verifier, broadcast, feedback; ``test_dpos_sim.reference_kernel``
+    builds it from the kernel's arguments. Each round's entries go through a heap keyed
     by ``(time_s, kind rank, actor_id)``, each popped entry pushes the next
     stage's, and ``log`` gets the round's entries in the order they popped.
     """

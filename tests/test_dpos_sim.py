@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import math
+import pickle
 import random
 import re
 import tracemalloc
@@ -356,16 +357,32 @@ def test_sweep_sim_covers_grid_and_stays_within_tolerance():
     assert report.max_abs_rel_deviation <= 1e-9
 
 
-def test_sweep_sim_singleton_grid():
-    scenario = make_scenario(
+def singleton_grid_scenario():
+    """A one-verifier scenario whose feasible grid is the one configuration (1, 2)."""
+    return make_scenario(
         capacities=(4.0,), min_verifiers=1, max_verifiers=1,
         min_txn_per_block=2, max_txn_per_block=2,
     )
+
+
+def test_sweep_sim_singleton_grid():
+    scenario = singleton_grid_scenario()
     report = sweep_sim(scenario, rounds=1, seed=0)
     assert len(report.cells) == 1
     assert report.cells[0].config == BlockchainConfig(1, 2)
     for rounds, jitter in ((1, 0.0), (3, 0.1)):
         assert sweep_sim(scenario, rounds=rounds, seed=4, jitter=jitter).cells == run_cells(scenario, rounds, 4, jitter)
+
+
+def test_sim_sweep_cell_is_a_named_tuple_with_its_fields_repr_and_pickle():
+    assert SimSweepCell._fields == ("config", "analytic_latency_s", "mean_latency_s", "max_abs_rel_deviation")
+    cells = sweep_sim(singleton_grid_scenario(), rounds=1, seed=0).cells
+    assert repr(cells) == (
+        "(SimSweepCell(config=BlockchainConfig(num_verifiers=1, txns_per_block=2), analytic_latency_s=8.2, "
+        "mean_latency_s=8.2, max_abs_rel_deviation=0.0),)"
+    )
+    assert pickle.loads(pickle.dumps(cells)) == cells
+    assert cells[0] == (BlockchainConfig(1, 2), 8.2, 8.2, 0.0)  # equal to the plain tuple of its fields
 
 
 def run_cells(scenario, rounds, seed, jitter) -> tuple[SimSweepCell, ...]:
@@ -445,12 +462,20 @@ def test_sweep_sim_builds_one_sim_config_and_no_report(monkeypatch):
 
 
 def test_sweep_sim_reads_one_latency_row_per_row_and_no_point_latency(monkeypatch):
-    rows = []
-    latency_row = dpos_sim.metrics.latency_row
+    rows, service_rows, verify_args = [], [], []
+    latency_row, service_times, simulate = dpos_sim.metrics.latency_row, dpos_sim._service_times, dpos_sim._simulate
 
     def counting_row(scenario, m, thetas):
         rows.append((m, thetas))
         return latency_row(scenario, m, thetas)
+
+    def counting_service_row(scenario, m, thetas):
+        service_rows.append((m, thetas))
+        return service_times(scenario, m, thetas)
+
+    def recording_kernel(service, verify_s, *rest):
+        verify_args.append(verify_s)
+        return simulate(service, verify_s, *rest)
 
     def no_latency(scenario, config):
         raise AssertionError(f"sweep_sim called metrics.latency at {config}")
@@ -458,13 +483,22 @@ def test_sweep_sim_reads_one_latency_row_per_row_and_no_point_latency(monkeypatc
     rng = random.Random(23)
     for scenario in [load_scenario(TABLE2_PATH), *(random_scenario(rng) for _ in range(20))]:
         expected = sweep_sim(scenario, rounds=2, seed=3, jitter=0.1)
-        rows.clear()
+        for seen in (rows, service_rows, verify_args):
+            seen.clear()
         with monkeypatch.context() as patch:
             patch.setattr(dpos_sim.metrics, "latency", no_latency)
             patch.setattr(dpos_sim.metrics, "latency_row", counting_row)
+            patch.setattr(dpos_sim, "_service_times", counting_service_row)
+            patch.setattr(dpos_sim, "_simulate", recording_kernel)
             assert sweep_sim(scenario, rounds=2, seed=3, jitter=0.1) == expected
         thetas = range(scenario.min_txn_per_block, scenario.max_txn_per_block + 1)
-        assert rows == [(m, thetas) for m in range(scenario.min_verifiers, scenario.max_verifiers + 1)]
+        assert rows == service_rows == [(m, thetas) for m in range(scenario.min_verifiers, scenario.max_verifiers + 1)]
+        # Every cell of row m gets one tuple, the row's slice of ranked_verify_s, copied for none.
+        assert len(verify_args) == scenario.grid_size
+        for k, (m, _) in enumerate(rows):
+            row_args = verify_args[k * len(thetas) : (k + 1) * len(thetas)]
+            assert type(row_args[0]) is tuple and row_args[0] == scenario.ranked_verify_s[:m]
+            assert all(verify_s is row_args[0] for verify_s in row_args)
 
 
 def test_sweep_sim_with_jitter_keeps_means_within_three_percent():
@@ -616,16 +650,23 @@ def test_event_writers_in_sequence_each_write_what_they_would_alone():
     assert [event_logs(rotated), event_logs(static), event_logs(rotated)] == [*alone, alone[0]]
 
 
-# The staged round kernel against the event-queue reference, ``helpers.reference_simulate``.
+# The staged round kernel against the event-queue reference, ``helpers.reference_simulate``,
+# called through ``reference_kernel``.
 JITTERS = (0, 0.1, 0.5, 0.999)
 
 
 def kernel_args(scenario, config, rounds, jitter, seed, rotate_bm):
     """The kernel's arguments for one run, as :func:`run_simulation` builds them."""
     m, theta = config.num_verifiers, config.txns_per_block
-    service_s = dpos_sim._service_times(scenario, m, theta, scenario.ranked_verify_s[:m])
+    service = next(dpos_sim._service_times(scenario, m, (theta,)))
     selected_ids = [profile.id for profile in scenario.ranked_verifiers[:m]]
-    return service_s, selected_ids, rounds, jitter, seed, rotate_bm
+    return service, scenario.ranked_verify_s[:m], selected_ids, rounds, jitter, seed, rotate_bm
+
+
+def reference_kernel(service, verify_s, *rest):
+    """``reference_simulate`` called as the kernel is: its service times are put back in draw order."""
+    dispatch_s, broadcast_s, feedback_s = service
+    return reference_simulate((dispatch_s, *verify_s, broadcast_s, feedback_s), *rest)
 
 
 def kernel_outcome(kernel, args) -> tuple[str, str, str]:
@@ -667,7 +708,7 @@ def test_staged_kernel_equals_the_event_queue_reference_on_random_runs():
         jitter = rng.choice(JITTERS)
         args = kernel_args(scenario, config, rng.randint(1, 30), jitter, rng.randrange(2**64), rng.random() < 0.5)
         outcome = kernel_outcome(dpos_sim._simulate, args)
-        assert outcome == kernel_outcome(reference_simulate, args), args
+        assert outcome == kernel_outcome(reference_kernel, args), args
         verify_s = scenario.ranked_verify_s[: config.num_verifiers]
         ties += not jitter and len(verify_s) > 1 and len(set(verify_s)) == 1
     assert ties >= 60  # unjittered runs in which every verification ends at once
@@ -679,7 +720,7 @@ def test_sweep_sim_equals_the_event_queue_reference_on_random_grids(monkeypatch,
     grids = [(random_scenario(rng), rng.randint(1, 4), rng.randrange(2**64)) for _ in range(100)]
     grids = [(with_equal_capacities(s) if k % 3 == 0 else s, r, seed) for k, (s, r, seed) in enumerate(grids)]
     staged = [repr(sweep_sim(s, rounds=r, seed=seed, jitter=jitter)) for s, r, seed in grids]
-    monkeypatch.setattr(dpos_sim, "_simulate", reference_simulate)
+    monkeypatch.setattr(dpos_sim, "_simulate", reference_kernel)
     assert staged == [repr(sweep_sim(s, rounds=r, seed=seed, jitter=jitter)) for s, r, seed in grids]
 
 
@@ -699,7 +740,7 @@ OVERFLOW_RUNS = [
 def test_clock_overflow_raises_in_the_same_round_as_the_reference(make, config, rounds, jitter, rotate_bm):
     args = kernel_args(make(), config, rounds, jitter, 11, rotate_bm)
     outcome = kernel_outcome(dpos_sim._simulate, args)
-    assert outcome == kernel_outcome(reference_simulate, args)
+    assert outcome == kernel_outcome(reference_kernel, args)
     assert re.fullmatch(rf"ValidationError: rounds={rounds}: the simulated clock overflows in round \d+", outcome[0])
 
 
@@ -708,7 +749,7 @@ def test_zero_latency_raises_as_with_the_reference(monkeypatch, jitter):
     scenario = zero_latency_scenario()
     sim = SimConfig(scenario=scenario, config=BlockchainConfig(2, 3), rounds=3, jitter=jitter, rotate_bm=True)
     args = kernel_args(scenario, sim.config, sim.rounds, jitter, sim.rng_seed, True)
-    assert kernel_outcome(dpos_sim._simulate, args) == kernel_outcome(reference_simulate, args)
+    assert kernel_outcome(dpos_sim._simulate, args) == kernel_outcome(reference_kernel, args)
 
     def errors():
         with pytest.raises(ValidationError) as by_run:
@@ -718,6 +759,6 @@ def test_zero_latency_raises_as_with_the_reference(monkeypatch, jitter):
         return str(by_run.value), str(by_sweep.value)
 
     staged = errors()
-    monkeypatch.setattr(dpos_sim, "_simulate", reference_simulate)
+    monkeypatch.setattr(dpos_sim, "_simulate", reference_kernel)
     assert errors() == staged
     assert all("closed-form latency must be positive" in message for message in staged)
