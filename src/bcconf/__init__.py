@@ -22,14 +22,12 @@ from .model import (
     dump_scenario,
     load_scenario,
     parse_scenario,
-    validate_config,
 )
 from .metrics import (
     cost,
     latency,
     normalization,
     security,
-    select_verifiers,
 )
 from .optimizer import (
     ComparisonReport,

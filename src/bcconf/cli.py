@@ -31,7 +31,7 @@ import os
 import sys
 import time
 from pathlib import Path
-from typing import Optional, Sequence, TextIO
+from typing import Collection, Iterable, Optional, Sequence, TextIO
 
 from . import __version__, dpos_sim, metrics, optimizer, qos
 from .model import (
@@ -242,10 +242,16 @@ class _ArtifactSet:
                 directory.rmdir()
 
 
-def _write_csv(handle: TextIO, header: Sequence[str], rows: Sequence[Sequence]) -> None:
-    writer = csv.writer(handle, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+def _write_table(handle: TextIO, header: Collection[str], rows: Iterable[tuple]) -> None:
+    """Write a CSV table in one ``write``: the header, then each row's cells by ``str``.
+
+    Each row is a tuple with one cell per header name; a row of any other
+    length raises ``TypeError``. The bytes are those the ``csv`` module's
+    writer gives: ``str`` of a float is its ``repr``, and no header or cell
+    of these tables needs quoting.
+    """
+    line = ",".join(["%s"] * len(header)) + "\n"
+    handle.write("".join([",".join(header) + "\n", *(line % row for row in rows)]))
 
 
 def _write_manifest(
@@ -269,72 +275,61 @@ def _cmd_optimize(args: argparse.Namespace, scenario: ScenarioParams, artifacts:
     effective, weights = _resolve_directive_and_weights(scenario, args)
     result = optimizer.solve_greedy(effective, weights)
     *breakdown, _ = metrics.evaluate(effective, weights, result.best_config)
-    _write_csv(
-        artifacts.create("result.csv"),
-        ["m", "theta", "utility", *metrics.COLUMNS[:-1], "solver", "evaluations"],
-        [
-            [
-                result.best_config.num_verifiers,
-                result.best_config.txns_per_block,
-                result.best_utility,
-                *breakdown,
-                "greedy",
-                result.evaluations,
-            ]
-        ],
+    record = {
+        "m": result.best_config.num_verifiers,
+        "theta": result.best_config.txns_per_block,
+        "utility": result.best_utility,
+        **dict(zip(metrics.COLUMNS[:-1], breakdown)),
+        "solver": "greedy",
+        "evaluations": result.evaluations,
+    }
+    _write_table(artifacts.create("result.csv"), record, [tuple(record.values())])
+    _write_table(
+        artifacts.create("trace.csv"),
+        ["iteration", "m", "theta", "utility", "best_so_far"],
+        (
+            (k, config.num_verifiers, config.txns_per_block, value, best)
+            for k, (config, value, best) in enumerate(
+                zip(result.configs, result.utilities, result.best_so_far()), start=1
+            )
+        ),
     )
-    artifacts.create("trace.csv").write(optimizer.trace_to_csv(result))
 
 
 def _cmd_sweep(args: argparse.Namespace, scenario: ScenarioParams, artifacts: _ArtifactSet) -> None:
     effective, weights = _resolve_directive_and_weights(scenario, args)
-    # Written in one pass as csv would write it: str for m and theta, repr
-    # for each float; no cell needs quoting. The whole grid is evaluated first.
-    rows = "".join(
-        f"{m},{theta},{','.join(map(repr, cells))}\n"
-        for m, thetas, row in optimizer.evaluate_grid(effective, weights, grid_cap=args.grid_cap)
-        for theta, cells in zip(thetas, row)
+    # An over-cap grid raises here, before any file exists.
+    grid = optimizer.evaluate_grid(effective, weights, grid_cap=args.grid_cap)
+    _write_table(
+        artifacts.create("surface.csv"),
+        ["m", "theta", *metrics.COLUMNS],
+        ((m, theta, *cells) for m, thetas, row in grid for theta, cells in zip(thetas, row)),
     )
-    handle = artifacts.create("surface.csv")
-    handle.write(",".join(["m", "theta", *metrics.COLUMNS]) + "\n")
-    handle.write(rows)
 
 
 def _cmd_compare(args: argparse.Namespace, scenario: ScenarioParams, artifacts: _ArtifactSet) -> None:
     effective, weights = _resolve_directive_and_weights(scenario, args)
     report = optimizer.compare(effective, weights, grid_cap=args.grid_cap)
-    series = itertools.zip_longest(report.greedy.best_so_far(), report.exhaustive.best_so_far(), fillvalue="")
-    rows = [[i, *pair] for i, pair in enumerate(series, start=1)]
-    _write_csv(artifacts.create("compare.csv"), ["iteration", "greedy_best_so_far", "exhaustive_best_so_far"], rows)
-    _write_csv(
-        artifacts.create("summary.csv"),
-        [
-            "greedy_m",
-            "greedy_theta",
-            "greedy_best_utility",
-            "greedy_evaluations",
-            "exhaustive_m",
-            "exhaustive_theta",
-            "exhaustive_best_utility",
-            "exhaustive_evaluations",
-            "utility_gap",
-            "greedy_suboptimal",
-        ],
-        [
-            [
-                report.greedy.best_config.num_verifiers,
-                report.greedy.best_config.txns_per_block,
-                report.greedy.best_utility,
-                report.greedy.evaluations,
-                report.exhaustive.best_config.num_verifiers,
-                report.exhaustive.best_config.txns_per_block,
-                report.exhaustive.best_utility,
-                report.exhaustive.evaluations,
-                report.utility_gap,
-                "true" if report.greedy_suboptimal else "false",
-            ]
-        ],
+    greedy, exhaustive = report.greedy, report.exhaustive
+    series = itertools.zip_longest(greedy.best_so_far(), exhaustive.best_so_far(), fillvalue="")
+    _write_table(
+        artifacts.create("compare.csv"),
+        ["iteration", "greedy_best_so_far", "exhaustive_best_so_far"],
+        ((i, *pair) for i, pair in enumerate(series, start=1)),
     )
+    summary = {
+        "greedy_m": greedy.best_config.num_verifiers,
+        "greedy_theta": greedy.best_config.txns_per_block,
+        "greedy_best_utility": greedy.best_utility,
+        "greedy_evaluations": greedy.evaluations,
+        "exhaustive_m": exhaustive.best_config.num_verifiers,
+        "exhaustive_theta": exhaustive.best_config.txns_per_block,
+        "exhaustive_best_utility": exhaustive.best_utility,
+        "exhaustive_evaluations": exhaustive.evaluations,
+        "utility_gap": report.utility_gap,
+        "greedy_suboptimal": "true" if report.greedy_suboptimal else "false",
+    }
+    _write_table(artifacts.create("summary.csv"), summary, [tuple(summary.values())])
 
 
 def _prior_result_config(out_dir: Path) -> BlockchainConfig:
@@ -381,16 +376,11 @@ def _cmd_simulate(args: argparse.Namespace, scenario: ScenarioParams, artifacts:
     log = dpos_sim.event_writer(artifacts.create("events.csv"), artifacts.create("events.ndjson"))
     report = dpos_sim.run(sim, log)
     deviations = dpos_sim.closed_form_deviations(sim, report)  # raises before anything is published
-    # Written in one pass as csv would write it: repr for each float, str for
-    # the round; no cell needs quoting. The closed form is formatted once.
-    analytic = repr(report.analytic_latency_s)
-    handle = artifacts.create("sim_report.csv")
-    handle.write("round,latency_s,analytic_latency_s,abs_rel_deviation\n")
-    handle.write(
-        "".join(
-            f"{k},{latency!r},{analytic},{deviation!r}\n"
-            for k, (latency, deviation) in enumerate(zip(report.per_round_latency_s, deviations))
-        )
+    analytic = repr(report.analytic_latency_s)  # formatted once
+    _write_table(
+        artifacts.create("sim_report.csv"),
+        ["round", "latency_s", "analytic_latency_s", "abs_rel_deviation"],
+        zip(itertools.count(), report.per_round_latency_s, itertools.repeat(analytic), deviations),
     )
 
 
@@ -412,7 +402,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         # One read gives both the bytes to hash and, decoded as open() would, the text to parse.
         scenario_bytes = Path(args.scenario).read_bytes()
-        scenario = load_scenario(io.TextIOWrapper(io.BytesIO(scenario_bytes), encoding="utf-8"))
+        try:
+            scenario = load_scenario(io.TextIOWrapper(io.BytesIO(scenario_bytes), encoding="utf-8"))
+        except UnicodeDecodeError as exc:
+            raise ParseError(
+                f"{args.scenario}: not UTF-8 text: {exc.reason} at byte offset {exc.start}"
+            ) from None
         with _ArtifactSet(_resolve_out_dir(args)) as artifacts:
             _COMMANDS[args.command](args, scenario, artifacts)
             _write_manifest(artifacts, args, started, hashlib.sha256(scenario_bytes).hexdigest())

@@ -39,21 +39,8 @@ from .model import (
     QosWeights,
     ScenarioParams,
     ValidationError,
-    VerifierProfile,
     require_feasible,
 )
-
-
-def select_verifiers(scenario: ScenarioParams, m: int) -> tuple[VerifierProfile, ...]:
-    """The m verifiers that finish the verification workload fastest.
-
-    Output is sorted ascending by K/x (largest capacity first), ties by id.
-    """
-    if not scenario.min_verifiers <= m <= scenario.max_verifiers:
-        raise ConstraintError(
-            f"m={m} outside [{scenario.min_verifiers}, {scenario.max_verifiers}]"
-        )
-    return scenario.ranked_verifiers[:m]
 
 
 # How each latency stage is computed from the scenario's fields.

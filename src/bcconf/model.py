@@ -253,7 +253,7 @@ class ScenarioParams:
 class BlockchainConfig:
     """Decision variables: verifier count m and transactions per block theta.
 
-    Feasibility is scenario-relative; use :func:`validate_config`. The type
+    Feasibility is scenario-relative; use :func:`require_feasible`. The type
     itself accepts any integer pair so that validation stays total.
     """
 
@@ -522,15 +522,6 @@ def dump_scenario(scenario: ScenarioParams) -> str:
             table[rule.mode] = entry
         doc["mode_table"] = table
     return yaml.safe_dump(doc, sort_keys=False)
-
-
-def validate_config(scenario: ScenarioParams, config: BlockchainConfig) -> bool:
-    """True iff the configuration lies inside the scenario's feasible box."""
-    try:
-        require_feasible(scenario, config.num_verifiers, config.txns_per_block)
-    except ConstraintError:
-        return False
-    return True
 
 
 def feasible_rows(scenario: ScenarioParams, grid_cap: int = DEFAULT_GRID_CAP) -> tuple[range, range]:

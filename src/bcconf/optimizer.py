@@ -11,13 +11,10 @@ evaluation check and does each row's fixed work once; the solvers and the
 scan read only each configuration's last cell, the utility.
 
 A solver run (:class:`SolverResult`) is its optimum and its evaluations in
-order: ``configs[k]`` scored ``utilities[k]``. Only this module builds or
-renders one.
+order: ``configs[k]`` scored ``utilities[k]``. Only this module builds one.
 """
 from __future__ import annotations
 
-import csv
-import io
 import itertools
 import math
 from dataclasses import dataclass
@@ -204,16 +201,3 @@ def scan_unimodality(
     values = [cells[-1] for _, _, row in evaluate_grid(scenario, weights, grid_cap=grid_cap) for cells in row]
     return unimodality(values, width)
 
-
-def trace_to_csv(result: SolverResult) -> str:
-    """Render a solver's evaluations as CSV: iteration, m, theta, utility, best_so_far."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["iteration", "m", "theta", "utility", "best_so_far"])
-    writer.writerows(
-        (k, config.num_verifiers, config.txns_per_block, value, best)
-        for k, (config, value, best) in enumerate(
-            zip(result.configs, result.utilities, result.best_so_far()), start=1
-        )
-    )
-    return buffer.getvalue()

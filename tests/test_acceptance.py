@@ -4,6 +4,7 @@ Tolerances and counts are pinned here and nowhere else. Every expected value
 is either forced arithmetic, a brute-force enumeration, or an independent
 re-derivation; nothing is copied from the implementation under test.
 """
+import csv
 import hashlib
 import random
 import time
@@ -122,13 +123,16 @@ def test_criterion_4_greedy_efficiency_on_fixture(tmp_path):
     assert report.greedy.best_utility == pytest.approx(
         report.exhaustive.best_utility, abs=1e-9
     )
-    # Both traces emitted in convergence-plot form.
-    from bcconf.optimizer import trace_to_csv
-
-    for name, result in (("greedy", report.greedy), ("exhaustive", report.exhaustive)):
-        path = tmp_path / f"{name}_trace.csv"
-        path.write_text(trace_to_csv(result), encoding="utf-8")
-        assert path.stat().st_size > 0
+    # Both traces emitted in convergence-plot form, greedy's padded with blanks.
+    assert cli.main(["compare", "--scenario", str(TABLE2_PATH), "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "compare.csv", newline="", encoding="utf-8") as handle:
+        _, *rows = csv.reader(handle)
+    assert [int(row[0]) for row in rows] == list(range(1, report.exhaustive.evaluations + 1))
+    greedy_column = [row[1] for row in rows]
+    greedy_series = report.greedy.best_so_far()
+    assert [float(v) for v in greedy_column[: len(greedy_series)]] == list(greedy_series)
+    assert greedy_column[len(greedy_series):] == [""] * (len(rows) - len(greedy_series))
+    assert [float(row[2]) for row in rows] == list(report.exhaustive.best_so_far())
     print(
         f"[criterion 4] PASS: greedy {report.greedy.evaluations} evaluations < 171, "
         f"pre-scan unimodal, gap {report.utility_gap:.3e} <= 1e-9"

@@ -1,6 +1,7 @@
 """Command surface: artifacts, exit codes, precedence, and determinism."""
 import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -40,12 +41,26 @@ def test_optimize_writes_result_trace_and_manifest(tmp_path):
     assert rows[0]["solver"] == "greedy"
     assert int(rows[0]["m"]) == 9
     assert int(rows[0]["theta"]) == 12
-    trace = read_csv(out / "trace.csv")
-    assert len(trace) == int(rows[0]["evaluations"])
+    with open(out / "trace.csv", newline="", encoding="utf-8") as handle:
+        header, *trace = csv.reader(handle)
+    assert header == ["iteration", "m", "theta", "utility", "best_so_far"]
+    result = bcconf.solve_greedy(bcconf.load_scenario(TABLE2_PATH), bcconf.QosWeights(1 / 3, 1 / 3, 1 / 3))
+    assert len(trace) == int(rows[0]["evaluations"]) == result.evaluations
+    assert [int(row[0]) for row in trace] == list(range(1, result.evaluations + 1))
+    assert [float(row[3]) for row in trace] == list(result.utilities)
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == "optimize"
     assert manifest["tool_version"]
     assert manifest["wall_time_s"] >= 0
+
+
+def test_table_writer_rejects_a_row_whose_width_is_not_the_header_width():
+    handle = io.StringIO()
+    cli._write_table(handle, ["a", "b"], [(1, 0.1), ("x", "")])
+    assert handle.getvalue() == "a,b\n1,0.1\nx,\n"
+    for row in ((1,), (1, 2, 3)):
+        with pytest.raises(TypeError):
+            cli._write_table(io.StringIO(), ["a", "b"], [row])
 
 
 def test_missing_scenario_exits_3_without_partial_outputs(tmp_path):
@@ -477,6 +492,16 @@ def test_deeply_nested_scenario_exits_2_without_traceback(tmp_path):
     assert "error:" in proc.stderr and "nested too deeply" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "o").exists()
+
+
+def test_scenario_that_is_not_utf8_exits_2_naming_path_and_offset(tmp_path):
+    bad = tmp_path / "latin1.scenario"
+    bad.write_bytes(b"# caf\xe9\n" + TABLE2_PATH.read_bytes())
+    proc = run_cli_process("optimize", "--scenario", str(bad), "--out", str(tmp_path / "o"))
+    assert proc.returncode == 2
+    assert f"error: {bad}: not UTF-8 text: invalid continuation byte at byte offset 5" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert [path.name for path in tmp_path.iterdir()] == ["latin1.scenario"]
 
 
 def test_duplicated_key_exits_2_naming_key_and_line(tmp_path, capsys):

@@ -23,7 +23,6 @@ from bcconf import (
     latency,
     load_scenario,
     run_simulation,
-    select_verifiers,
     sweep_sim,
 )
 from bcconf import cli, dpos_sim
@@ -249,7 +248,7 @@ def test_bm_rotation_round_robin():
         SimConfig(scenario=scenario, config=config, rounds=7, rotate_bm=True)
     )
     rotations = [e for e in events if e.kind == BM_ROTATED]
-    selected_ids = [p.id for p in select_verifiers(scenario, 3)]
+    selected_ids = [p.id for p in scenario.ranked_verifiers[:3]]
     assert [e.actor_id for e in rotations] == [selected_ids[k % 3] for k in range(7)]
     feedbacks = [e for e in events if e.kind == FEEDBACK_RECEIVED]
     assert [e.actor_id for e in feedbacks] == [selected_ids[k % 3] for k in range(7)]

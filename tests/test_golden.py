@@ -2,9 +2,12 @@
 
 A refactor that keeps these digests keeps the bytes users see: values,
 float formatting, row order, tie-breaks and event order. ``manifest.json``
-records wall time and is excluded.
+records wall time and is excluded. Each CSV artifact must also be what the
+``csv`` module writes for the rows it parses into.
 """
+import csv
 import hashlib
+import io
 
 import pytest
 
@@ -70,11 +73,30 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("name", list(GOLDEN))
-def test_golden_artifacts(tmp_path, name):
-    argv, digests = GOLDEN[name]
-    command, *flags = argv
+def run_golden(tmp_path, name):
+    """Run one ``GOLDEN`` command on table2; return its output directory."""
+    command, *flags = GOLDEN[name][0]
     out = tmp_path / name
     assert cli.main([command, "--scenario", str(TABLE2_PATH), "--out", str(out), *flags]) == 0
+    return out
+
+
+@pytest.mark.parametrize("name", list(GOLDEN))
+def test_golden_artifacts(tmp_path, name):
+    digests = GOLDEN[name][1]
+    out = run_golden(tmp_path, name)
     actual = {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in digests}
     assert actual == digests
+
+
+@pytest.mark.parametrize("name", list(GOLDEN))
+def test_csv_artifacts_are_what_the_csv_module_writes(tmp_path, name):
+    # The CLI joins cells by hand; that is only CSV if no cell needs quoting.
+    out = run_golden(tmp_path, name)
+    for artifact in (f for f in GOLDEN[name][1] if f.endswith(".csv")):
+        text = (out / artifact).read_bytes().decode("utf-8")
+        header, *rows = csv.reader(io.StringIO(text, newline=""))
+        assert all(len(row) == len(header) for row in rows), artifact
+        rendered = io.StringIO(newline="")
+        csv.writer(rendered, lineterminator="\n").writerows([header, *rows])
+        assert rendered.getvalue() == text, artifact

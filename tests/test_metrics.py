@@ -20,10 +20,9 @@ from bcconf import (
     normalization,
     run_simulation,
     security,
-    select_verifiers,
 )
 from bcconf.metrics import _cells, evaluate, evaluate_row, latency_row
-from bcconf.model import feasible_rows
+from bcconf.model import feasible_rows, require_feasible
 from helpers import (
     TABLE2_PATH,
     bit_identity_inputs,
@@ -97,26 +96,27 @@ def oracle_utility(scenario, weights, m, theta):
 def test_select_fastest_two_of_four():
     # K/x by hand: id0 -> 10s, id1 -> 5s, id2 -> 4s, id3 -> 2s.
     scenario = make_scenario(capacities=(2.0, 4.0, 5.0, 10.0), verification_workload=20.0)
-    chosen = select_verifiers(scenario, 2)
+    chosen = scenario.ranked_verifiers[:2]
     assert [p.id for p in chosen] == [3, 2]
 
 
 def test_select_everything_returns_all_sorted():
     scenario = make_scenario(capacities=(2.0, 4.0, 5.0, 10.0), verification_workload=20.0)
-    assert [p.id for p in select_verifiers(scenario, 4)] == [3, 2, 1, 0]
+    assert [p.id for p in scenario.ranked_verifiers[:4]] == [3, 2, 1, 0]
 
 
 def test_selection_tie_broken_by_id():
     scenario = make_scenario(capacities=(5.0, 5.0), verification_workload=20.0)
-    assert [p.id for p in select_verifiers(scenario, 1)] == [0]
+    assert [p.id for p in scenario.ranked_verifiers[:1]] == [0]
 
 
 def test_selection_out_of_bounds_raises():
     scenario = make_scenario(capacities=(5.0, 5.0), min_verifiers=2)
-    with pytest.raises(ConstraintError):
-        select_verifiers(scenario, 1)
-    with pytest.raises(ConstraintError):
-        select_verifiers(scenario, 3)
+    theta = scenario.min_txn_per_block
+    require_feasible(scenario, 2, theta)
+    for m in (1, 3):
+        with pytest.raises(ConstraintError, match=rf"\(m={m}, theta={theta}\) outside feasible box m in \[2, 2\]"):
+            require_feasible(scenario, m, theta)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import yaml
 
 from bcconf import (
     BlockchainConfig,
+    ConstraintError,
     ParseError,
     QosWeights,
     ScenarioParams,
@@ -17,10 +18,9 @@ from bcconf import (
     dump_scenario,
     load_scenario,
     parse_scenario,
-    validate_config,
 )
 from bcconf import cli
-from bcconf.model import _OPTIONAL_FIELDS, _SCALAR_FIELDS, _ScenarioLoader
+from bcconf.model import _OPTIONAL_FIELDS, _SCALAR_FIELDS, _ScenarioLoader, require_feasible
 from helpers import TABLE2_PATH, make_scenario
 
 MINIMAL_DOC = """
@@ -337,22 +337,27 @@ def test_verifier_profile_invariants():
         VerifierProfile(id=0, compute_capacity=float("nan"), unit_price=0.0)
 
 
-def test_validate_config_box_corners():
+def test_require_feasible_box_corners():
     scenario = load_scenario(TABLE2_PATH)
-    assert validate_config(scenario, BlockchainConfig(2, 2)) is True
-    assert validate_config(scenario, BlockchainConfig(11, 5)) is False
-    assert validate_config(scenario, BlockchainConfig(10, 20)) is True
+    require_feasible(scenario, 2, 2)
+    require_feasible(scenario, 10, 20)
+    message = "configuration (m=11, theta=5) outside feasible box m in [2, 10], theta in [2, 20]"
+    with pytest.raises(ConstraintError, match=re.escape(message)):
+        require_feasible(scenario, 11, 5)
 
 
-def test_validate_config_matches_box_conjunction_exhaustively():
+def test_require_feasible_matches_box_conjunction_exhaustively():
     scenario = make_scenario(
         capacities=(4.0, 3.0, 2.0), min_verifiers=2, max_verifiers=3,
         min_txn_per_block=2, max_txn_per_block=5,
     )
     for m in range(0, 6):
         for theta in range(0, 8):
-            expected = (2 <= m <= 3) and (2 <= theta <= 5)
-            assert validate_config(scenario, BlockchainConfig(m, theta)) == expected
+            if (2 <= m <= 3) and (2 <= theta <= 5):
+                require_feasible(scenario, m, theta)
+            else:
+                with pytest.raises(ConstraintError, match=rf"\(m={m}, theta={theta}\) outside feasible box"):
+                    require_feasible(scenario, m, theta)
 
 
 def test_blockchain_config_is_slotted_and_behaves_as_a_value():

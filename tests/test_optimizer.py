@@ -1,6 +1,5 @@
 """Greedy sweep vs the exhaustive oracle: traces, tie-breaks, and gap reporting."""
 import csv
-import io
 import math
 import random
 
@@ -13,6 +12,7 @@ from bcconf import (
     SolverResult,
     ValidationError,
     compare,
+    dump_scenario,
     load_scenario,
     scan_unimodality,
     solve_exhaustive,
@@ -21,7 +21,7 @@ from bcconf import (
 )
 from bcconf import cli, metrics, optimizer
 from bcconf.model import feasible_rows
-from bcconf.optimizer import trace_to_csv, unimodality
+from bcconf.optimizer import unimodality
 from helpers import (
     ADVERSARIAL_SCENARIO,
     ADVERSARIAL_WEIGHTS,
@@ -264,11 +264,15 @@ def test_best_so_far_series_is_nonincreasing():
     assert report.exhaustive.best_so_far()[-1] == report.exhaustive.best_utility
 
 
-def test_trace_csv_round_trips():
+def test_trace_csv_round_trips(tmp_path):
     scenario = make_scenario(capacities=(8.0, 4.0), max_txn_per_block=3)
+    assert scenario.weights is None and scenario.qos_class is None
     result = solve_greedy(scenario, EQUAL_WEIGHTS)
-    text = trace_to_csv(result)
-    rows = list(csv.reader(io.StringIO(text)))
+    path = tmp_path / "small.scenario"
+    path.write_text(dump_scenario(scenario), encoding="utf-8")
+    assert cli.main(["optimize", "--scenario", str(path), "--out", str(tmp_path / "run")]) == 0
+    with open(tmp_path / "run" / "trace.csv", newline="", encoding="utf-8") as handle:
+        rows = list(csv.reader(handle))
     assert rows[0] == ["iteration", "m", "theta", "utility", "best_so_far"]
     assert len(rows) == result.evaluations + 1
     assert [int(row[0]) for row in rows[1:]] == list(range(1, result.evaluations + 1))

@@ -14,7 +14,6 @@ from bcconf import (
     normalization,
     parse_scenario,
     scan_unimodality,
-    select_verifiers,
     solve_exhaustive,
 )
 from bcconf.metrics import evaluate
@@ -40,7 +39,7 @@ def test_derived_ranking_is_invisible_and_follows_the_verifiers():
     assert "payment_prefix" not in repr(scenario)
     assert "ranked_verify_s" not in repr(scenario)
     assert parse_scenario(dump_scenario(scenario)) == scenario
-    assert [p.id for p in select_verifiers(scenario, 3)] == [0, 1, 2]
+    assert [p.id for p in scenario.ranked_verifiers[:3]] == [0, 1, 2]
     assert scenario.ranked_verify_s == (2.0, 4.0, 10.0)  # K = 20 over x = 10, 5, 2
     assert scenario.payment_prefix == (0, 10.0, 20.0, 26.0)
 
@@ -51,7 +50,7 @@ def test_derived_ranking_is_invisible_and_follows_the_verifiers():
             for p, c in zip(scenario.verifiers, (2.0, 5.0, 10.0))
         ),
     )
-    assert [p.id for p in select_verifiers(reordered, 3)] == [2, 1, 0]
+    assert [p.id for p in reordered.ranked_verifiers[:3]] == [2, 1, 0]
     assert reordered.ranked_verify_s == (2.0, 4.0, 10.0)
     assert reordered.payment_prefix == (0, 30.0, 40.0, 42.0)
 
