@@ -42,7 +42,6 @@ from .qos import ModeDirective, apply_directive, map_class
 from .dpos_sim import (
     ModelMismatchError,
     SimConfig,
-    SimEvent,
     SimReport,
     SimSweepReport,
     run as run_simulation,

@@ -15,23 +15,15 @@ overlap; sorting them by time, then verifier id, gives the order an event
 queue would pop them in. At each commit the round's events go to an optional
 ``log`` callback and are dropped, so memory grows only by one latency per
 round. :func:`event_writer` builds the ``log`` that streams them to both
-event logs, one :class:`SimEvent` per line, formatting each instant once:
-a commit shares its feedback's time, and a rotation the previous commit's.
-Without a ``log``, as in :func:`sweep_sim`, no event is built.
+event logs, one line per event in :data:`EVENT_COLUMNS`, formatting each
+instant once: a commit shares its feedback's time, and a rotation the
+previous commit's. Without a ``log``, as in :func:`sweep_sim`, no event is
+built.
 
-The one kernel runs the rounds of both entry points. :func:`run` takes one
-:class:`SimConfig`, checks its configuration through
-:func:`bcconf.metrics.latency` and wraps the kernel's latencies in a
-:class:`SimReport`. :func:`sweep_sim` walks the feasible grid a row at a
-time: it validates the run parameters once, and takes once per row the
-verifier selection, the verification times (the row's slice of
-``ranked_verify_s``, which every cell of the row shares uncopied), the
-service times (one walk of ``_service_times``, this module's own statement
-of the dispatch, broadcast and feedback formulas) and the closed-form
-latencies (:func:`bcconf.metrics.latency_row`, bit-identical to
-:func:`bcconf.metrics.latency`). Per cell it calls the kernel and builds
-one :class:`SimSweepCell`, a named tuple, and no :class:`SimConfig` or
-:class:`SimReport`.
+One private row generator, ``_runs``, runs the kernel at each configuration
+of a row and holds the one check of its latencies against the closed form
+(:func:`bcconf.metrics.latency_row`). :func:`run` is its one-point case, and
+:func:`sweep_sim` walks it over the feasible grid.
 
 Randomness comes from Python's Mersenne Twister (``random.Random``) seeded
 from the run configuration, built only when the jitter spread is nonzero;
@@ -44,7 +36,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, TextIO
 
 from . import metrics
 from .model import (
@@ -74,6 +66,8 @@ EVENT_KINDS = (
     FEEDBACK_RECEIVED,
     BLOCK_COMMITTED,
 )
+# The event logs' columns, in order: each event is one line of these.
+EVENT_COLUMNS = ("time_s", "round", "kind", "actor_id")
 # An event entry is (time_s, kind rank, actor_id): each kind travels as its
 # rank in EVENT_KINDS, which also orders the events of one instant.
 _ROTATED, _DISPATCHED, _VERIFIED, _BROADCAST, _FEEDBACK, _COMMITTED = range(len(EVENT_KINDS))
@@ -88,15 +82,6 @@ STATIC_BM_ID = -1
 
 class ModelMismatchError(RuntimeError):
     """Simulated latency deviated from the closed form beyond tolerance."""
-
-
-class SimEvent(NamedTuple):
-    """One logged event; its fields are the event log's columns, in order."""
-
-    time_s: float
-    round: int
-    kind: str
-    actor_id: int
 
 
 @dataclass(frozen=True)
@@ -139,11 +124,13 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class SimReport:
-    """Each round's latency in seconds (dispatch to feedback) in round order, their mean, and the closed form."""
+    """Each round's latency in seconds (dispatch to feedback) in round order, their mean, the closed form,
+    and each round's ``|simulated - analytic| / analytic`` latency."""
 
     per_round_latency_s: tuple[float, ...]
     mean_latency_s: float
     analytic_latency_s: float
+    abs_rel_deviation: tuple[float, ...]
 
 
 def _service_times(scenario: ScenarioParams, m: int, thetas: Iterable[int]) -> Iterator[tuple[float, float, float]]:
@@ -175,7 +162,7 @@ def _simulate(
 ) -> list[float]:
     """The round kernel: each round's latency over ``rounds`` back-to-back rounds.
 
-    Shared by :func:`run` and :func:`sweep_sim`, with arguments already
+    Run by ``_runs`` for both entry points, with arguments already
     validated: ``service`` as :func:`_service_times` yields it, ``verify_s``
     the row's ``scenario.ranked_verify_s[:m]``, read as it is, and
     ``selected_ids`` the ids of the verifiers it times, in the same order.
@@ -222,8 +209,50 @@ def _simulate(
     return latencies
 
 
+def _runs(
+    scenario: ScenarioParams,
+    m: int,
+    thetas: range,
+    rounds: int,
+    jitter: float,
+    rng_seed: int,
+    rotate_bm: bool,
+    log: Optional[EventLog],
+) -> Iterator[tuple[BlockchainConfig, float, list[float], list[float]]]:
+    """Lazily, ``(config, analytic, latencies, deviations)`` of each configuration (m, theta), theta in ``thetas``.
+
+    The run parameters are already validated. The row's fixed work is done
+    once: one :func:`bcconf.metrics.latency_row` call gives the closed forms
+    and checks the row's feasibility before anything runs, and every
+    configuration times the same verifiers. Per configuration, the closed
+    form's overflow check runs before the kernel, and the kernel's clock
+    check before the one copy of the closed-form check: a closed form of 0
+    or less raises :class:`ValidationError`; without jitter, the first round
+    deviating by more than ``SIM_REL_TOL``, or by NaN, raises
+    :class:`ModelMismatchError`. Both name the configuration.
+    """
+    analytics = metrics.latency_row(scenario, m, thetas)
+    verify_s = scenario.ranked_verify_s[:m]  # one tuple for the row, copied for no configuration
+    selected_ids = [profile.id for profile in scenario.ranked_verifiers[:m]]
+    for theta, service, analytic in zip(thetas, _service_times(scenario, m, thetas), analytics):
+        latencies = _simulate(service, verify_s, selected_ids, rounds, jitter, rng_seed, rotate_bm, log)
+        if analytic <= 0:  # one that underflows to 0 leaves no relative deviation; NaN is a mismatch below
+            raise ValidationError(
+                f"config (m={m}, theta={theta}): the closed-form latency must be positive, got {analytic!r}"
+            )
+        deviations = [abs(latency - analytic) / analytic for latency in latencies]
+        if not jitter:
+            for round_index, deviation in enumerate(deviations):
+                if not deviation <= SIM_REL_TOL:  # also true for NaN
+                    raise ModelMismatchError(
+                        f"config (m={m}, theta={theta}): round {round_index} simulated latency deviates "
+                        f"from the closed form by {deviation:.3e} (tolerance {SIM_REL_TOL})"
+                    )
+        yield BlockchainConfig(m, theta), analytic, latencies, deviations
+
+
 def run(sim: SimConfig, log: Optional[EventLog] = None) -> SimReport:
-    """Simulate ``sim.rounds`` sequential verification rounds.
+    """Simulate ``sim.rounds`` sequential verification rounds, checked against the closed form.
 
     Rounds are back to back: a round starts when the previous block commits.
     Each entry ``(time_s, kind rank, actor_id)`` is one event; the log is
@@ -231,58 +260,23 @@ def run(sim: SimConfig, log: Optional[EventLog] = None) -> SimReport:
     its entries and its index go to ``log`` if one is given, and are dropped
     either way, so memory does not grow with the events. A round that
     commits at a non-finite time raises :class:`ValidationError` naming
-    ``rounds``.
+    ``rounds``. After the last round, a closed form of 0 or less raises
+    :class:`ValidationError`, and without jitter a round deviating from it
+    by more than ``SIM_REL_TOL`` raises :class:`ModelMismatchError`.
     """
-    scenario, config = sim.scenario, sim.config
-    analytic = metrics.latency(scenario, config)  # the one feasibility check
-    m, theta = config.num_verifiers, config.txns_per_block
-    service = next(_service_times(scenario, m, (theta,)))
-    selected_ids = [profile.id for profile in scenario.ranked_verifiers[:m]]
-    latencies = _simulate(
-        service, scenario.ranked_verify_s[:m], selected_ids, sim.rounds, sim.jitter, sim.rng_seed, sim.rotate_bm, log
+    m, theta = sim.config.num_verifiers, sim.config.txns_per_block
+    ((_, analytic, latencies, deviations),) = _runs(
+        sim.scenario, m, range(theta, theta + 1), sim.rounds, sim.jitter, sim.rng_seed, sim.rotate_bm, log
     )
-    return SimReport(
-        per_round_latency_s=tuple(latencies),
-        mean_latency_s=sum(latencies) / len(latencies),
-        analytic_latency_s=analytic,
-    )
-
-
-def _deviations(config: BlockchainConfig, latencies: Sequence[float], analytic: float, jitter: float) -> list[float]:
-    """Per-round ``|simulated - analytic| / analytic`` latency; see :func:`closed_form_deviations`."""
-    if analytic <= 0:  # one that underflows to 0 leaves no relative deviation; NaN is a mismatch below
-        raise ValidationError(
-            f"config (m={config.num_verifiers}, theta={config.txns_per_block}): "
-            f"the closed-form latency must be positive, got {analytic!r}"
-        )
-    deviations = [abs(latency - analytic) / analytic for latency in latencies]
-    if not jitter:
-        for round_index, deviation in enumerate(deviations):
-            if not deviation <= SIM_REL_TOL:  # also true for NaN
-                raise ModelMismatchError(
-                    f"config (m={config.num_verifiers}, theta={config.txns_per_block}): "
-                    f"round {round_index} simulated latency deviates from the closed form "
-                    f"by {deviation:.3e} (tolerance {SIM_REL_TOL})"
-                )
-    return deviations
-
-
-def closed_form_deviations(sim: SimConfig, report: SimReport) -> list[float]:
-    """Per-round ``|simulated - analytic| / analytic`` latency of a finished run.
-
-    A closed-form latency of 0 or less raises :class:`ValidationError`;
-    without jitter, the first round deviating by more than ``SIM_REL_TOL``,
-    or by NaN, raises :class:`ModelMismatchError`. Both name the configuration.
-    """
-    return _deviations(sim.config, report.per_round_latency_s, report.analytic_latency_s, sim.jitter)
+    return SimReport(tuple(latencies), sum(latencies) / len(latencies), analytic, tuple(deviations))
 
 
 class SimSweepCell(NamedTuple):
     """A sweep's configuration, its closed-form and mean simulated latency in seconds, and its largest
     per-round ``|simulated - analytic| / analytic`` under the sweep's jitter (see :class:`SimConfig`).
 
-    A named tuple, like :class:`SimEvent`: it equals the plain tuple of its
-    fields, and unpacks in this order.
+    A named tuple: it equals the plain tuple of its fields, and unpacks in
+    this order.
     """
 
     config: BlockchainConfig
@@ -310,38 +304,24 @@ def sweep_sim(
     jitter: float = 0.0,
     grid_cap: int = DEFAULT_GRID_CAP,
 ) -> SimSweepReport:
-    """Run the simulator at every feasible configuration.
+    """Run the simulator at every feasible configuration: each cell is what :func:`run` reports for it.
 
-    Each cell equals what :func:`run` and :func:`closed_form_deviations` give
-    for its :class:`SimConfig`, without building either: the grid is walked a
-    row at a time, as :func:`bcconf.model.feasible_rows` gives it (whose cap
-    check runs first), ``rounds``, ``seed`` and ``jitter`` are validated once,
-    and each row's verifier selection is taken once: every cell of the row
-    hands the kernel the same ``scenario.ranked_verify_s[:m]`` tuple, not a
-    copy of it. Each row's service times come from one walk of
-    :func:`_service_times`, and its analytic latencies, lazily, from one
-    :func:`bcconf.metrics.latency_row` call, whose values are
-    :func:`bcconf.metrics.latency`'s bit for bit; every cell runs the round
-    kernel that :func:`run` runs. A cell's checks are
-    :func:`closed_form_deviations`': without jitter a deviation above
-    ``SIM_REL_TOL`` raises :class:`ModelMismatchError`; with jitter the
-    deviations are only reported.
+    The grid cap is checked first, then ``rounds``, ``seed`` and ``jitter``,
+    before any cell is simulated. A cell raises what :func:`run` raises:
+    without jitter a deviation above ``SIM_REL_TOL`` raises
+    :class:`ModelMismatchError`; with jitter the deviations are only reported.
     """
     ms, thetas = feasible_rows(scenario, grid_cap)
     # Validates the run parameters once, before any cell is simulated.
     SimConfig(scenario, BlockchainConfig(ms.start, thetas.start), rounds=rounds, jitter=jitter, rng_seed=seed)
-    cells: list[SimSweepCell] = []
-    for m in ms:
-        verify_s = scenario.ranked_verify_s[:m]
-        selected_ids = [profile.id for profile in scenario.ranked_verifiers[:m]]
-        row = zip(thetas, _service_times(scenario, m, thetas), metrics.latency_row(scenario, m, thetas))
-        for theta, service, analytic in row:
-            config = BlockchainConfig(m, theta)
-            # The row's own verify_s tuple; no rotation, no log.
-            latencies = _simulate(service, verify_s, selected_ids, rounds, jitter, seed, False, None)
-            deviation = max(_deviations(config, latencies, analytic, jitter))
-            cells.append(SimSweepCell(config, analytic, sum(latencies) / len(latencies), deviation))
-    return SimSweepReport(cells=tuple(cells))
+    rows = (_runs(scenario, m, thetas, rounds, jitter, seed, False, None) for m in ms)  # no rotation, no log
+    return SimSweepReport(
+        cells=tuple(
+            SimSweepCell(config, analytic, sum(latencies) / len(latencies), max(deviations))
+            for row in rows
+            for config, analytic, latencies, deviations in row
+        )
+    )
 
 
 def event_writer(csv_file: TextIO, ndjson_file: TextIO) -> EventLog:
@@ -367,7 +347,7 @@ def event_writer(csv_file: TextIO, ndjson_file: TextIO) -> EventLog:
     def log(round_index: int, entries: list[EventEntry]) -> None:
         nonlocal last_time, last_text
         csv_round, ndjson_round = f",{round_index}", f', "round": {round_index}'
-        csv_lines = [",".join(SimEvent._fields) + "\n"] if round_index == 0 else []
+        csv_lines = [",".join(EVENT_COLUMNS) + "\n"] if round_index == 0 else []
         ndjson_lines = []
         previous, t = last_time, last_text
         for time_s, rank, actor_id in entries:

@@ -175,8 +175,9 @@ def normalization(scenario: ScenarioParams) -> NormalizationConstants:
     Latency and security peak at (M, N) by monotonicity; cost peaks at
     (M, t) since it scales with the selected payment sum and inversely
     with theta. Raises :class:`ValidationError` when a maximum is
-    undefined: every selectable verifier is free, the security level at M
-    does not fit in a float, or the round latency at (M, N) underflows to 0.
+    undefined: every selectable verifier is free, their payment sum or the
+    security level at M does not fit in a float, or the round latency at
+    (M, N) underflows to 0.
     """
     corner_high = BlockchainConfig(scenario.max_verifiers, scenario.max_txn_per_block)
     corner_cost = BlockchainConfig(scenario.max_verifiers, scenario.min_txn_per_block)
@@ -185,6 +186,11 @@ def normalization(scenario: ScenarioParams) -> NormalizationConstants:
         raise ValidationError(
             "max_cost is zero (every selectable verifier is free); "
             "the normalized utility is undefined for this scenario"
+        )
+    if math.isinf(max_cost):
+        raise ValidationError(
+            f"unit_price * compute_capacity summed over the max_verifiers={scenario.max_verifiers} fastest "
+            "verifiers overflows a float; the normalized utility is undefined for this scenario"
         )
     try:
         max_security = security(scenario, scenario.max_verifiers)

@@ -263,20 +263,14 @@ class BlockchainConfig:
 
 @dataclass(frozen=True)
 class NormalizationConstants:
-    """Per-scenario maxima used to make the three metrics comparable."""
+    """Per-scenario maxima used to make the three metrics comparable.
+
+    Built only by :func:`bcconf.metrics.normalization`, which checks that each is positive and finite.
+    """
 
     max_latency: float
     max_security: float
     max_cost: float
-
-    def __post_init__(self):
-        for name, value in (
-            ("max_latency", self.max_latency),
-            ("max_security", self.max_security),
-            ("max_cost", self.max_cost),
-        ):
-            if not (math.isfinite(value) and value > 0):
-                raise ValidationError(f"{name} must be positive and finite, got {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -484,12 +478,10 @@ def parse_scenario(text: str) -> ScenarioParams:
 
 
 def load_scenario(source: Union[str, os.PathLike, TextIO]) -> ScenarioParams:
-    """Load a scenario from YAML text, an open file, or a filesystem path.
+    """Load a scenario from an open file or a filesystem path, given as a ``str`` or a ``Path``.
 
-    A plain string is treated as document text; pass a ``Path`` to read a file.
+    Document text goes to :func:`parse_scenario`.
     """
-    if isinstance(source, str):
-        return parse_scenario(source)
     if hasattr(source, "read"):
         return parse_scenario(source.read())
     with open(os.fspath(source), "r", encoding="utf-8") as handle:

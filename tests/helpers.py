@@ -8,12 +8,12 @@ import json
 import math
 import random
 from pathlib import Path
+from typing import NamedTuple
 
 from bcconf import (
     QosWeights,
     ScenarioParams,
     SimConfig,
-    SimEvent,
     SimReport,
     ValidationError,
     VerifierProfile,
@@ -186,6 +186,15 @@ def bit_identity_inputs():
 def by_column(cells) -> dict[str, float]:
     """A configuration's cells by column name; the five cells of a latency alone name its stages."""
     return dict(zip(COLUMNS, cells))
+
+
+class SimEvent(NamedTuple):
+    """One logged event, as :func:`collect_events` keeps it; its fields are the event logs' columns, in order."""
+
+    time_s: float
+    round: int
+    kind: str
+    actor_id: int
 
 
 def reference_event_logs(events) -> tuple[str, str]:

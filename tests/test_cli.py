@@ -106,6 +106,22 @@ def test_overflowing_network_scale_exponent_exits_2(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_overflowing_payment_sum_exits_2_naming_its_fields(tmp_path, capsys):
+    # Each verifier's fields are finite; their product, the payment, is not.
+    text = TABLE2_PATH.read_text()
+    for k, capacity, price in ((0, "200.0", "0.030"), (1, "185.0", "0.034")):
+        line = f"{{id: {k}, compute_capacity: {capacity}, unit_price: {price}}}"
+        assert line in text
+        text = text.replace(line, f"{{id: {k}, compute_capacity: 1.0e+200, unit_price: 1.0e+200}}")
+    bad = tmp_path / "bad.scenario"
+    bad.write_text(text)
+    for command in ("optimize", "sweep", "compare"):
+        assert run_cli(command, "--scenario", str(bad), "--out", str(tmp_path / command)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unit_price * compute_capacity summed over") and "overflows a float" in err
+    assert [path.name for path in tmp_path.iterdir()] == ["bad.scenario"]
+
+
 def test_overflowing_round_latency_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.scenario"
     bad.write_text(
@@ -308,7 +324,7 @@ def test_simulate_jitter_off_spellings_match_default(tmp_path):
 def test_simulate_model_mismatch_exits_4(tmp_path, monkeypatch, capsys):
     from bcconf import metrics
 
-    monkeypatch.setattr(metrics, "latency", lambda s, c: 1e9)
+    monkeypatch.setattr(metrics, "latency_row", lambda s, m, thetas: (1e9 for _ in thetas))
     out = tmp_path / "x"
     code = run_cli(
         "simulate", "--scenario", SCENARIO, "--out", str(out),
@@ -357,7 +373,7 @@ def test_failed_simulate_leaves_earlier_artifacts_as_they_were(tmp_path, monkeyp
     # Exit 4: every round is streamed before the closed-form check fails.
     with monkeypatch.context() as patch:
         rounds = count_logged_rounds(patch)
-        patch.setattr(metrics, "latency", lambda s, c: 1e9)
+        patch.setattr(metrics, "latency_row", lambda s, m, thetas: (1e9 for _ in thetas))
         assert run_cli(*simulate, "--rounds", "5") == 4
     assert rounds == [0, 1, 2, 3, 4]
     assert snapshot(out) == before
@@ -389,7 +405,7 @@ def test_failed_simulate_leaves_earlier_artifacts_as_they_were(tmp_path, monkeyp
 def test_failed_run_removes_every_directory_it_created(tmp_path, monkeypatch):
     from bcconf import metrics
 
-    monkeypatch.setattr(metrics, "latency", lambda s, c: 1e9)
+    monkeypatch.setattr(metrics, "latency_row", lambda s, m, thetas: (1e9 for _ in thetas))
     out = tmp_path / "a" / "b"
     assert run_cli("simulate", "--scenario", SCENARIO, "--out", str(out), "--m", "2", "--theta", "2") == 4
     assert list(tmp_path.iterdir()) == []

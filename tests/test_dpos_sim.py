@@ -39,14 +39,13 @@ from bcconf.dpos_sim import (
     FEEDBACK_RECEIVED,
     STATIC_BM_ID,
     VERIFICATION_DONE,
-    SimEvent,
     SimSweepCell,
-    closed_form_deviations,
     event_writer,
 )
 from bcconf.model import feasible_rows
 from helpers import (
     TABLE2_PATH,
+    SimEvent,
     collect_events,
     make_scenario,
     random_feasible_config,
@@ -130,8 +129,8 @@ def test_log_sees_each_round_once_and_changes_nothing():
 
 
 def test_run_memory_does_not_grow_with_events():
-    # Without a log only the per-round latencies outlive a round: one float
-    # and a list and a tuple slot, about 40 bytes per round.
+    # Without a log only each round's latency and deviation outlive a round:
+    # two floats, each with a list and a tuple slot, about 80 bytes per round.
     scenario = load_scenario(TABLE2_PATH)
 
     def peak_bytes(rounds: int) -> int:
@@ -286,10 +285,9 @@ def test_clock_overflow_across_rounds_is_a_validation_error():
 def test_zero_closed_form_latency_is_a_validation_error(jitter):
     scenario = zero_latency_scenario()
     sim = SimConfig(scenario=scenario, config=BlockchainConfig(1, 1), rounds=2, jitter=jitter)
-    report = run_simulation(sim)
-    assert report.analytic_latency_s == 0.0
+    assert latency(scenario, sim.config) == 0.0
     with pytest.raises(ValidationError, match=r"\(m=1, theta=1\).*closed-form latency must be positive"):
-        closed_form_deviations(sim, report)
+        run_simulation(sim)
     with pytest.raises(ValidationError, match=r"\(m=1, theta=1\).*closed-form latency must be positive"):
         sweep_sim(scenario, rounds=2, jitter=jitter)
 
@@ -385,18 +383,26 @@ def test_sim_sweep_cell_is_a_named_tuple_with_its_fields_repr_and_pickle():
 
 
 def run_cells(scenario, rounds, seed, jitter) -> tuple[SimSweepCell, ...]:
-    """The sweep's cells as :func:`run` and :func:`closed_form_deviations` give them, one configuration at a time."""
+    """The sweep's cells as :func:`run` reports them, one configuration at a time.
+
+    The closed form and each round's deviation are computed here too, from
+    :func:`latency` and the report's latencies, and must equal the report's
+    bit for bit, so the sweep is not only checked against its own arithmetic.
+    """
     cells = []
     ms, thetas = feasible_rows(scenario)
     for config in (BlockchainConfig(m, theta) for m in ms for theta in thetas):
         sim = SimConfig(scenario=scenario, config=config, rounds=rounds, jitter=jitter, rng_seed=seed)
         report = run_simulation(sim)
+        analytic = latency(scenario, config)
+        deviations = tuple(abs(latency_s - analytic) / analytic for latency_s in report.per_round_latency_s)
+        assert (report.analytic_latency_s, report.abs_rel_deviation) == (analytic, deviations), config
         cells.append(
             SimSweepCell(
                 config=config,
-                analytic_latency_s=report.analytic_latency_s,
+                analytic_latency_s=analytic,
                 mean_latency_s=report.mean_latency_s,
-                max_abs_rel_deviation=max(closed_form_deviations(sim, report)),
+                max_abs_rel_deviation=max(deviations),
             )
         )
     return tuple(cells)
@@ -409,8 +415,25 @@ def test_sweep_sim_equals_run_at_every_cell(jitter):
         scenario = random_scenario(rng)
         rounds = rng.randint(1, 3)
         cells = sweep_sim(scenario, rounds=rounds, seed=index, jitter=jitter).cells
-        # Dataclass equality compares every field of every cell, in grid order.
+        # Tuple equality compares every field of every cell, in grid order.
         assert cells == run_cells(scenario, rounds, index, jitter)
+
+
+def test_run_raises_model_mismatch_naming_the_configuration_and_round(monkeypatch):
+    latency_row = dpos_sim.metrics.latency_row
+
+    def drifted_row(scenario, m, thetas):
+        return (analytic * (1 + 1e-6) for analytic in latency_row(scenario, m, thetas))
+
+    monkeypatch.setattr(dpos_sim.metrics, "latency_row", drifted_row)
+    scenario = load_scenario(TABLE2_PATH)
+    sim = SimConfig(scenario=scenario, config=BlockchainConfig(4, 9), rounds=3)
+    message = r"^config \(m=4, theta=9\): round 0 simulated latency deviates from the closed form by 1\.000e-06 "
+    with pytest.raises(ModelMismatchError, match=message + r"\(tolerance 1e-09\)$"):
+        run_simulation(sim)
+    # With jitter the deviations are only reported.
+    report = run_simulation(dataclasses.replace(sim, jitter=0.1))
+    assert min(report.abs_rel_deviation) > 0 and len(report.abs_rel_deviation) == 3
 
 
 @pytest.mark.parametrize(
@@ -609,9 +632,10 @@ def test_simulate_report_matches_csv_reference(tmp_path, scenario_kwargs, config
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["round", "latency_s", "analytic_latency_s", "abs_rel_deviation"])
+    analytic = report.analytic_latency_s
     writer.writerows(
-        [k, latency, report.analytic_latency_s, deviation]
-        for k, (latency, deviation) in enumerate(zip(report.per_round_latency_s, closed_form_deviations(sim, report)))
+        [k, latency_s, analytic, abs(latency_s - analytic) / analytic]
+        for k, latency_s in enumerate(report.per_round_latency_s)
     )
     scenario_path = tmp_path / "case.scenario"
     scenario_path.write_text(dump_scenario(sim.scenario), encoding="utf-8")
@@ -752,7 +776,7 @@ def test_zero_latency_raises_as_with_the_reference(monkeypatch, jitter):
 
     def errors():
         with pytest.raises(ValidationError) as by_run:
-            closed_form_deviations(sim, run_simulation(sim))
+            run_simulation(sim)
         with pytest.raises(ValidationError) as by_sweep:
             sweep_sim(scenario, rounds=3, jitter=jitter)
         return str(by_run.value), str(by_sweep.value)

@@ -278,16 +278,17 @@ def test_bad_qos_class_values_rejected():
 
 
 def test_load_scenario_accepts_text_path_and_file():
-    from_text = load_scenario(MINIMAL_DOC)
+    from_text = parse_scenario(MINIMAL_DOC)
     from_file = load_scenario(io.StringIO(MINIMAL_DOC))
     from_path = load_scenario(TABLE2_PATH)
     assert from_text == from_file
     assert from_path.max_verifiers == 10
+    assert load_scenario(str(TABLE2_PATH)) == from_path  # a str is a path, as open() reads it
 
 
 def test_round_trip_preserves_every_field():
     original = load_scenario(TABLE2_PATH)
-    assert load_scenario(dump_scenario(original)) == original
+    assert parse_scenario(dump_scenario(original)) == original
 
 
 def test_round_trip_preserves_optional_sections():
