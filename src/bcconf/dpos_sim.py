@@ -106,8 +106,12 @@ class SimConfig:
 
     def __post_init__(self):
         # A bool is an int, but never a count, a seed or a spread.
-        for name in ("rounds", "rng_seed"):
-            value = getattr(self, name)
+        for name, value in (
+            ("rounds", self.rounds),
+            ("rng_seed", self.rng_seed),
+            ("config.num_verifiers", self.config.num_verifiers),
+            ("config.txns_per_block", self.config.txns_per_block),
+        ):
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ValidationError(f"{name} must be an int, got {value!r}")
         if isinstance(self.jitter, bool) or not isinstance(self.jitter, (int, float)):

@@ -11,6 +11,12 @@ from itself: the verifier ranking and the running sums of its payments,
 once when it is built, and its normalization maxima, on first use, kept
 with the scenario for its lifetime. See :mod:`bcconf.metrics` for the
 closed forms.
+A document in the shipped line shape (comment lines, top-level ``key: scalar``
+lines and one ``verifiers:`` list of one-line ``- {id: ..., compute_capacity:
+..., unit_price: ...}`` items) is read line by line without PyYAML's
+pure-Python scanner, and each scalar is still typed by PyYAML's own resolver
+and constructor. Every other document goes through ``yaml.load``, and both
+routes give the same mapping and the same error messages.
 """
 from __future__ import annotations
 
@@ -20,7 +26,7 @@ import math
 import os
 import re
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, Optional, TextIO, Union
+from typing import Any, Callable, Container, Mapping, Optional, TextIO, Union
 
 import yaml
 
@@ -350,6 +356,7 @@ _SCALAR_FIELDS: dict[str, Callable[[str, Any], float]] = {
 _REQUIRED_FIELDS = (*_SCALAR_FIELDS, "verifiers")
 _OPTIONAL_FIELDS = ("weights", "qos_class", "mode_table")
 _WEIGHT_KEYS = ("latency", "security", "cost")  # a weights mapping's keys, in QosWeights' order
+_VERIFIER_KEYS = ("id", "compute_capacity", "unit_price")  # a verifier's keys, in VerifierProfile's order
 
 
 def _check_keys(
@@ -387,7 +394,7 @@ def _parse_weights(raw: Any, where: str) -> QosWeights:
 
 def _parse_verifier(raw: Any, index: int) -> VerifierProfile:
     where = f"verifiers[{index}]"
-    raw = _check_keys(raw, where, ("id", "compute_capacity", "unit_price"))
+    raw = _check_keys(raw, where, _VERIFIER_KEYS)
     return VerifierProfile(
         id=_parse_int(f"{where}.id", raw["id"]),
         compute_capacity=_parse_number(f"{where}.compute_capacity", raw["compute_capacity"]),
@@ -453,10 +460,85 @@ class _ScenarioLoader(yaml.SafeLoader):
         return mapping
 
 
-def parse_scenario(text: str) -> ScenarioParams:
-    """Parse and validate a scenario document given as YAML text."""
+# The line shape that _read_lines accepts; see its docstring.
+_LINE_TEXT = re.compile(r"[\n -~]*")  # printable ASCII and newlines: no tab, '\r' or control character
+_LINE_PAIR = re.compile(r"([a-z_]+): +(.+)")
+_LINE_ITEM = re.compile(r"( *)- +\{(.*)\}")
+_PLAIN_CHAR = r"(?:[-0-9A-Za-z_.+/~=]|:(?=\S))"  # no quote, indicator or '#'; ':' never ends a word
+_LINE_PLAIN = re.compile(rf"(?!:|-(?: |\Z)){_PLAIN_CHAR}+(?: +{_PLAIN_CHAR}+)*")
+_LINE_TAGS = frozenset(f"tag:yaml.org,2002:{kind}" for kind in ("int", "float", "str"))
+
+
+def _read_pair(loader: _ScenarioLoader, text: str, keys: Container[str], mapping: dict) -> bool:
+    """Add ``text``, a ``key: scalar`` pair, to ``mapping``; False, adding nothing, if it leaves the line shape.
+
+    The key must be in ``keys`` and new to ``mapping``. The scalar is typed by
+    ``loader``'s own resolver and constructor, as PyYAML types a plain scalar,
+    and only an int, float or str is kept.
+    """
+    pair = _LINE_PAIR.fullmatch(text)
+    if pair is None or pair[1] not in keys or pair[1] in mapping or not _LINE_PLAIN.fullmatch(pair[2]):
+        return False
+    tag = loader.resolve(yaml.ScalarNode, pair[2], (True, False))
+    if tag not in _LINE_TAGS:
+        return False
     try:
-        raw = yaml.load(text, Loader=_ScenarioLoader)
+        mapping[pair[1]] = loader.construct_object(yaml.ScalarNode(tag, pair[2]))
+    except ValueError:  # '0x_' resolves as an int that int() rejects; PyYAML reports it in its own order
+        return False
+    return True
+
+
+def _read_lines(text: str) -> Optional[dict[str, Any]]:
+    """The document as ``yaml.load(text, Loader=_ScenarioLoader)`` reads it, or None if it leaves the line shape.
+
+    The line shape is the shipped one: blank and comment lines, top-level
+    ``key: scalar`` lines for the scalar fields, and one ``verifiers:`` line
+    followed by at least one ``- {id: ..., compute_capacity: ..., unit_price: ...}``
+    item, all at one indent; any line may end in `` # comment``. Anything else,
+    such as a repeated or unknown key, a quote, anchor or tag, a nested
+    section or a null, returns None and is left to PyYAML.
+    """
+    if not _LINE_TEXT.fullmatch(text):
+        return None
+    loader = _ScenarioLoader("")
+    doc: dict[str, Any] = {}
+    items: Optional[list] = None  # the verifier list while its items are being read
+    indent = None
+    for line in text.split("\n"):
+        body = line.split(" #", 1)[0].rstrip(" ")
+        if not body or body[0] == "#":  # blank, or a comment line: " #" was split off above
+            continue
+        item = _LINE_ITEM.fullmatch(body)
+        if item is not None:
+            if items is None or (items and item[1] != indent):
+                return None
+            indent = item[1]
+            entry: dict[str, Any] = {}
+            if not all(_read_pair(loader, part.strip(" "), _VERIFIER_KEYS, entry) for part in item[2].split(",")):
+                return None
+            items.append(entry)
+        elif body == "verifiers:" and "verifiers" not in doc:
+            doc["verifiers"] = items = []
+        elif _read_pair(loader, body, _SCALAR_FIELDS, doc):
+            items = None
+        else:
+            return None
+    if not doc or doc.get("verifiers") == []:  # an empty document, or a null verifier list
+        return None
+    return doc
+
+
+def parse_scenario(text: str) -> ScenarioParams:
+    """Parse and validate a scenario document given as YAML text.
+
+    A document in the line shape is read by :func:`_read_lines`, any other by
+    PyYAML; both give the same mapping, and the checks after it are shared.
+    """
+    try:
+        raw = _read_lines(text)
+        if raw is None:
+            raw = yaml.load(text, Loader=_ScenarioLoader)
     except ParseError:
         raise
     except RecursionError:

@@ -3,13 +3,17 @@ from __future__ import annotations
 
 import csv
 import heapq
+import importlib.util
 import io
 import json
 import math
 import random
+import sys
 from pathlib import Path
 from typing import NamedTuple
+from unittest import mock
 
+from bcconf import model
 from bcconf import (
     QosWeights,
     ScenarioParams,
@@ -34,6 +38,20 @@ from bcconf.metrics import COLUMNS
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 TABLE2_PATH = REPO_ROOT / "scenarios" / "table2.scenario"
+
+
+def import_benchmark_module(name):
+    """``benchmarks/<name>.py`` as it is, imported by path under the module name ``bench_<name>``."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", REPO_ROOT / "benchmarks" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve the module's string annotations through it
+    spec.loader.exec_module(module)
+    return module
+
+
+def pyyaml_only():
+    """A context in which ``parse_scenario`` leaves every document to ``yaml.load``, as it did before the line reader."""
+    return mock.patch.object(model, "_read_lines", lambda text: None)
 
 
 def make_scenario(

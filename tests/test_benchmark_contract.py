@@ -7,7 +7,7 @@ are; nothing in them is edited.
 holding stale modules. What that set-up reads from ``sys.modules`` after
 ``import bcconf.cli`` is checked in a child process instead.
 """
-import importlib.util
+import importlib
 import os
 import subprocess
 import sys
@@ -17,15 +17,7 @@ import pytest
 
 import bcconf
 from bcconf import cli, dpos_sim, load_scenario, model, optimizer
-from helpers import REPO_ROOT
-
-
-def import_benchmark_module(name):
-    spec = importlib.util.spec_from_file_location(f"bench_{name}", REPO_ROOT / "benchmarks" / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses resolve the module's string annotations through it
-    spec.loader.exec_module(module)
-    return module
+from helpers import REPO_ROOT, import_benchmark_module
 
 
 workloads = import_benchmark_module("workloads")

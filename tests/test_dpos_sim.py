@@ -341,6 +341,20 @@ def test_sim_config_rejects_wrong_types(field, value):
         SimConfig(scenario=scenario, config=BlockchainConfig(1, 1), **{field: value})
 
 
+WRONG_CONFIGS = [
+    (BlockchainConfig(4, 9.0), "txns_per_block", 9.0),
+    (BlockchainConfig(4.0, 9), "num_verifiers", 4.0),
+    (BlockchainConfig(True, 9), "num_verifiers", True),
+]
+
+
+@pytest.mark.parametrize("config, field, value", WRONG_CONFIGS, ids=[repr(c) for c, _, _ in WRONG_CONFIGS])
+def test_sim_config_rejects_non_integer_configurations(config, field, value):
+    scenario = load_scenario(TABLE2_PATH)
+    with pytest.raises(ValidationError, match=rf"^config\.{field} must be an int, got {re.escape(repr(value))}$"):
+        SimConfig(scenario=scenario, config=config)
+
+
 def test_sim_config_accepts_int_jitter():
     scenario = make_scenario(capacities=(10.0, 5.0))
     sim = SimConfig(scenario=scenario, config=BlockchainConfig(2, 1), rounds=3, jitter=0)

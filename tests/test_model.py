@@ -19,9 +19,9 @@ from bcconf import (
     load_scenario,
     parse_scenario,
 )
-from bcconf import cli
+from bcconf import cli, model
 from bcconf.model import _OPTIONAL_FIELDS, _SCALAR_FIELDS, _ScenarioLoader, require_feasible
-from helpers import TABLE2_PATH, make_scenario
+from helpers import TABLE2_PATH, import_benchmark_module, make_scenario, pyyaml_only
 
 MINIMAL_DOC = """
 transaction_size_bits: 1000
@@ -198,6 +198,46 @@ def test_merge_sources_may_be_overridden_and_reused():
         ("c: {<<: [&s {k: 1}, {k: 2}], j: 0}\nd: {<<: *s, k: 3}", {"c": {"k": 1, "j": 0}, "d": {"k": 3}}),
     ):
         assert yaml.load(text, Loader=_ScenarioLoader) == loaded
+
+
+def test_shipped_line_shape_is_read_without_pyyaml(monkeypatch):
+    docs = [
+        TABLE2_PATH.read_text(encoding="utf-8"),
+        MINIMAL_DOC,
+        import_benchmark_module("workloads").generate_wide_scenario(5),
+    ]
+    with pyyaml_only():
+        expected = [parse_scenario(doc) for doc in docs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("yaml.load was called on a document in the line shape")
+
+    monkeypatch.setattr(yaml, "load", refuse)
+    assert [parse_scenario(doc) for doc in docs] == expected
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (
+            MINIMAL_DOC.replace("max_verifiers: 2\n", "max_verifiers: 2\nmin_verifiers: 1  # again\n"),
+            "duplicate key 'min_verifiers' on line 12 (first on line 10)",
+        ),
+        (MINIMAL_DOC.replace("{id: 1,", "{id: 1, id: 2,"), "duplicate key 'id' on line 16 (first on line 16)"),
+        (MINIMAL_DOC.replace("unit_price: 0.5}", "unit_price: 0.5, speed: 3}"), "unknown field 'verifiers[1].speed'"),
+        (MINIMAL_DOC + "# a NUL \x00 in a comment\n", "unacceptable character #x0000"),
+        (MINIMAL_DOC + "# a bell \x07 in a comment\n", "unacceptable character #x0007"),
+        (MINIMAL_DOC + "# a DEL \x7f in a comment\n", "unacceptable character #x007f"),
+    ],
+    ids=["top-level-repeat", "verifier-repeat", "unknown-verifier-key", "nul", "bell", "del"],
+)
+def test_line_shaped_errors_are_reported_as_pyyaml_reports_them(doc, message):
+    assert model._read_lines(doc) is None
+    with pytest.raises(ParseError, match=re.escape(message)) as raised:
+        parse_scenario(doc)
+    with pyyaml_only(), pytest.raises(ParseError) as expected:
+        parse_scenario(doc)
+    assert str(raised.value) == str(expected.value)
 
 
 def test_min_verifiers_above_max_is_a_validation_error():

@@ -1,4 +1,7 @@
-"""Property tests for the scenario parser: it round-trips, and bad input raises only ScenarioError."""
+"""Property tests for the scenario parser: it round-trips, bad input raises only ScenarioError, and
+its line reader reads what PyYAML reads."""
+import math
+
 import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -13,7 +16,9 @@ from bcconf import (
     dump_scenario,
     parse_scenario,
 )
-from bcconf.model import MODE_NAMES, PRIORITY_LEVELS, SECURITY_LEVELS
+from bcconf import model
+from bcconf.model import _SCALAR_FIELDS, MODE_NAMES, PRIORITY_LEVELS, SECURITY_LEVELS, _ScenarioLoader
+from helpers import TABLE2_PATH, pyyaml_only
 
 # Fixed examples keep tier-1 reproducible and within a few seconds.
 PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True)
@@ -138,3 +143,120 @@ def test_bad_documents_raise_only_scenario_errors(text):
         parse_scenario(text)
     except ScenarioError:
         pass
+
+
+# Plain scalars that YAML 1.1 types in surprising ways, as an int, a float or a string.
+TRICKY_SCALARS = (
+    "010", "0x1F", "0b101", "0o17", "1_000", "1:20", "190:20:30", "+12", "-3", "1.0e5", "2.0e-05", "1e3",
+    "1.5e+3", ".5", "5.", "1_0.5", ".inf", "-.inf", ".NaN", ".nan", "1.2 Mb/s", "0.5 Mb", "1 kb", "a - b",
+    "a  b", "a:b", "http://x", "-x", "._",
+)
+# Scalars the line reader leaves to PyYAML: other types, quotes, anchors, tags, flow and block
+# indicators, and ints that PyYAML resolves but cannot construct.
+OFF_SHAPE_SCALARS = (
+    "yes", "No", "on", "~", "null", "2001-12-14", "=", "<<", "'1'", '"2"', "&a 1", "*a", "!!str 3", "a#b",
+    "[1]", "{}", "- x", "-", ":x", "?x", "a: b", "a:", "|", ">", "0x_", "0b_",
+)
+# A value each field accepts, so that some documents build a scenario.
+SANE = {
+    "transaction_size_bits": "1 kb", "verification_workload": "400.0", "feedback_size_bits": "0.5 Mb",
+    "downlink_rate_bps": "1.2 Mb/s", "uplink_rate_bps": "1.3 Mb/s", "broadcast_coeff": "2.0e-05",
+    "security_coeff": "1.0", "network_scale_exponent": "2", "min_verifiers": "1", "max_verifiers": "2",
+    "min_txn_per_block": "1", "max_txn_per_block": "4", "compute_capacity": "10.0", "unit_price": "0.5",
+}
+
+
+@st.composite
+def line_shaped_documents(draw):
+    """Documents in the line reader's shape, or one rare step out of it.
+
+    In the shape: tricky scalars, trailing comments, varied spacing, missing
+    keys. Out of it, each about once in a few documents: a repeated or unknown
+    key, an off-shape scalar or spacing, mixed item indents, no items.
+    """
+
+    def odd(rate):  # true about once in ``rate`` draws: hypothesis favours a range's ends, not its middle
+        return draw(st.integers(min_value=0, max_value=rate - 1)) == rate // 2
+
+    def value(key):
+        if odd(80):
+            return draw(st.sampled_from(OFF_SHAPE_SCALARS))
+        if key in SANE and not odd(10):
+            return SANE[key]
+        return draw(st.sampled_from(TRICKY_SCALARS) | st.integers().map(str) | st.floats().map(repr))
+
+    def pair(key):
+        return f"{key}:{'' if odd(150) else ' ' * draw(st.integers(1, 2))}{value(key)}"
+
+    def trailer():
+        if odd(150):
+            return "#glued"
+        return draw(st.sampled_from(("", "", "  ", " # note", "  #: {x}, 'q'")))
+
+    keys = list(_SCALAR_FIELDS)
+    if odd(8):
+        keys.append(draw(st.sampled_from((*_SCALAR_FIELDS, "weights", "id", "zzz"))))
+    if odd(6):
+        keys.remove(draw(st.sampled_from(keys)))
+    lines = [pair(key) + trailer() for key in keys]
+    indent = draw(st.sampled_from(("", "  ", "    ")))
+    items = []
+    for i in range(0 if odd(20) else draw(st.integers(min_value=1, max_value=3))):
+        entry_keys = ["id", "compute_capacity", "unit_price"]
+        if odd(12):
+            entry_keys.append(draw(st.sampled_from(("id", "unit_price", "speed"))))
+        entries = [f"id: {i}" if key == "id" and not odd(4) else pair(key) for key in entry_keys]
+        sep = draw(st.sampled_from((", ", ",", " , ", ",  ")))
+        pad = " " * draw(st.integers(0, 1))
+        item_indent = " " + indent if i and odd(12) else indent
+        dash = "-" + " " * draw(st.integers(1, 2))
+        items.append(f"{item_indent}{dash}{{{pad}{sep.join(entries)}{pad}}}" + trailer())
+    at = draw(st.integers(min_value=0, max_value=len(lines)))
+    lines[at:at] = ["verifiers:" + trailer(), *items]
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        where = draw(st.integers(min_value=0, max_value=len(lines)))
+        lines.insert(where, draw(st.sampled_from(("", "# c", "   # c", "  "))))
+    return "\n".join(lines) + draw(st.sampled_from(("\n", "")))
+
+
+def _same_tree(a, b):
+    """Equal in value and in type at every depth, with key order, and NaN equal to NaN."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, dict):
+        return list(a) == list(b) and all(_same_tree(a[k], b[k]) for k in a)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(_same_tree, a, b))
+    if isinstance(a, float) and math.isnan(a):
+        return math.isnan(b)
+    return a == b
+
+
+def _outcome(text):
+    try:
+        return parse_scenario(text)
+    except ScenarioError as exc:
+        return type(exc), str(exc)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=300)
+@given(line_shaped_documents())
+@example(TABLE2_PATH.read_text(encoding="utf-8"))
+@example("min_verifiers: 010\nmax_verifiers: 0x1F\nbroadcast_coeff: 1.0e5 # str\nverifiers:\n- {id: 1:20, unit_price: .nan}\n")
+def test_line_reader_reads_what_pyyaml_reads(text):
+    raw = model._read_lines(text)
+    if raw is not None:
+        assert _same_tree(raw, yaml.load(text, Loader=_ScenarioLoader))
+    with pyyaml_only():
+        expected = _outcome(text)
+    assert _outcome(text) == expected
+
+
+def test_line_reader_reads_tricky_scalars_and_leaves_off_shape_ones_to_pyyaml():
+    for token in TRICKY_SCALARS + OFF_SHAPE_SCALARS:
+        text = f"security_coeff: {token}\nverifiers:\n  - {{id: 0, unit_price: {token}}}\n"
+        raw = model._read_lines(text)
+        if token in OFF_SHAPE_SCALARS:
+            assert raw is None, token
+        else:
+            assert raw is not None and _same_tree(raw, yaml.load(text, Loader=_ScenarioLoader)), token
