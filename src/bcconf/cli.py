@@ -17,12 +17,15 @@ consistency failure (simulated latency disagreeing with the closed form).
 Weight precedence: ``--weights`` beats the scenario file's sections, which
 beat the built-in mode defaults; equal weights are used when nothing else
 applies.
+
+:func:`main` builds its argument parser once per process and reuses it.
 """
 from __future__ import annotations
 
 import argparse
 import contextlib
 import csv
+import functools
 import hashlib
 import io
 import itertools
@@ -159,6 +162,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="rotate the block-manager role round-robin through the selected verifiers",
     )
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` reuses: argparse keeps each call's state in a new Namespace, never on the parser."""
+    return build_parser()
 
 
 def _resolve_out_dir(args: argparse.Namespace) -> Path:
@@ -392,9 +401,8 @@ _COMMANDS = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse already printed the message
         return int(exc.code or 0)
     started = time.perf_counter()

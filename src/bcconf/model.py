@@ -13,9 +13,12 @@ with the scenario for its lifetime. See :mod:`bcconf.metrics` for the
 closed forms.
 A document in the shipped line shape (comment lines, top-level ``key: scalar``
 lines and one ``verifiers:`` list of one-line ``- {id: ..., compute_capacity:
-..., unit_price: ...}`` items) is read line by line without PyYAML's
-pure-Python scanner, and each scalar is still typed by PyYAML's own resolver
-and constructor. Every other document goes through ``yaml.load``, and both
+..., unit_price: ...}`` items) is read line by line without PyYAML. Its
+scalars come in three spellings, each with one YAML 1.1 type: a decimal int
+(``12``, ``-3``), a float with digits before its point and an optional signed
+exponent (``400.0``, ``2.0e-05``), and a quantity string (``1 kb``,
+``1.2 Mb/s``). A document with any other scalar, such as ``010`` or
+``1.0e5``, goes through ``yaml.load`` like every other document, and both
 routes give the same mapping and the same error messages.
 """
 from __future__ import annotations
@@ -464,29 +467,33 @@ class _ScenarioLoader(yaml.SafeLoader):
 _LINE_TEXT = re.compile(r"[\n -~]*")  # printable ASCII and newlines: no tab, '\r' or control character
 _LINE_PAIR = re.compile(r"([a-z_]+): +(.+)")
 _LINE_ITEM = re.compile(r"( *)- +\{(.*)\}")
-_PLAIN_CHAR = r"(?:[-0-9A-Za-z_.+/~=]|:(?=\S))"  # no quote, indicator or '#'; ':' never ends a word
-_LINE_PLAIN = re.compile(rf"(?!:|-(?: |\Z)){_PLAIN_CHAR}+(?: +{_PLAIN_CHAR}+)*")
-_LINE_TAGS = frozenset(f"tag:yaml.org,2002:{kind}" for kind in ("int", "float", "str"))
+_LINE_INT = r"[-+]?(?:0|[1-9][0-9]*)"
+_LINE_FLOAT = r"[-+]?[0-9]+\.[0-9]*(?:[eE][-+][0-9]+)?"
+# Each scalar spelling the line shape allows, with the reader that gives it the value PyYAML gives it.
+_LINE_SCALARS = (
+    (re.compile(_LINE_INT), int),
+    (re.compile(_LINE_FLOAT), float),
+    (re.compile(rf"(?:{_LINE_INT}|{_LINE_FLOAT}) [A-Za-z]+(?:/s)?"), str),  # a quantity: number, space, unit
+)
 
 
-def _read_pair(loader: _ScenarioLoader, text: str, keys: Container[str], mapping: dict) -> bool:
+def _read_pair(text: str, keys: Container[str], mapping: dict) -> bool:
     """Add ``text``, a ``key: scalar`` pair, to ``mapping``; False, adding nothing, if it leaves the line shape.
 
-    The key must be in ``keys`` and new to ``mapping``. The scalar is typed by
-    ``loader``'s own resolver and constructor, as PyYAML types a plain scalar,
-    and only an int, float or str is kept.
+    The key must be in ``keys`` and new to ``mapping``, and the scalar must
+    have one of the spellings in ``_LINE_SCALARS``.
     """
     pair = _LINE_PAIR.fullmatch(text)
-    if pair is None or pair[1] not in keys or pair[1] in mapping or not _LINE_PLAIN.fullmatch(pair[2]):
+    if pair is None or pair[1] not in keys or pair[1] in mapping:
         return False
-    tag = loader.resolve(yaml.ScalarNode, pair[2], (True, False))
-    if tag not in _LINE_TAGS:
-        return False
-    try:
-        mapping[pair[1]] = loader.construct_object(yaml.ScalarNode(tag, pair[2]))
-    except ValueError:  # '0x_' resolves as an int that int() rejects; PyYAML reports it in its own order
-        return False
-    return True
+    for spelling, read in _LINE_SCALARS:
+        if spelling.fullmatch(pair[2]):
+            try:
+                mapping[pair[1]] = read(pair[2])
+            except ValueError:  # an int too long for int(); PyYAML reports it in its own order
+                return False
+            return True
+    return False
 
 
 def _read_lines(text: str) -> Optional[dict[str, Any]]:
@@ -496,12 +503,12 @@ def _read_lines(text: str) -> Optional[dict[str, Any]]:
     ``key: scalar`` lines for the scalar fields, and one ``verifiers:`` line
     followed by at least one ``- {id: ..., compute_capacity: ..., unit_price: ...}``
     item, all at one indent; any line may end in `` # comment``. Anything else,
-    such as a repeated or unknown key, a quote, anchor or tag, a nested
-    section or a null, returns None and is left to PyYAML.
+    such as a repeated or unknown key, a scalar in another spelling (``010``,
+    ``1.0e5``, ``.inf``, a null or a bare word), a quote, anchor or tag or a
+    nested section, returns None and is left to PyYAML.
     """
     if not _LINE_TEXT.fullmatch(text):
         return None
-    loader = _ScenarioLoader("")
     doc: dict[str, Any] = {}
     items: Optional[list] = None  # the verifier list while its items are being read
     indent = None
@@ -515,12 +522,12 @@ def _read_lines(text: str) -> Optional[dict[str, Any]]:
                 return None
             indent = item[1]
             entry: dict[str, Any] = {}
-            if not all(_read_pair(loader, part.strip(" "), _VERIFIER_KEYS, entry) for part in item[2].split(",")):
+            if not all(_read_pair(part.strip(" "), _VERIFIER_KEYS, entry) for part in item[2].split(",")):
                 return None
             items.append(entry)
         elif body == "verifiers:" and "verifiers" not in doc:
             doc["verifiers"] = items = []
-        elif _read_pair(loader, body, _SCALAR_FIELDS, doc):
+        elif _read_pair(body, _SCALAR_FIELDS, doc):
             items = None
         else:
             return None

@@ -112,6 +112,8 @@ def solve_greedy(scenario: ScenarioParams, weights: QosWeights) -> SolverResult:
     and freeze theta*(m) one step before the first increase (or at the upper
     bound if utility never increases). Once a verifier count's best utility
     exceeds the previous one's, return the previous count with its theta*.
+    Only a strict increase stops the sweep: on exactly tied row minima greedy
+    moves on to the larger m, where the oracle keeps the smaller one.
     Each row is evaluated lazily, so no point past the first increase is.
     """
     thetas = range(scenario.min_txn_per_block, scenario.max_txn_per_block + 1)

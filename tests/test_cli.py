@@ -540,3 +540,35 @@ def test_rotate_bm_flag(tmp_path):
     events = read_csv(out / "events.csv")
     rotations = [e for e in events if e["kind"] == "bm_rotated"]
     assert len(rotations) == 4
+
+
+SIMULATE = ("simulate", "--scenario", SCENARIO, "--m", "3", "--theta", "2", "--rounds", "4")
+OPTIMIZE = ("optimize", "--scenario", SCENARIO)
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        ((*SIMULATE, "--rotate-bm"), SIMULATE),
+        ((*OPTIMIZE, "--weights", "0.6,0.1,0.3"), OPTIMIZE),
+        ((*SIMULATE, "--rotate-bm", "--jitter", "uniform:x"), SIMULATE),
+    ],
+    ids=["rotate-bm-then-not", "weights-then-not", "bad-flag-then-good"],
+)
+def test_consecutive_calls_in_one_process_match_a_fresh_parser(tmp_path, monkeypatch, capsys, first, second):
+    def outcomes(side):
+        results = []
+        for index, argv in enumerate((first, second)):
+            out = tmp_path / side / str(index)
+            code = run_cli(*argv, "--out", str(out))
+            files = snapshot(out) if out.exists() else {}
+            files.pop("manifest.json", None)
+            results.append((code, capsys.readouterr().err, files))
+        return results
+
+    shared = outcomes("shared")
+    assert cli._parser() is cli._parser()
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    assert shared == outcomes("fresh")
+    assert [code for code, _, _ in shared] == [2 if "uniform:x" in first else 0, 0]
+    assert all(files for code, _, files in shared if code == 0)

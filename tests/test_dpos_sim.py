@@ -368,6 +368,13 @@ def test_sweep_sim_covers_grid_and_stays_within_tolerance():
     assert report.max_abs_rel_deviation <= 1e-9
 
 
+def test_sweep_sim_reports_the_largest_cell_deviation_under_jitter():
+    report = sweep_sim(load_scenario(TABLE2_PATH), rounds=5, seed=3, jitter=0.2)
+    deviations = [cell.max_abs_rel_deviation for cell in report.cells]
+    assert min(deviations) < max(deviations)  # about 0.068 and 0.187
+    assert report.max_abs_rel_deviation == max(deviations)
+
+
 def singleton_grid_scenario():
     """A one-verifier scenario whose feasible grid is the one configuration (1, 2)."""
     return make_scenario(

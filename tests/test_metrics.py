@@ -217,6 +217,17 @@ def test_cost_zero_when_all_prices_zero():
     assert cost(scenario, BlockchainConfig(2, 3)) == 0.0
 
 
+def test_partly_free_population_evaluates_cost_and_utility_exactly_zero():
+    # The fastest verifier is free, so m=1 costs exactly 0; with cost-only weights the utility is 0 too.
+    scenario = make_scenario(capacities=(10.0, 5.0), prices=(0.0, 1.0))
+    cost_only = QosWeights(0.0, 0.0, 1.0)
+    for weights in (QosWeights(1 / 3, 1 / 3, 1 / 3), cost_only):
+        cells = by_column(evaluate(scenario, weights, BlockchainConfig(1, 1)))
+        assert cells["cost"] == cells["cost_ratio"] == 0.0
+        assert [by_column(row)["cost"] for row in evaluate_row(scenario, weights, 1, range(1, 5))] == [0.0] * 4
+    assert by_column(evaluate(scenario, cost_only, BlockchainConfig(1, 1)))["utility"] == 0.0
+
+
 def test_cost_halves_exactly_when_theta_doubles():
     scenario = make_scenario(capacities=(10.0, 5.0, 2.0), prices=(0.3, 0.7, 1.1), max_txn_per_block=16)
     for m in (1, 2, 3):
@@ -653,6 +664,26 @@ def test_normalized_ratios_stay_in_bounds():
         assert 0.0 < cells["cost_ratio"] <= 1.0
         assert cells["security_ratio"] >= 1.0
         assert cells["utility"] >= weights.security_weight
+
+
+def _grid_utilities(scenario, weights):
+    """Every utility of the feasible grid in row-major order, as exact hex strings."""
+    ms, thetas = feasible_rows(scenario)
+    return [cells[-1].hex() for m in ms for cells in evaluate_row(scenario, weights, m, thetas)]
+
+
+@pytest.mark.parametrize("factor", (0.25, 2.0, 8.0))
+def test_scaling_all_prices_or_security_coeff_leaves_every_utility_bit_identical(factor):
+    rng = random.Random(43)
+    table2 = load_scenario(TABLE2_PATH)
+    cases = [(table2, QosWeights(1 / 3, 1 / 3, 1 / 3)), (table2, random_weights(rng))]
+    cases += [(random_scenario(rng), random_weights(rng)) for _ in range(100)]
+    for scenario, weights in cases:
+        expected = _grid_utilities(scenario, weights)
+        prices = tuple(replace(p, unit_price=p.unit_price * factor) for p in scenario.verifiers)
+        assert _grid_utilities(replace(scenario, verifiers=prices), weights) == expected
+        kappa = scenario.security_coeff * factor
+        assert _grid_utilities(replace(scenario, security_coeff=kappa), weights) == expected
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,5 +1,6 @@
 """Greedy sweep vs the exhaustive oracle: traces, tie-breaks, and gap reporting."""
 import csv
+import dataclasses
 import math
 import random
 
@@ -11,6 +12,7 @@ from bcconf import (
     QosWeights,
     SolverResult,
     ValidationError,
+    VerifierProfile,
     compare,
     dump_scenario,
     load_scenario,
@@ -140,6 +142,30 @@ def test_exhaustive_tie_break_prefers_smaller_config():
     greedy = solve_greedy(scenario, QosWeights(0.0, 1.0, 0.0))
     assert greedy.best_utility == result.best_utility
     assert greedy.best_config == BlockchainConfig(3, 5)  # flat rows sweep to the bound
+
+
+def test_greedy_moves_on_past_exactly_tied_row_minima():
+    # Rows m=1 and m=2 share their slowest verifier, so their minima tie exactly; m=3 is worse.
+    table2 = load_scenario(TABLE2_PATH)
+    scenario = dataclasses.replace(
+        table2,
+        verifiers=tuple(VerifierProfile(i, c, 1.0) for i, c in enumerate((10.0, 10.0, 5.0))),
+        broadcast_coeff=0.0, min_verifiers=1, max_verifiers=3, min_txn_per_block=1, max_txn_per_block=5,
+    )
+    weights = QosWeights(1.0, 0.0, 0.0)
+    greedy, oracle = solve_greedy(scenario, weights), solve_exhaustive(scenario, weights)
+    assert greedy.best_config == BlockchainConfig(2, 1)
+    assert oracle.best_config == BlockchainConfig(1, 1)
+    assert greedy.best_utility == oracle.best_utility == 0.5023766710656944
+    assert scan_unimodality(scenario, weights).greedy_exact
+
+
+@pytest.mark.parametrize(
+    "values, expected",
+    [([2, 2, 1], True), ([1, 2, 2], True), ([2, 2, 1, 1, 2, 2], True), ([1, 1, 2, 2, 1], False)],
+)
+def test_unimodality_allows_plateaus_on_both_flanks(values, expected):
+    assert optimizer._is_unimodal(values) is expected
 
 
 # Every entry point that enumerates the feasible grid; a string names a CLI command.

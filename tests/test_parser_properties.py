@@ -145,17 +145,22 @@ def test_bad_documents_raise_only_scenario_errors(text):
         pass
 
 
-# Plain scalars that YAML 1.1 types in surprising ways, as an int, a float or a string.
-TRICKY_SCALARS = (
-    "010", "0x1F", "0b101", "0o17", "1_000", "1:20", "190:20:30", "+12", "-3", "1.0e5", "2.0e-05", "1e3",
-    "1.5e+3", ".5", "5.", "1_0.5", ".inf", "-.inf", ".NaN", ".nan", "1.2 Mb/s", "0.5 Mb", "1 kb", "a - b",
-    "a  b", "a:b", "http://x", "-x", "._",
+# Plain scalars that YAML 1.1 types in surprising ways, as an int, a float or a string. The line
+# reader types the first group itself: signed decimal ints, floats with digits before the point and a
+# signed exponent, and quantities. It leaves the second group to PyYAML, though each is an int, a
+# float or a string there too: octal, hex, binary, underscored and sexagesimal numbers, an unsigned
+# exponent, no digit before the point, infinities and NaNs, and bare words.
+LINE_SCALARS = ("+12", "-3", "2.0e-05", "1.5e+3", "5.", "1.2 Mb/s", "0.5 Mb", "1 kb")
+PYYAML_SCALARS = (
+    "010", "0x1F", "0b101", "0o17", "1_000", "1:20", "190:20:30", "1.0e5", "1e3", ".5", "1_0.5", ".inf",
+    "-.inf", ".NaN", ".nan", "a - b", "a  b", "a:b", "http://x", "-x", "._",
 )
+TRICKY_SCALARS = LINE_SCALARS + PYYAML_SCALARS
 # Scalars the line reader leaves to PyYAML: other types, quotes, anchors, tags, flow and block
 # indicators, and ints that PyYAML resolves but cannot construct.
 OFF_SHAPE_SCALARS = (
     "yes", "No", "on", "~", "null", "2001-12-14", "=", "<<", "'1'", '"2"', "&a 1", "*a", "!!str 3", "a#b",
-    "[1]", "{}", "- x", "-", ":x", "?x", "a: b", "a:", "|", ">", "0x_", "0b_",
+    "[1]", "{}", "- x", "-", ":x", "?x", "a: b", "a:", "|", ">", "0x_", "0b_", "9" * 4301,
 )
 # A value each field accepts, so that some documents build a scenario.
 SANE = {
@@ -252,11 +257,30 @@ def test_line_reader_reads_what_pyyaml_reads(text):
     assert _outcome(text) == expected
 
 
+def _whole_document(token):
+    """A document in the line shape, with SANE values except that ``token`` is security_coeff and one unit_price."""
+    lines = [f"{key}: {token if key == 'security_coeff' else SANE[key]}" for key in _SCALAR_FIELDS]
+    verifiers = [
+        f"  - {{id: 0, compute_capacity: 10.0, unit_price: {token}}}",
+        "  - {id: 1, compute_capacity: 5.0, unit_price: 0.5}",
+    ]
+    return "\n".join([*lines, "verifiers:", *verifiers, ""])
+
+
 def test_line_reader_reads_tricky_scalars_and_leaves_off_shape_ones_to_pyyaml():
+    """A tricky scalar the reader types itself is read as PyYAML reads it. Any other token leaves the line shape,
+    and its whole document parses to what PyYAML alone gives: the same scenario or the same error."""
     for token in TRICKY_SCALARS + OFF_SHAPE_SCALARS:
         text = f"security_coeff: {token}\nverifiers:\n  - {{id: 0, unit_price: {token}}}\n"
         raw = model._read_lines(text)
-        if token in OFF_SHAPE_SCALARS:
-            assert raw is None, token
-        else:
+        if token in LINE_SCALARS:
             assert raw is not None and _same_tree(raw, yaml.load(text, Loader=_ScenarioLoader)), token
+        else:
+            assert raw is None, token
+        doc = _whole_document(token)
+        assert (model._read_lines(doc) is not None) == (token in LINE_SCALARS), token
+        with pyyaml_only():
+            expected = _outcome(doc)
+        assert _outcome(doc) == expected, token
+    # Some of the tokens left to PyYAML still make a valid scenario there.
+    assert isinstance(_outcome(_whole_document("1_000")), ScenarioParams)
