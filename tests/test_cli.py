@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -221,6 +222,64 @@ def test_qos_class_pins_verifier_count(tmp_path):
     ) == 0
     rows = read_csv(out / "result.csv")
     assert int(rows[0]["m"]) == 2
+
+
+# Table2 with a file-level qos_class, and table2 with file weights plus a mode_table.
+FILE_CLASS = "qos_class: {priority: high, security_need: low}\n"
+FILE_TABLES = (
+    "weights: [0.5, 0.2, 0.3]\n"
+    "mode_table:\n"
+    "  balanced: {weights: [0.2, 0.2, 0.6]}\n"
+    "  restricted: {verifier_bounds: [1, 4]}\n"
+)
+PRECEDENCE = {
+    # name: (file sections, flags, expected (box, weights), the (box, weights) of the rule it beats)
+    "file_class": (FILE_CLASS, (), ((2, 2), (0.6, 0.1, 0.3)), ((2, 10), (1 / 3, 1 / 3, 1 / 3))),
+    "flag_class_beats_file_class": (
+        FILE_CLASS, ("--qos-class", "low,high"), ((10, 10), (0.1, 0.6, 0.3)), ((2, 2), (0.6, 0.1, 0.3)),
+    ),
+    "no_class_file_weights": (FILE_TABLES, (), ((2, 10), (0.5, 0.2, 0.3)), ((2, 10), (1 / 3, 1 / 3, 1 / 3))),
+    "mode_table_weights_beat_file_weights": (
+        FILE_TABLES, ("--qos-class", "high,high"), ((2, 10), (0.2, 0.2, 0.6)), ((2, 10), (0.5, 0.2, 0.3)),
+    ),
+    "file_weights_beat_mode_defaults": (
+        FILE_TABLES, ("--qos-class", "low,low"), ((2, 10), (0.5, 0.2, 0.3)), ((2, 10), (0.1, 0.2, 0.7)),
+    ),
+    "mode_table_bounds_beat_pin_clamped": (
+        FILE_TABLES, ("--qos-class", "high,low"), ((2, 4), (0.5, 0.2, 0.3)), ((2, 2), (0.5, 0.2, 0.3)),
+    ),
+    "weights_flag_beats_all_bounds_stay": (
+        FILE_TABLES,
+        ("--qos-class", "high,low", "--weights", "0.1,0.1,0.8"),
+        ((2, 4), (0.1, 0.1, 0.8)),
+        ((2, 10), (0.1, 0.1, 0.8)),
+    ),
+    "weights_flag_beats_file_weights": (
+        FILE_TABLES, ("--weights", "0.1,0.1,0.8"), ((2, 10), (0.1, 0.1, 0.8)), ((2, 10), (0.5, 0.2, 0.3)),
+    ),
+}
+
+
+def greedy_on(box, weights):
+    scenario = replace(bcconf.load_scenario(TABLE2_PATH), min_verifiers=box[0], max_verifiers=box[1])
+    return bcconf.solve_greedy(scenario, bcconf.QosWeights(*weights))
+
+
+@pytest.mark.parametrize("name", PRECEDENCE)
+def test_optimize_weight_and_box_precedence(tmp_path, name):
+    sections, flags, expected, beaten = PRECEDENCE[name]
+    path = tmp_path / "qos.scenario"
+    path.write_text(TABLE2_PATH.read_text() + sections)
+    out = tmp_path / "run"
+    assert run_cli("optimize", "--scenario", str(path), "--out", str(out), *flags) == 0
+    (row,) = read_csv(out / "result.csv")
+    result = greedy_on(*expected)
+    config = result.best_config
+    assert (int(row["m"]), int(row["theta"])) == (config.num_verifiers, config.txns_per_block)
+    assert float(row["utility"]) == result.best_utility
+    assert int(row["evaluations"]) == result.evaluations
+    # The rule that loses would have chosen another configuration, so the case tells the two apart.
+    assert greedy_on(*beaten).best_config != config
 
 
 def test_sweep_row_count_matches_grid(tmp_path):
