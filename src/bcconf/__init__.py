@@ -38,7 +38,7 @@ from .optimizer import (
     solve_exhaustive,
     solve_greedy,
 )
-from .qos import ModeDirective, apply_directive, map_class
+from .qos import resolve as resolve_qos
 from .dpos_sim import (
     ModelMismatchError,
     SimConfig,

@@ -14,9 +14,8 @@ and is the one file excluded from that guarantee.
 Exit codes: 0 success, 2 validation failure, 3 I/O failure, 4 internal
 consistency failure (simulated latency disagreeing with the closed form).
 
-Weight precedence: ``--weights`` beats the scenario file's sections, which
-beat the built-in mode defaults; equal weights are used when nothing else
-applies.
+``--qos-class`` and ``--weights`` choose each run's verifier box and
+weights through :func:`bcconf.qos.resolve`, which states the precedence.
 
 :func:`main` builds its argument parser once per process and reuses it.
 """
@@ -70,11 +69,14 @@ def _parse_weights_flag(text: str) -> QosWeights:
         raise argparse.ArgumentTypeError(f"weights must be numbers, got {text!r}") from None
 
 
-def _parse_qos_class_flag(text: str) -> tuple[str, str]:
+def _parse_qos_class_flag(text: str) -> DataClass:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 2:
         raise argparse.ArgumentTypeError("expected priority,security_need, e.g. high,low")
-    return (parts[0], parts[1])
+    try:
+        return DataClass(*parts)
+    except ValidationError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _parse_jitter_flag(text: str) -> float:
@@ -116,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
             type=_parse_qos_class_flag,
             default=None,
             metavar="P,S",
-            help="priority,security_need pair mapped to a mode directive (overrides the file's qos_class)",
+            help="priority,security_need pair mapped to an operating mode (overrides the file's qos_class)",
         )
 
     def add_grid_cap(sub: argparse.ArgumentParser) -> None:
@@ -173,31 +175,6 @@ def _parser() -> argparse.ArgumentParser:
 def _resolve_out_dir(args: argparse.Namespace) -> Path:
     out = args.out or os.environ.get(OUT_DIR_ENV) or "."
     return Path(out)
-
-
-def _resolve_directive_and_weights(
-    scenario: ScenarioParams, args: argparse.Namespace
-) -> tuple[ScenarioParams, QosWeights]:
-    """Apply any qos-class directive, then pick weights by precedence."""
-    qos_pair = args.qos_class
-    data_class: Optional[DataClass] = None
-    if qos_pair is not None:
-        data_class = DataClass(priority=qos_pair[0], security_need=qos_pair[1])
-    elif scenario.qos_class is not None:
-        data_class = scenario.qos_class
-
-    directive = qos.map_class(data_class, scenario) if data_class is not None else None
-    effective = qos.apply_directive(scenario, directive) if directive is not None else scenario
-
-    if args.weights is not None:
-        weights = args.weights
-    elif directive is not None:
-        weights = directive.weights
-    elif scenario.weights is not None:
-        weights = scenario.weights
-    else:
-        weights = QosWeights(1 / 3, 1 / 3, 1 / 3)
-    return effective, weights
 
 
 class _ArtifactSet:
@@ -281,7 +258,7 @@ def _write_manifest(
 
 
 def _cmd_optimize(args: argparse.Namespace, scenario: ScenarioParams, artifacts: _ArtifactSet) -> None:
-    effective, weights = _resolve_directive_and_weights(scenario, args)
+    effective, weights = qos.resolve(scenario, args.qos_class, args.weights)
     result = optimizer.solve_greedy(effective, weights)
     *breakdown, _ = metrics.evaluate(effective, weights, result.best_config)
     record = {
@@ -306,7 +283,7 @@ def _cmd_optimize(args: argparse.Namespace, scenario: ScenarioParams, artifacts:
 
 
 def _cmd_sweep(args: argparse.Namespace, scenario: ScenarioParams, artifacts: _ArtifactSet) -> None:
-    effective, weights = _resolve_directive_and_weights(scenario, args)
+    effective, weights = qos.resolve(scenario, args.qos_class, args.weights)
     # An over-cap grid raises here, before any file exists.
     grid = optimizer.evaluate_grid(effective, weights, grid_cap=args.grid_cap)
     _write_table(
@@ -317,7 +294,7 @@ def _cmd_sweep(args: argparse.Namespace, scenario: ScenarioParams, artifacts: _A
 
 
 def _cmd_compare(args: argparse.Namespace, scenario: ScenarioParams, artifacts: _ArtifactSet) -> None:
-    effective, weights = _resolve_directive_and_weights(scenario, args)
+    effective, weights = qos.resolve(scenario, args.qos_class, args.weights)
     report = optimizer.compare(effective, weights, grid_cap=args.grid_cap)
     greedy, exhaustive = report.greedy, report.exhaustive
     series = itertools.zip_longest(greedy.best_so_far(), exhaustive.best_so_far(), fillvalue="")
@@ -367,7 +344,7 @@ def _prior_result_config(out_dir: Path) -> BlockchainConfig:
 
 
 def _cmd_simulate(args: argparse.Namespace, scenario: ScenarioParams, artifacts: _ArtifactSet) -> None:
-    effective, _ = _resolve_directive_and_weights(scenario, args)
+    effective, _ = qos.resolve(scenario, args.qos_class)
     if args.m is not None and args.theta is not None:
         config = BlockchainConfig(args.m, args.theta)
     elif args.m is None and args.theta is None:

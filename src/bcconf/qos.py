@@ -1,15 +1,13 @@
-"""Mapping of data classes to optimization directives.
+"""Mapping of data classes to a run's verifier box and weights.
 
 Each (priority, security need) quadrant selects an operating mode: a weight
 vector for the utility and, for the two restricted modes, a pin on the
-verifier count. The built-in weight table is a convention and can be
-overridden per mode through a scenario file's ``mode_table`` section; a
-file-level ``weights`` section overrides the built-in weights for every
-mode but yields to a per-mode ``mode_table`` entry.
+verifier count. The built-in weight table is a convention; :func:`resolve`
+states how a scenario file and the command line override it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Optional
 
 from .model import (
@@ -29,80 +27,48 @@ ECONOMY = "economy"
 _PIN_MIN = "min"
 _PIN_MAX = "max"
 
+_EQUAL = QosWeights(1 / 3, 1 / 3, 1 / 3)
+
 # (priority, security_need) -> (mode, default weights, verifier-count pin)
 _QUADRANTS: dict[tuple[str, str], tuple[str, QosWeights, Optional[str]]] = {
     ("high", "low"): (RESTRICTED, QosWeights(0.6, 0.1, 0.3), _PIN_MIN),
     ("low", "high"): (FULLY_RESTRICTED, QosWeights(0.1, 0.6, 0.3), _PIN_MAX),
-    ("high", "high"): (BALANCED, QosWeights(1 / 3, 1 / 3, 1 / 3), None),
+    ("high", "high"): (BALANCED, _EQUAL, None),
     ("low", "low"): (ECONOMY, QosWeights(0.1, 0.2, 0.7), None),
 }
 
 assert set(mode for mode, _, _ in _QUADRANTS.values()) == set(MODE_NAMES)
 
 
-@dataclass(frozen=True)
-class ModeDirective:
-    """What the optimizer should do for one data class."""
+def resolve(
+    scenario: ScenarioParams,
+    data_class: Optional[DataClass] = None,
+    weights: Optional[QosWeights] = None,
+) -> tuple[ScenarioParams, QosWeights]:
+    """The scenario narrowed to a run's verifier box, and the run's weights.
 
-    mode_name: str
-    weights: QosWeights
-    verifier_bound_override: Optional[tuple[int, int]] = None
-
-    def __post_init__(self):
-        if self.mode_name not in MODE_NAMES:
-            raise ValidationError(f"unknown mode name {self.mode_name!r}")
-
-
-def _find_rule(scenario: ScenarioParams, mode: str) -> Optional[ModeTableRule]:
-    if scenario.mode_table is None:
-        return None
-    for rule in scenario.mode_table:
-        if rule.mode == mode:
-            return rule
-    return None
-
-
-def _clamp_bounds(scenario: ScenarioParams, bounds: tuple[int, int]) -> tuple[int, int]:
+    ``weights`` (the ``--weights`` flag) comes first. With a data class
+    (``data_class``, else the file's ``qos_class``) the mode's
+    ``mode_table`` weights come next, then the file's ``weights``, then
+    the mode's built-in weights; the mode's ``mode_table`` bounds, else its
+    pin, are clamped into the scenario's verifier box and narrow it. With
+    no data class the file's ``weights`` beat equal weights, and
+    ``mode_table`` is not read. With no bounds to apply, the scenario
+    itself is returned.
+    """
+    data_class = data_class or scenario.qos_class
+    if data_class is None:
+        return scenario, weights or scenario.weights or _EQUAL
+    mode, default, pin = _QUADRANTS[(data_class.priority, data_class.security_need)]
+    rule = next((r for r in scenario.mode_table or () if r.mode == mode), ModeTableRule(mode))
+    weights = weights or rule.weights or scenario.weights or default
     v, big_m = scenario.min_verifiers, scenario.max_verifiers
-    lo = min(max(bounds[0], v), big_m)
-    hi = min(max(bounds[1], v), big_m)
+    bounds = rule.verifier_bounds or {_PIN_MIN: (v, v), _PIN_MAX: (big_m, big_m)}.get(pin)
+    if bounds is None:
+        return scenario, weights
+    lo, hi = (min(max(bound, v), big_m) for bound in bounds)
     if lo > hi:
         raise ValidationError(
-            f"verifier bound override {bounds} is empty after clamping to [{v}, {big_m}]"
+            f"field 'mode_table.{mode}.verifier_bounds': {bounds} is empty after clamping to [{v}, {big_m}]"
         )
-    return (lo, hi)
-
-
-def map_class(data_class: DataClass, scenario: ScenarioParams) -> ModeDirective:
-    """Deterministic lookup of the directive for a data class.
-
-    Weight precedence: per-mode ``mode_table`` entry, then the file-level
-    ``weights`` section, then the built-in quadrant defaults. Verifier-bound
-    overrides are clamped into the scenario's own bounds.
-    """
-    mode, weights, pin = _QUADRANTS[(data_class.priority, data_class.security_need)]
-    override: Optional[tuple[int, int]] = None
-    if pin == _PIN_MIN:
-        override = (scenario.min_verifiers, scenario.min_verifiers)
-    elif pin == _PIN_MAX:
-        override = (scenario.max_verifiers, scenario.max_verifiers)
-
-    if scenario.weights is not None:
-        weights = scenario.weights
-    rule = _find_rule(scenario, mode)
-    if rule is not None:
-        if rule.weights is not None:
-            weights = rule.weights
-        if rule.verifier_bounds is not None:
-            override = rule.verifier_bounds
-    if override is not None:
-        override = _clamp_bounds(scenario, override)
-    return ModeDirective(mode_name=mode, weights=weights, verifier_bound_override=override)
-
-
-def apply_directive(scenario: ScenarioParams, directive: ModeDirective) -> ScenarioParams:
-    """Scenario with the directive's verifier bounds applied, if any."""
-    if directive.verifier_bound_override is None:
-        return scenario
-    lo, hi = directive.verifier_bound_override
-    return replace(scenario, min_verifiers=lo, max_verifiers=hi)
+    return replace(scenario, min_verifiers=lo, max_verifiers=hi), weights

@@ -15,11 +15,10 @@ from bcconf import (
     BlockchainConfig,
     DataClass,
     QosWeights,
-    apply_directive,
     cli,
     compare,
     load_scenario,
-    map_class,
+    resolve_qos,
     scan_unimodality,
     security,
     solve_exhaustive,
@@ -187,8 +186,7 @@ def test_criterion_7_high_priority_low_security_pins_to_minimum():
     rng = random.Random(777)
     for _ in range(1000):
         scenario = random_scenario(rng)
-        directive = map_class(DataClass("high", "low"), scenario)
-        narrowed = apply_directive(scenario, directive)
-        result = solve_greedy(narrowed, directive.weights)
+        narrowed, weights = resolve_qos(scenario, DataClass("high", "low"))
+        result = solve_greedy(narrowed, weights)
         assert result.best_config.num_verifiers == scenario.min_verifiers
     print("[criterion 7] PASS: 1000 scenarios, optimized verifier count pinned to the minimum")

@@ -282,6 +282,27 @@ def test_optimize_weight_and_box_precedence(tmp_path, name):
     assert greedy_on(*beaten).best_config != config
 
 
+def test_reversed_mode_table_bounds_exit_2_naming_the_field(tmp_path, capsys):
+    path = tmp_path / "qos.scenario"
+    path.write_text(TABLE2_PATH.read_text() + "mode_table:\n  restricted: {verifier_bounds: [4, 2]}\n")
+    out = tmp_path / "run"
+    assert run_cli("optimize", "--scenario", str(path), "--out", str(out), "--qos-class", "high,low") == 2
+    err = capsys.readouterr().err
+    assert "mode_table.restricted.verifier_bounds" in err and "clamping" in err
+    assert not out.exists()
+    # With no data class the mode_table is not read.
+    assert run_cli("optimize", "--scenario", str(path), "--out", str(out)) == 0
+
+
+def test_invalid_qos_class_flag_exits_2_naming_the_field(tmp_path, capsys):
+    for text, reason in (("urgent,low", "priority"), ("high,none", "security_need"), ("high", "priority,security_need")):
+        assert run_cli("optimize", "--scenario", SCENARIO, "--out", str(tmp_path / "o"), "--qos-class", text) == 2
+        err = capsys.readouterr().err
+        assert reason in err
+        assert "_parse_qos_class_flag" not in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_sweep_row_count_matches_grid(tmp_path):
     out = tmp_path / "run"
     assert run_cli("sweep", "--scenario", SCENARIO, "--out", str(out)) == 0

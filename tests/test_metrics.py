@@ -228,6 +228,18 @@ def test_partly_free_population_evaluates_cost_and_utility_exactly_zero():
     assert by_column(evaluate(scenario, cost_only, BlockchainConfig(1, 1)))["utility"] == 0.0
 
 
+def test_valid_scenario_evaluates_latency_exactly_zero():
+    # The fastest verifier's time and every other stage underflow to 0 at m=1; m=2 keeps the slow verifier's 1e-30 s.
+    scenario = make_scenario(
+        capacities=(1e300, 1.0), prices=(1.0, 1.0), transaction_size_bits=1e-300, downlink_rate_bps=1e300,
+        feedback_size_bits=1e-300, uplink_rate_bps=1e300, verification_workload=1e-30, broadcast_coeff=0.0,
+    )
+    assert scenario.normalization.max_latency == 1e-30
+    cells = by_column(evaluate(scenario, QosWeights(1 / 3, 1 / 3, 1 / 3), BlockchainConfig(1, 1)))
+    assert cells["latency_s"] == cells["latency_ratio"] == 0.0
+    assert list(latency_row(scenario, 1, range(1, 5))) == [0.0] * 4
+
+
 def test_cost_halves_exactly_when_theta_doubles():
     scenario = make_scenario(capacities=(10.0, 5.0, 2.0), prices=(0.3, 0.7, 1.1), max_txn_per_block=16)
     for m in (1, 2, 3):
