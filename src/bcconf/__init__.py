@@ -30,10 +30,8 @@ from .metrics import (
     security,
 )
 from .optimizer import (
-    ComparisonReport,
     SolverResult,
     UnimodalityReport,
-    compare,
     scan_unimodality,
     solve_exhaustive,
     solve_greedy,

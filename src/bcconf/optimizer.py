@@ -10,8 +10,12 @@ at a time through :func:`bcconf.metrics.evaluate_row`, which holds every
 evaluation check and does each row's fixed work once; the solvers and the
 scan read only each configuration's last cell, the utility.
 
-A solver run (:class:`SolverResult`) is its optimum and its evaluations in
-order: ``configs[k]`` scored ``utilities[k]``. Only this module builds one.
+A solver run (:class:`SolverResult`) is its optimum, the rows it walked and
+their utilities in walk order. A row is an ``(m, thetas)`` pair; the
+exhaustive walk's rows are the feasible box itself, so no configuration is
+kept per point, and ``configs`` rebuilds them when read. Only this module
+builds a run. Comparing the solvers is two calls, the oracle first: the
+gap is greedy's best utility minus the oracle's, never negative.
 """
 from __future__ import annotations
 
@@ -33,20 +37,30 @@ from .model import (
 
 @dataclass(frozen=True)
 class SolverResult:
-    """A solver's optimum and every utility evaluation it made, in order: ``configs[k]`` scored ``utilities[k]``."""
+    """A solver's optimum and every utility evaluation it made, in order.
+
+    ``rows`` is the walk: ``(m, thetas)`` pairs, ``thetas`` the range of theta
+    evaluated at that m. ``utilities`` holds one value per point of the walk,
+    so ``configs[k]`` scored ``utilities[k]``.
+    """
 
     best_config: BlockchainConfig
     best_utility: float
-    configs: tuple[BlockchainConfig, ...]
+    rows: tuple[tuple[int, range], ...]
     utilities: tuple[float, ...]
 
     def __post_init__(self):
-        if len(self.configs) != len(self.utilities):
-            raise ValidationError(
-                f"trace has {len(self.configs)} configurations but {len(self.utilities)} utilities"
-            )
-        if self.best_config not in self.configs:
+        points = sum(len(thetas) for _, thetas in self.rows)
+        if points != len(self.utilities):
+            raise ValidationError(f"trace has {points} configurations but {len(self.utilities)} utilities")
+        m, theta = self.best_config.num_verifiers, self.best_config.txns_per_block
+        if not any(row_m == m and theta in thetas for row_m, thetas in self.rows):
             raise ValidationError("trace result must appear among its configurations")
+
+    @property
+    def configs(self) -> tuple[BlockchainConfig, ...]:
+        """Each evaluated configuration, in order, built from ``rows`` on each read."""
+        return tuple(BlockchainConfig(m, theta) for m, thetas in self.rows for theta in thetas)
 
     @property
     def evaluations(self) -> int:
@@ -56,23 +70,6 @@ class SolverResult:
     def best_so_far(self) -> tuple[float, ...]:
         """Running minimum of the utilities, one value per evaluation."""
         return tuple(itertools.accumulate(self.utilities, min))
-
-
-@dataclass(frozen=True)
-class ComparisonReport:
-    """Both solvers' outcomes on one scenario, for convergence-style plots."""
-
-    greedy: SolverResult
-    exhaustive: SolverResult
-
-    @property
-    def utility_gap(self) -> float:
-        """Greedy best minus exhaustive best; never negative."""
-        return self.greedy.best_utility - self.exhaustive.best_utility
-
-    @property
-    def greedy_suboptimal(self) -> bool:
-        return self.utility_gap > 0
 
 
 @dataclass(frozen=True)
@@ -117,7 +114,7 @@ def solve_greedy(scenario: ScenarioParams, weights: QosWeights) -> SolverResult:
     Each row is evaluated lazily, so no point past the first increase is.
     """
     thetas = range(scenario.min_txn_per_block, scenario.max_txn_per_block + 1)
-    configs: list[BlockchainConfig] = []
+    rows: list[tuple[int, range]] = []
     utilities: list[float] = []
     prev: Optional[tuple[int, float]] = None  # (theta*, utility*) of m - 1
     result_m = scenario.max_verifiers
@@ -125,7 +122,6 @@ def solve_greedy(scenario: ScenarioParams, weights: QosWeights) -> SolverResult:
         u_prev = math.inf
         for theta, cells in zip(thetas, metrics.evaluate_row(scenario, weights, m, thetas)):
             u = cells[-1]
-            configs.append(BlockchainConfig(m, theta))
             utilities.append(u)
             if u > u_prev:
                 theta_star, u_star = theta - 1, u_prev
@@ -134,13 +130,14 @@ def solve_greedy(scenario: ScenarioParams, weights: QosWeights) -> SolverResult:
         else:
             # No increase observed: the sweep ends at the upper bound.
             theta_star, u_star = thetas[-1], u_prev
+        rows.append((m, range(thetas.start, theta + 1)))  # theta is the row's last evaluated point
         if prev is not None and u_star > prev[1]:
             result_m = m - 1
             break
         prev = (theta_star, u_star)
     assert prev is not None
     best_theta, best_value = prev
-    return SolverResult(BlockchainConfig(result_m, best_theta), best_value, tuple(configs), tuple(utilities))
+    return SolverResult(BlockchainConfig(result_m, best_theta), best_value, tuple(rows), tuple(utilities))
 
 
 def solve_exhaustive(
@@ -149,26 +146,15 @@ def solve_exhaustive(
     """Enumerate every feasible configuration in row-major order.
 
     Returns the global minimizer; ties go to the smaller m, then smaller theta.
+    The result's rows are the feasible box, one per m.
     """
-    configs: list[BlockchainConfig] = []
-    utilities: list[float] = []
-    for m, thetas, row in evaluate_grid(scenario, weights, grid_cap=grid_cap):
-        configs.extend(BlockchainConfig(m, theta) for theta in thetas)
-        utilities.extend(cells[-1] for cells in row)
+    ms, thetas = feasible_rows(scenario, grid_cap)
+    utilities = tuple(cells[-1] for m in ms for cells in metrics.evaluate_row(scenario, weights, m, thetas))
     best = utilities.index(min(utilities))  # the first minimum wins ties
-    return SolverResult(configs[best], utilities[best], tuple(configs), tuple(utilities))
-
-
-def compare(
-    scenario: ScenarioParams, weights: QosWeights, *, grid_cap: int = DEFAULT_GRID_CAP
-) -> ComparisonReport:
-    """Run both solvers and report evaluation counts and the utility gap.
-
-    The exhaustive solver runs first, so an over-cap grid is refused before
-    anything is evaluated.
-    """
-    exhaustive = solve_exhaustive(scenario, weights, grid_cap=grid_cap)
-    return ComparisonReport(greedy=solve_greedy(scenario, weights), exhaustive=exhaustive)
+    row, column = divmod(best, len(thetas))
+    return SolverResult(
+        BlockchainConfig(ms[row], thetas[column]), utilities[best], tuple((m, thetas) for m in ms), utilities
+    )
 
 
 def _is_unimodal(values: Sequence[float]) -> bool:

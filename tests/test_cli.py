@@ -72,7 +72,12 @@ def test_missing_scenario_exits_3_without_partial_outputs(tmp_path):
 
 
 def test_invalid_weights_exit_2(tmp_path, capsys):
-    for weights, reason in (("0.9,0.9,0.9", "weights must sum to 1"), ("nan,0,1", "latency_weight")):
+    for weights, reason in (
+        ("0.9,0.9,0.9", "weights must sum to 1"),
+        ("nan,0,1", "latency_weight"),
+        ("0.5,0.5", "expected three comma-separated weights"),
+        ("a,b,c", "weights must be numbers"),
+    ):
         code = run_cli(
             "optimize", "--scenario", SCENARIO, "--out", str(tmp_path), "--weights", weights
         )
@@ -499,8 +504,11 @@ def test_failed_run_removes_every_directory_it_created(tmp_path, monkeypatch):
         (b"m,theta\n9,1.5\n", "column 'theta' must be an integer, got '1.5'"),
         (b"m,theta\n\xff,12\n", "not a readable CSV file"),
         (b'm,theta\n"' + b"9" * 200_000 + b'",12\n', "not a readable CSV file"),
+        (b"", "does not look like an optimize result"),
+        (b"theta,utility\n12,0.5\n", "does not look like an optimize result"),
+        (b"m,utility\n9,0.5\n", "does not look like an optimize result"),
     ],
-    ids=["short-row", "nul", "float", "not-utf8", "oversized-field"],
+    ids=["short-row", "nul", "float", "not-utf8", "oversized-field", "empty", "no-m", "no-theta"],
 )
 def test_simulate_rejects_malformed_prior_result(tmp_path, capsys, content, message):
     out = tmp_path / "run"

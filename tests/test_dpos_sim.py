@@ -440,6 +440,13 @@ def test_sweep_sim_equals_run_at_every_cell(jitter):
         assert cells == run_cells(scenario, rounds, index, jitter)
 
 
+def test_exact_run_is_within_a_zero_tolerance(monkeypatch):
+    # Table2 at (9, 12) simulates its closed form exactly: a deviation of 0.0 is at most a tolerance of 0.0.
+    monkeypatch.setattr(dpos_sim, "SIM_REL_TOL", 0.0)
+    sim = SimConfig(scenario=load_scenario(TABLE2_PATH), config=BlockchainConfig(9, 12))
+    assert run_simulation(sim).abs_rel_deviation == (0.0,)
+
+
 def test_run_raises_model_mismatch_naming_the_configuration_and_round(monkeypatch):
     latency_row = dpos_sim.metrics.latency_row
 

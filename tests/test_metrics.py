@@ -226,6 +226,11 @@ def test_partly_free_population_evaluates_cost_and_utility_exactly_zero():
         assert cells["cost"] == cells["cost_ratio"] == 0.0
         assert [by_column(row)["cost"] for row in evaluate_row(scenario, weights, 1, range(1, 5))] == [0.0] * 4
     assert by_column(evaluate(scenario, cost_only, BlockchainConfig(1, 1)))["utility"] == 0.0
+    # A negative utility beside that zero cost is named as the utility, not the cost.
+    negated = replace(scenario.normalization, max_latency=-scenario.normalization.max_latency)
+    object.__setattr__(scenario, "_normalization", negated)
+    with pytest.raises(ValidationError, match="^utility must be non-negative$"):
+        evaluate(scenario, QosWeights(1.0, 0.0, 0.0), BlockchainConfig(1, 1))
 
 
 def test_valid_scenario_evaluates_latency_exactly_zero():
@@ -238,6 +243,12 @@ def test_valid_scenario_evaluates_latency_exactly_zero():
     cells = by_column(evaluate(scenario, QosWeights(1 / 3, 1 / 3, 1 / 3), BlockchainConfig(1, 1)))
     assert cells["latency_s"] == cells["latency_ratio"] == 0.0
     assert list(latency_row(scenario, 1, range(1, 5))) == [0.0] * 4
+    # A negative cost beside that zero latency is named as the cost, not the latency.
+    prefix = list(scenario.payment_prefix)
+    prefix[1] = -1.0
+    object.__setattr__(scenario, "payment_prefix", tuple(prefix))
+    with pytest.raises(ValidationError, match="^cost must be non-negative$"):
+        evaluate(scenario, QosWeights(1 / 3, 1 / 3, 1 / 3), BlockchainConfig(1, 1))
 
 
 def test_cost_halves_exactly_when_theta_doubles():

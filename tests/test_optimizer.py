@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -13,7 +14,6 @@ from bcconf import (
     SolverResult,
     ValidationError,
     VerifierProfile,
-    compare,
     dump_scenario,
     load_scenario,
     scan_unimodality,
@@ -85,7 +85,28 @@ def test_exhaustive_covers_full_grid_row_major():
         BlockchainConfig(m, t) for m in range(2, 11) for t in range(2, 21)
     )
     ms, thetas = feasible_rows(scenario)
+    assert result.rows == tuple((m, thetas) for m in ms)
     assert result.configs == expected == tuple(BlockchainConfig(m, t) for m in ms for t in thetas)
+
+
+def test_exhaustive_memory_is_bounded_per_point():
+    # The walk keeps each point's utility (a float and its tuple slot, about
+    # 32 bytes) and one (m, thetas) pair per row, and no configuration per point.
+    rng = random.Random(100)
+    scenario = make_scenario(
+        capacities=tuple(rng.uniform(1.0, 200.0) for _ in range(100)),
+        prices=tuple(rng.uniform(0.01, 1.0) for _ in range(100)),
+        min_verifiers=2, min_txn_per_block=2, max_txn_per_block=200,
+    )
+    assert scenario.grid_size == 99 * 199
+    solve_exhaustive(scenario, EQUAL_WEIGHTS)  # warm up outside the measurement
+    tracemalloc.start()
+    try:
+        solve_exhaustive(scenario, EQUAL_WEIGHTS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / scenario.grid_size <= 64
 
 
 def test_greedy_beats_grid_size_on_table2():
@@ -98,25 +119,30 @@ def test_greedy_beats_grid_size_on_table2():
 
 def test_optimization_trace_invariants():
     cfg = BlockchainConfig(1, 1)
-    configs = (cfg, BlockchainConfig(1, 2), BlockchainConfig(1, 3), BlockchainConfig(2, 1))
+    rows = ((1, range(1, 4)), (2, range(1, 2)))
     utilities = (0.5, 0.4, 0.45, 0.2)
-    result = SolverResult(cfg, 0.5, configs, utilities)
+    result = SolverResult(cfg, 0.5, rows, utilities)
     assert result.evaluations == 4
+    assert result.configs == (cfg, BlockchainConfig(1, 2), BlockchainConfig(1, 3), BlockchainConfig(2, 1))
     # The running minimum, written out by hand.
     assert result.best_so_far() == (0.5, 0.4, 0.4, 0.2)
-    assert SolverResult(cfg, 0.7, (cfg,), (0.7,)).best_so_far() == (0.7,)
+    assert SolverResult(cfg, 0.7, ((1, range(1, 2)),), (0.7,)).best_so_far() == (0.7,)
     with pytest.raises(ValidationError, match="4 configurations but 3 utilities"):
-        SolverResult(cfg, 0.5, configs, utilities[:3])
+        SolverResult(cfg, 0.5, rows, utilities[:3])
     with pytest.raises(ValidationError, match="3 configurations but 4 utilities"):
-        SolverResult(cfg, 0.5, configs[:3], utilities)
-    with pytest.raises(ValidationError, match="result must appear among its configurations"):
-        SolverResult(BlockchainConfig(9, 9), 0.5, configs, utilities)
+        SolverResult(cfg, 0.5, rows[:1], utilities)
+    for absent in (BlockchainConfig(9, 9), BlockchainConfig(2, 2), BlockchainConfig(1, 4)):
+        with pytest.raises(ValidationError, match="result must appear among its configurations"):
+            SolverResult(absent, 0.5, rows, utilities)
 
 
 def test_greedy_trace_starts_at_lower_corner():
     scenario = load_scenario(TABLE2_PATH)
     result = solve_greedy(scenario, EQUAL_WEIGHTS)
     assert result.configs[0] == BlockchainConfig(2, 2)
+    # Each row runs from the lower bound to the last theta evaluated at its m.
+    assert [m for m, _ in result.rows] == list(range(2, result.best_config.num_verifiers + 2))
+    assert all(thetas.start == 2 and thetas.step == 1 for _, thetas in result.rows)
 
 
 def test_recorded_best_matches_fresh_evaluation():
@@ -176,7 +202,6 @@ GRID_CAP_ENTRY_POINTS = {
     "feasible_rows": feasible_rows,
     "solve_exhaustive": lambda s, cap: solve_exhaustive(s, EQUAL_WEIGHTS, grid_cap=cap),
     "scan_unimodality": lambda s, cap: scan_unimodality(s, EQUAL_WEIGHTS, grid_cap=cap),
-    "compare": lambda s, cap: compare(s, EQUAL_WEIGHTS, grid_cap=cap),
     "sweep_sim": lambda s, cap: sweep_sim(s, rounds=1, seed=0, grid_cap=cap),
     "cli_sweep": "sweep",
     "cli_compare": "compare",
@@ -218,8 +243,8 @@ def test_greedy_never_evaluates_more_than_exhaustive():
     for _ in range(200):
         scenario = random_scenario(rng)
         weights = random_weights(rng)
-        report = compare(scenario, weights)
-        assert report.greedy.evaluations <= report.exhaustive.evaluations
+        greedy, exhaustive = solve_greedy(scenario, weights), solve_exhaustive(scenario, weights)
+        assert greedy.evaluations <= exhaustive.evaluations
 
 
 def test_exhaustive_is_global_minimum_against_reenumeration():
@@ -253,21 +278,20 @@ def test_gap_never_negative_and_zero_when_unimodal():
     for _ in range(150):
         scenario = random_scenario(rng)
         weights = random_weights(rng)
-        report = compare(scenario, weights)
-        assert report.utility_gap >= 0.0
+        gap = solve_greedy(scenario, weights).best_utility - solve_exhaustive(scenario, weights).best_utility
+        assert gap >= 0.0
         if scan_unimodality(scenario, weights).greedy_exact:
-            assert report.utility_gap == 0.0
-            assert not report.greedy_suboptimal
+            assert gap == 0.0
 
 
 def test_adversarial_fixture_reports_honest_gap():
-    report = compare(ADVERSARIAL_SCENARIO, ADVERSARIAL_WEIGHTS)
-    assert report.greedy_suboptimal
-    assert report.utility_gap > 0.0
+    greedy = solve_greedy(ADVERSARIAL_SCENARIO, ADVERSARIAL_WEIGHTS)
+    exhaustive = solve_exhaustive(ADVERSARIAL_SCENARIO, ADVERSARIAL_WEIGHTS)
+    assert greedy.best_utility - exhaustive.best_utility > 0.0
     assert not scan_unimodality(ADVERSARIAL_SCENARIO, ADVERSARIAL_WEIGHTS).greedy_exact
     # The oracle exhibits the strictly better optimum the greedy sweep missed.
-    assert report.exhaustive.best_utility < report.greedy.best_utility
-    assert report.greedy.best_config != report.exhaustive.best_config
+    assert exhaustive.best_utility < greedy.best_utility
+    assert greedy.best_config != exhaustive.best_config
 
 
 def test_compare_on_degenerate_box():
@@ -275,19 +299,20 @@ def test_compare_on_degenerate_box():
         capacities=(4.0,), min_verifiers=1, max_verifiers=1,
         min_txn_per_block=2, max_txn_per_block=2,
     )
-    report = compare(scenario, EQUAL_WEIGHTS)
-    assert report.utility_gap == 0.0
-    assert report.greedy.configs == report.exhaustive.configs
-    assert report.greedy.utilities == report.exhaustive.utilities
-    assert report.greedy.best_so_far() == report.exhaustive.best_so_far()
+    greedy, exhaustive = solve_greedy(scenario, EQUAL_WEIGHTS), solve_exhaustive(scenario, EQUAL_WEIGHTS)
+    assert greedy.best_utility - exhaustive.best_utility == 0.0
+    assert greedy.rows == exhaustive.rows == ((1, range(2, 3)),)
+    assert greedy.configs == exhaustive.configs
+    assert greedy.utilities == exhaustive.utilities
+    assert greedy.best_so_far() == exhaustive.best_so_far()
 
 
 def test_best_so_far_series_is_nonincreasing():
     scenario = load_scenario(TABLE2_PATH)
-    report = compare(scenario, EQUAL_WEIGHTS)
-    for series in (report.greedy.best_so_far(), report.exhaustive.best_so_far()):
+    greedy, exhaustive = solve_greedy(scenario, EQUAL_WEIGHTS), solve_exhaustive(scenario, EQUAL_WEIGHTS)
+    for series in (greedy.best_so_far(), exhaustive.best_so_far()):
         assert all(a >= b for a, b in zip(series, series[1:]))
-    assert report.exhaustive.best_so_far()[-1] == report.exhaustive.best_utility
+    assert exhaustive.best_so_far()[-1] == exhaustive.best_utility
 
 
 def test_trace_csv_round_trips(tmp_path):
@@ -449,7 +474,8 @@ def test_each_entry_point_evaluates_each_configuration_once(scenario, kernel_cal
     greedy = solve_greedy(scenario, weights).evaluations
     assert len(kernel_calls) == greedy
     kernel_calls.clear()
-    compare(scenario, weights)
+    solve_exhaustive(scenario, weights)
+    solve_greedy(scenario, weights)
     assert len(kernel_calls) == grid + greedy
 
 
