@@ -17,9 +17,13 @@ lines and one ``verifiers:`` list of one-line ``- {id: ..., compute_capacity:
 scalars come in three spellings, each with one YAML 1.1 type: a decimal int
 (``12``, ``-3``), a float with digits before its point and an optional signed
 exponent (``400.0``, ``2.0e-05``), and a quantity string (``1 kb``,
-``1.2 Mb/s``). A document with any other scalar, such as ``010`` or
-``1.0e5``, goes through ``yaml.load`` like every other document, and both
-routes give the same mapping and the same error messages.
+``1.2 Mb/s``). A verifier item written as the shipped files write it (its keys
+in that order, one space after each colon and comma, each value an int or a
+float) is typed by one match; any other item is read pair by pair. A document
+with any other scalar, such as ``010`` or ``1.0e5``, goes through ``yaml.load``
+like every other document, and both routes give the same mapping and the same
+error messages. PyYAML is imported only by that fallback and by
+:func:`dump_scenario`.
 """
 from __future__ import annotations
 
@@ -28,10 +32,9 @@ import itertools
 import math
 import os
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Any, Callable, Container, Mapping, Optional, TextIO, Union
-
-import yaml
+from typing import Any, Callable, Container, Optional, TextIO, Union
 
 WEIGHT_SUM_TOL = 1e-9
 DEFAULT_GRID_CAP = 1_000_000
@@ -368,8 +371,11 @@ def _check_keys(
     """Return ``raw`` if it is a mapping with every required key and no unknown one.
 
     ``where`` is the mapping's own path, empty for the document itself; each
-    message names the full path of the offending key.
+    message names the full path of the offending key. A mapping that holds
+    exactly the required keys is accepted after one pass over them.
     """
+    if isinstance(raw, Mapping) and len(raw) == len(required) and all(key in raw for key in required):
+        return raw
     if not isinstance(raw, Mapping):
         if not where:
             raise ParseError("scenario document must be a key/value mapping")
@@ -396,6 +402,19 @@ def _parse_weights(raw: Any, where: str) -> QosWeights:
 
 
 def _parse_verifier(raw: Any, index: int) -> VerifierProfile:
+    """Item ``index`` of the verifier list; its field names are spelled out only for a message.
+
+    An item with exactly the three keys, an int id and an int or float for
+    each other value is built directly; any other item, or a value too large
+    for a float, goes through the readers, which name the field that fails.
+    """
+    if type(raw) is dict and len(raw) == 3:
+        id_, capacity, price = raw.get("id"), raw.get("compute_capacity"), raw.get("unit_price")
+        if type(id_) is int and type(capacity) in (int, float) and type(price) in (int, float):
+            try:
+                return VerifierProfile(id_, float(capacity), float(price))
+            except OverflowError:
+                pass
     where = f"verifiers[{index}]"
     raw = _check_keys(raw, where, _VERIFIER_KEYS)
     return VerifierProfile(
@@ -432,35 +451,64 @@ def _parse_mode_table(raw: Any) -> tuple[ModeTableRule, ...]:
     return tuple(rules)
 
 
-class _ScenarioLoader(yaml.SafeLoader):
-    """PyYAML's safe loader, except that a key given twice in one mapping is a :class:`ParseError`.
+@functools.cache
+def _scenario_loader() -> type:
+    """The loader class of the ``yaml.load`` fallback, built, with PyYAML imported, on the first call."""
+    import yaml
 
-    A ``<<`` merge may still override merged keys; each merge source is
-    constructed, and so checked, before PyYAML splices its entries in. Without
-    a merge or a repeat, the check is one length comparison per mapping.
-    """
+    class _ScenarioLoader(yaml.SafeLoader):
+        """PyYAML's safe loader, except that a key given twice in one mapping is a :class:`ParseError`.
 
-    def __init__(self, stream):
-        super().__init__(stream)
-        self._own: dict = {}  # each mapping node's own entries, kept before merged ones join them
+        A ``<<`` merge may still override merged keys; each merge source is
+        constructed, and so checked, before PyYAML splices its entries in. Without
+        a merge or a repeat, the check is one length comparison per mapping.
+        """
 
-    def flatten_mapping(self, node):
-        for key_node, value_node in node.value:
-            if key_node.tag == "tag:yaml.org,2002:merge":
-                self.construct_object(value_node, deep=True)  # a mapping, or a list of them
-        self._own.setdefault(node, node.value)  # merging deletes this list's '<<' entries, adds to a copy
-        super().flatten_mapping(node)
+        def __init__(self, stream):
+            super().__init__(stream)
+            self._own: dict = {}  # each mapping node's own entries, kept before merged ones join them
 
-    def construct_mapping(self, node, deep=False):
-        mapping = super().construct_mapping(node, deep=deep)
-        if len(mapping) < len(node.value):  # a key given twice, or a merged key overridden
-            first_lines: dict[Any, int] = {}
-            for key_node, _ in self._own[node]:
-                key, line = self.construct_object(key_node, deep=deep), key_node.start_mark.line + 1
-                if key in first_lines:
-                    raise ParseError(f"duplicate key {key!r} on line {line} (first on line {first_lines[key]})")
-                first_lines[key] = line
-        return mapping
+        def flatten_mapping(self, node):
+            for key_node, value_node in node.value:
+                if key_node.tag == "tag:yaml.org,2002:merge":
+                    self.construct_object(value_node, deep=True)  # a mapping, or a list of them
+            self._own.setdefault(node, node.value)  # merging deletes this list's '<<' entries, adds to a copy
+            super().flatten_mapping(node)
+
+        def construct_mapping(self, node, deep=False):
+            mapping = super().construct_mapping(node, deep=deep)
+            if len(mapping) < len(node.value):  # a key given twice, or a merged key overridden
+                first_lines: dict[Any, int] = {}
+                for key_node, _ in self._own[node]:
+                    key, line = self.construct_object(key_node, deep=deep), key_node.start_mark.line + 1
+                    if key in first_lines:
+                        raise ParseError(f"duplicate key {key!r} on line {line} (first on line {first_lines[key]})")
+                    first_lines[key] = line
+            return mapping
+
+    return _ScenarioLoader
+
+
+def __getattr__(name: str) -> Any:
+    # ``model._ScenarioLoader`` stays readable without importing PyYAML with the module (PEP 562).
+    if name == "_ScenarioLoader":
+        return _scenario_loader()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _load_yaml(text: str) -> Any:
+    """``text`` as ``yaml.load`` reads it with ``_ScenarioLoader``; each failure is a :class:`ParseError`."""
+    import yaml
+
+    try:
+        return yaml.load(text, Loader=_scenario_loader())
+    except ParseError:
+        raise
+    except RecursionError:
+        raise ParseError("not a valid scenario document: nested too deeply") from None
+    except (yaml.YAMLError, ValueError) as exc:
+        # PyYAML raises a bare ValueError for out-of-range timestamps and bad explicit tags.
+        raise ParseError(f"not a valid scenario document: {exc}") from exc
 
 
 # The line shape that _read_lines accepts; see its docstring.
@@ -474,6 +522,11 @@ _LINE_SCALARS = (
     (re.compile(_LINE_INT), int),
     (re.compile(_LINE_FLOAT), float),
     (re.compile(rf"(?:{_LINE_INT}|{_LINE_FLOAT}) [A-Za-z]+(?:/s)?"), str),  # a quantity: number, space, unit
+)
+# A verifier item as the shipped files write it: its indent, then each value, an int or a float spelling.
+_LINE_VERIFIER = re.compile(
+    rf"( *)- \{{id: ({_LINE_INT}|{_LINE_FLOAT}), compute_capacity: ({_LINE_INT}|{_LINE_FLOAT}),"
+    rf" unit_price: ({_LINE_INT}|{_LINE_FLOAT})\}}"
 )
 
 
@@ -505,7 +558,9 @@ def _read_lines(text: str) -> Optional[dict[str, Any]]:
     item, all at one indent; any line may end in `` # comment``. Anything else,
     such as a repeated or unknown key, a scalar in another spelling (``010``,
     ``1.0e5``, ``.inf``, a null or a bare word), a quote, anchor or tag or a
-    nested section, returns None and is left to PyYAML.
+    nested section, returns None and is left to PyYAML. An item that
+    ``_LINE_VERIFIER`` matches whole is typed by that one match; any other
+    item is read pair by pair.
     """
     if not _LINE_TEXT.fullmatch(text):
         return None
@@ -516,13 +571,20 @@ def _read_lines(text: str) -> Optional[dict[str, Any]]:
         body = line.split(" #", 1)[0].rstrip(" ")
         if not body or body[0] == "#":  # blank, or a comment line: " #" was split off above
             continue
-        item = _LINE_ITEM.fullmatch(body)
+        verifier = _LINE_VERIFIER.fullmatch(body)
+        item = verifier or _LINE_ITEM.fullmatch(body)
         if item is not None:
             if items is None or (items and item[1] != indent):
                 return None
             indent = item[1]
             entry: dict[str, Any] = {}
-            if not all(_read_pair(part.strip(" "), _VERIFIER_KEYS, entry) for part in item[2].split(",")):
+            if verifier is not None:
+                try:  # a float spelling has a point, an int spelling none
+                    for key, value in zip(_VERIFIER_KEYS, verifier.group(2, 3, 4)):
+                        entry[key] = float(value) if "." in value else int(value)
+                except ValueError:  # an int too long for int(), as in _read_pair
+                    return None
+            elif not all(_read_pair(part.strip(" "), _VERIFIER_KEYS, entry) for part in item[2].split(",")):
                 return None
             items.append(entry)
         elif body == "verifiers:" and "verifiers" not in doc:
@@ -540,19 +602,11 @@ def parse_scenario(text: str) -> ScenarioParams:
     """Parse and validate a scenario document given as YAML text.
 
     A document in the line shape is read by :func:`_read_lines`, any other by
-    PyYAML; both give the same mapping, and the checks after it are shared.
+    :func:`_load_yaml`; both give the same mapping, and the checks after it are shared.
     """
-    try:
-        raw = _read_lines(text)
-        if raw is None:
-            raw = yaml.load(text, Loader=_ScenarioLoader)
-    except ParseError:
-        raise
-    except RecursionError:
-        raise ParseError("not a valid scenario document: nested too deeply") from None
-    except (yaml.YAMLError, ValueError) as exc:
-        # PyYAML raises a bare ValueError for out-of-range timestamps and bad explicit tags.
-        raise ParseError(f"not a valid scenario document: {exc}") from exc
+    raw = _read_lines(text)
+    if raw is None:
+        raw = _load_yaml(text)
     raw = _check_keys(raw, "", _REQUIRED_FIELDS, _OPTIONAL_FIELDS)
     if not isinstance(raw["verifiers"], (list, tuple)):
         raise ParseError("field 'verifiers': expected a list")
@@ -579,6 +633,8 @@ def load_scenario(source: Union[str, os.PathLike, TextIO]) -> ScenarioParams:
 
 def dump_scenario(scenario: ScenarioParams) -> str:
     """Serialize a scenario back to YAML with all quantities in base units."""
+    import yaml
+
     doc: dict[str, Any] = {name: getattr(scenario, name) for name in _SCALAR_FIELDS}
     doc["verifiers"] = [
         {"id": p.id, "compute_capacity": p.compute_capacity, "unit_price": p.unit_price}

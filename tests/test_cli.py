@@ -574,18 +574,35 @@ def test_out_dir_defaults_to_environment_variable(tmp_path, monkeypatch):
     assert (target / "result.csv").is_file()
 
 
-def run_cli_process(*argv):
-    """Run the CLI in a child process, which imports the same bcconf as this one, installed or not."""
+def run_python(*args):
+    """Run Python in a child process, which imports the same bcconf as this one, installed or not."""
     package_root = str(Path(bcconf.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "bcconf.cli", *argv], capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def run_cli_process(*argv):
+    """Run the CLI in a child process."""
+    return run_python("-m", "bcconf.cli", *argv)
 
 
 def test_console_entry_point_runs():
     proc = run_cli_process("--version")
     assert proc.returncode == 0
     assert "bcconf" in proc.stdout
+
+
+def test_cli_import_and_an_optimize_in_the_line_shape_leave_pyyaml_unimported(tmp_path):
+    argv = ["optimize", "--scenario", SCENARIO, "--out", str(tmp_path / "o")]
+    code = (
+        "import sys, bcconf.cli; imported = 'yaml' in sys.modules; "
+        f"status = bcconf.cli.main({argv!r}); "
+        "print(imported, status, 'yaml' in sys.modules)"
+    )
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "0", "False"]
 
 
 def test_deeply_nested_scenario_exits_2_without_traceback(tmp_path):

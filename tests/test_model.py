@@ -216,6 +216,21 @@ def test_shipped_line_shape_is_read_without_pyyaml(monkeypatch):
     assert [parse_scenario(doc) for doc in docs] == expected
 
 
+def test_shipped_verifier_lines_are_typed_by_one_match(monkeypatch):
+    docs = [TABLE2_PATH.read_text(encoding="utf-8"), import_benchmark_module("workloads").generate_wide_scenario(5)]
+    with pyyaml_only():
+        expected = [parse_scenario(doc) for doc in docs]
+    read_pair = model._read_pair
+
+    def refuse_verifier_keys(text, keys, mapping):
+        if text.split(":")[0] in model._VERIFIER_KEYS:
+            raise AssertionError(f"verifier pair {text!r} was read pair by pair")
+        return read_pair(text, keys, mapping)
+
+    monkeypatch.setattr(model, "_read_pair", refuse_verifier_keys)
+    assert [parse_scenario(doc) for doc in docs] == expected
+
+
 @pytest.mark.parametrize(
     "doc, message",
     [

@@ -2,6 +2,7 @@
 its line reader reads what PyYAML reads."""
 import math
 
+import pytest
 import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -9,9 +10,11 @@ from hypothesis import strategies as st
 from bcconf import (
     DataClass,
     ModeTableRule,
+    ParseError,
     QosWeights,
     ScenarioError,
     ScenarioParams,
+    ValidationError,
     VerifierProfile,
     dump_scenario,
     parse_scenario,
@@ -284,3 +287,71 @@ def test_line_reader_reads_tricky_scalars_and_leaves_off_shape_ones_to_pyyaml():
         assert _outcome(doc) == expected, token
     # Some of the tokens left to PyYAML still make a valid scenario there.
     assert isinstance(_outcome(_whole_document("1_000")), ScenarioParams)
+
+
+ONE_MATCH, PAIR_BY_PAIR, OFF_SHAPE = "one match", "pair by pair", "off shape"
+
+
+@pytest.mark.parametrize(
+    "item, route, expected",
+    [
+        ("{id: 1, compute_capacity: 200, unit_price: 0.5}", ONE_MATCH, VerifierProfile(1, 200.0, 0.5)),
+        ("{id: +3, compute_capacity: 5.0, unit_price: 0.5}", ONE_MATCH, VerifierProfile(3, 5.0, 0.5)),
+        ("{id: 2.0, compute_capacity: 5.0, unit_price: 0.5}", ONE_MATCH, VerifierProfile(2, 5.0, 0.5)),
+        ("{id: 1, compute_capacity: 5.0, unit_price: -0.0}", ONE_MATCH, VerifierProfile(1, 5.0, -0.0)),
+        ("{id: 1, compute_capacity: 1., unit_price: 2.0e-05}", ONE_MATCH, VerifierProfile(1, 1.0, 2e-05)),
+        (
+            "{id: 1, compute_capacity: 5 kb, unit_price: 0.5}",
+            PAIR_BY_PAIR,
+            (ParseError, "field 'verifiers[1].compute_capacity': expected a number"),
+        ),
+        (
+            "{id: 1, compute_capacity: 5.0, unit_price: 1" + "0" * 400 + "}",
+            ONE_MATCH,
+            (ParseError, "field 'verifiers[1].unit_price': number too large for a float"),
+        ),
+        (
+            "{id: " + "9" * 4301 + ", compute_capacity: 5.0, unit_price: 0.5}",
+            OFF_SHAPE,
+            (ParseError, "not a valid scenario document: Exceeds the limit (4300 digits)"),
+        ),
+        (
+            "{id: 1, compute_capacity: -5.0, unit_price: 0.5}",
+            ONE_MATCH,
+            (ValidationError, "verifier 1: compute_capacity must be positive and finite"),
+        ),
+        ("{compute_capacity: 5.0, id: 1, unit_price: 0.5}", PAIR_BY_PAIR, VerifierProfile(1, 5.0, 0.5)),
+        ("{id:  1, compute_capacity: 5.0,  unit_price: 0.5}", PAIR_BY_PAIR, VerifierProfile(1, 5.0, 0.5)),
+    ],
+    ids=[
+        "int-capacity", "signed-id", "float-id", "negative-zero-price", "exponent-and-bare-point", "quantity",
+        "int-beyond-float", "id-beyond-int-digits", "negative-capacity", "keys-out-of-order", "extra-spaces",
+    ],
+)
+def test_verifier_line_edge_cases_read_as_pyyaml_reads_them(item, route, expected, monkeypatch):
+    """A verifier item takes the route the table names, and its document reads as under PyYAML alone:
+    the same mapping in value, type and key order, and the same scenario, signed zeros included, or error."""
+    lines = [f"{key}: {SANE[key]}" for key in _SCALAR_FIELDS]
+    doc = "\n".join([*lines, "verifiers:", "  - {id: 0, compute_capacity: 10.0, unit_price: 0.5}", f"  - {item}", ""])
+    pairs = []
+    read_pair = model._read_pair
+
+    def record(text, keys, mapping):
+        pairs.append(text)
+        return read_pair(text, keys, mapping)
+
+    monkeypatch.setattr(model, "_read_pair", record)
+    raw = model._read_lines(doc)
+    verifier_pairs = [text for text in pairs if text.split(":")[0] in model._VERIFIER_KEYS]
+    assert (OFF_SHAPE if raw is None else PAIR_BY_PAIR if verifier_pairs else ONE_MATCH) == route
+    if raw is not None:
+        assert _same_tree(raw, yaml.load(doc, Loader=_ScenarioLoader))
+    with pyyaml_only():
+        alone = _outcome(doc)
+    outcome = _outcome(doc)
+    assert repr(outcome) == repr(alone)
+    if isinstance(expected, VerifierProfile):
+        assert repr(outcome.verifiers[1]) == repr(expected)
+    else:
+        error, message = expected
+        assert outcome[0] is error and message in outcome[1]
