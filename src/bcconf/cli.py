@@ -17,6 +17,12 @@ consistency failure (simulated latency disagreeing with the closed form).
 ``--qos-class`` and ``--weights`` choose each run's verifier box and
 weights through :func:`bcconf.qos.resolve`, which states the precedence.
 
+Every CSV table goes through :func:`_write_table`, which writes it in chunks
+of :data:`_CHUNK_ROWS` rows, so no table is held in memory whole. ``sweep``
+formats the cells that depend on m only
+(:data:`bcconf.metrics.M_ONLY_COLUMNS`) once per grid row and hands them to
+the writer as text.
+
 :func:`main` builds its argument parser once per process and reuses it.
 """
 from __future__ import annotations
@@ -32,8 +38,9 @@ import json
 import os
 import sys
 import time
+from operator import itemgetter
 from pathlib import Path
-from typing import Collection, Iterable, Optional, Sequence, TextIO
+from typing import Collection, Iterable, Iterator, Optional, Sequence, TextIO
 
 from . import __version__, dpos_sim, metrics, optimizer, qos
 from .model import (
@@ -228,16 +235,26 @@ class _ArtifactSet:
                 directory.rmdir()
 
 
+# Rows per ``write`` of a table: what a table holds in memory at once.
+_CHUNK_ROWS = 1024
+
+
 def _write_table(handle: TextIO, header: Collection[str], rows: Iterable[tuple]) -> None:
-    """Write a CSV table in one ``write``: the header, then each row's cells by ``str``.
+    """Write a CSV table in chunks of :data:`_CHUNK_ROWS` rows: the header, then each row's cells by ``str``.
 
     Each row is a tuple with one cell per header name; a row of any other
-    length raises ``TypeError``. The bytes are those the ``csv`` module's
-    writer gives: ``str`` of a float is its ``repr``, and no header or cell
-    of these tables needs quoting.
+    length raises ``TypeError``. The header goes out with the first chunk, so
+    a table of up to ``_CHUNK_ROWS`` rows is one ``write``, and no table is
+    held in memory whole. The bytes are those the ``csv`` module's writer
+    gives: ``str`` of a float is its ``repr``, a ``str`` cell is written as it
+    is, and no header or cell of these tables needs quoting.
     """
     line = ",".join(["%s"] * len(header)) + "\n"
-    handle.write("".join([",".join(header) + "\n", *(line % row for row in rows)]))
+    lines = map(line.__mod__, rows)
+    chunk = [",".join(header) + "\n", *itertools.islice(lines, _CHUNK_ROWS)]
+    while chunk:
+        handle.write("".join(chunk))
+        chunk = list(itertools.islice(lines, _CHUNK_ROWS))
 
 
 def _write_manifest(
@@ -281,15 +298,30 @@ def _cmd_optimize(args: argparse.Namespace, scenario: ScenarioParams, artifacts:
     )
 
 
+# Where a point's m-only cells (:data:`bcconf.metrics.M_ONLY_COLUMNS`) sit among its cells.
+_M_ONLY_CELLS = itemgetter(*map(metrics.COLUMNS.index, metrics.M_ONLY_COLUMNS))
+# A surface.csv row after m and theta, picked from a point's cells followed by
+# the texts of its row's m-only cells: each m-only cell is taken as its text.
+_SURFACE_CELLS = itemgetter(*(
+    len(metrics.COLUMNS) + metrics.M_ONLY_COLUMNS.index(name) if name in metrics.M_ONLY_COLUMNS else k
+    for k, name in enumerate(metrics.COLUMNS)
+))
+
+
+def _surface_rows(grid: Iterable[tuple[int, range, Iterator[tuple[float, ...]]]]) -> Iterator[tuple]:
+    """Lazily, each ``surface.csv`` row of ``grid``, with its m-only cells formatted once per grid row."""
+    for m, thetas, row in grid:
+        first = next(row)  # a feasible row is never empty
+        texts = tuple(map(str, _M_ONLY_CELLS(first)))
+        for theta, cells in zip(thetas, itertools.chain((first,), row)):
+            yield (m, theta, *_SURFACE_CELLS(cells + texts))
+
+
 def _cmd_sweep(args: argparse.Namespace, scenario: ScenarioParams, artifacts: _ArtifactSet) -> None:
     effective, weights = qos.resolve(scenario, args.qos_class, args.weights)
     # An over-cap grid raises here, before any file exists.
     grid = optimizer.evaluate_grid(effective, weights, grid_cap=args.grid_cap)
-    _write_table(
-        artifacts.create("surface.csv"),
-        ["m", "theta", *metrics.COLUMNS],
-        ((m, theta, *cells) for m, thetas, row in grid for theta, cells in zip(thetas, row)),
-    )
+    _write_table(artifacts.create("surface.csv"), ["m", "theta", *metrics.COLUMNS], _surface_rows(grid))
 
 
 def _cmd_compare(args: argparse.Namespace, scenario: ScenarioParams, artifacts: _ArtifactSet) -> None:

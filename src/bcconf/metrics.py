@@ -23,8 +23,10 @@ one-point and whole-row cases:
 
 The row's fixed work is ``_row``'s, done once per row: the normalization
 read and positive security, with the payment sum whose quotient is the
-cost :func:`cost` returns. Feasibility is checked in
-:func:`bcconf.model.require_feasible`.
+cost :func:`cost` returns. The cells of :data:`M_ONLY_COLUMNS` are read or
+made once per row too, so a row yields the same object for each of them at
+every theta; ``sweep`` relies on it to format them once per row.
+Feasibility is checked in :func:`bcconf.model.require_feasible`.
 """
 from __future__ import annotations
 
@@ -216,6 +218,10 @@ COLUMNS = (
     "latency_s", "downlink_s", "verify_s", "broadcast_s", "feedback_s",
     "security", "cost", "latency_ratio", "security_ratio", "cost_ratio", "utility",
 )
+
+# The columns that depend on m only: ``_points`` reads them once per row, so
+# :func:`evaluate_row` yields the same object for each at every theta of a row.
+M_ONLY_COLUMNS = ("verify_s", "feedback_s", "security", "security_ratio")
 
 
 def evaluate(scenario: ScenarioParams, weights: QosWeights, config: BlockchainConfig) -> tuple[float, ...]:

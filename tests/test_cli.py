@@ -4,16 +4,18 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import bcconf
-from bcconf import cli, dpos_sim
-from helpers import TABLE2_PATH
+from bcconf import cli, dpos_sim, dump_scenario, metrics, qos
+from helpers import TABLE2_PATH, random_scenario
 
 SCENARIO = str(TABLE2_PATH)
 
@@ -62,6 +64,27 @@ def test_table_writer_rejects_a_row_whose_width_is_not_the_header_width():
     for row in ((1,), (1, 2, 3)):
         with pytest.raises(TypeError):
             cli._write_table(io.StringIO(), ["a", "b"], [row])
+
+
+class CountingSink(io.StringIO):
+    """A text handle that counts its ``write`` calls."""
+
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+@pytest.mark.parametrize(
+    "rows, writes",
+    [(0, 1), (1, 1), (cli._CHUNK_ROWS, 1), (cli._CHUNK_ROWS + 1, 2), (2 * cli._CHUNK_ROWS + 1, 3)],
+)
+def test_table_writer_writes_the_header_with_the_first_chunk_of_rows(rows, writes):
+    handle = CountingSink()
+    cli._write_table(handle, ["k", "v"], ((k, k / 7) for k in range(rows)))
+    assert handle.writes == writes
+    assert handle.getvalue() == "k,v\n" + "".join(f"{k},{k / 7!r}\n" for k in range(rows))
 
 
 def test_missing_scenario_exits_3_without_partial_outputs(tmp_path):
@@ -322,6 +345,99 @@ def test_sweep_grid_cap_exits_2(tmp_path):
     ) == 2
 
 
+def _differential_sweep_scenarios():
+    """50 random scenarios; some with a free fastest verifier, some whose cells print in exponent form."""
+    rng = random.Random(3002)
+    for k in range(50):
+        scenario = random_scenario(rng, max_m=6, max_n=9)
+        if k % 5 == 1:
+            free = scenario.ranked_verifiers[0]
+            verifiers = tuple(replace(p, unit_price=0.0) if p is free else p for p in scenario.verifiers)
+            scenario = replace(scenario, verifiers=verifiers)
+        elif k % 5 == 2:  # security and the stages of theta reach 1e16 and beyond
+            scenario = replace(scenario, security_coeff=1e18, transaction_size_bits=1e22)
+        elif k % 5 == 3:  # the feedback and broadcast stages fall below 1e-4
+            scenario = replace(scenario, uplink_rate_bps=1e12, broadcast_coeff=1e-13)
+        yield scenario
+
+
+def test_sweep_surface_is_the_csv_module_over_evaluate(tmp_path):
+    # surface.csv formats each row's m-only cells once; the bytes must be
+    # those of formatting every cell of every point.
+    header = ["m", "theta", *metrics.COLUMNS]
+    seen = {"e-": False, "e+": False, "free": False}
+    for k, scenario in enumerate(_differential_sweep_scenarios()):
+        path = tmp_path / f"s{k}.scenario"
+        path.write_text(dump_scenario(scenario), encoding="utf-8")
+        out = tmp_path / f"out{k}"
+        assert run_cli("sweep", "--scenario", str(path), "--out", str(out)) == 0
+        effective, weights = qos.resolve(bcconf.load_scenario(path))
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(header)
+        for m in range(effective.min_verifiers, effective.max_verifiers + 1):
+            for theta in range(effective.min_txn_per_block, effective.max_txn_per_block + 1):
+                writer.writerow([m, theta, *metrics.evaluate(effective, weights, bcconf.BlockchainConfig(m, theta))])
+        text = (out / "surface.csv").read_bytes().decode("utf-8")
+        assert text == expected.getvalue(), k
+        seen["e-"] |= "e-" in text
+        seen["e+"] |= "e+" in text
+        seen["free"] |= any(row["cost"] == "0.0" for row in csv.DictReader(io.StringIO(text)))
+    assert seen == {"e-": True, "e+": True, "free": True}
+
+
+def _table2_with_max_txn(tmp_path, max_txn):
+    text = TABLE2_PATH.read_text()
+    assert "max_txn_per_block: 20\n" in text
+    path = tmp_path / f"table2_n{max_txn}.scenario"
+    path.write_text(text.replace("max_txn_per_block: 20\n", f"max_txn_per_block: {max_txn}\n"))
+    return path
+
+
+def test_sweep_memory_does_not_grow_with_the_grid(tmp_path):
+    # surface.csv goes out a chunk of rows at a time and the grid is walked
+    # lazily, so no sweep holds its whole table.
+    def peak_bytes(max_txn):
+        argv = ("sweep", "--scenario", str(_table2_with_max_txn(tmp_path, max_txn)), "--out", str(tmp_path / "out"))
+        assert run_cli(*argv) == 0  # warm up outside the measurement
+        tracemalloc.start()
+        try:
+            assert run_cli(*argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # table2 has nine verifier counts: 9 * 499 and 9 * 3999 points.
+    assert (peak_bytes(4000) - peak_bytes(500)) / (9 * 3500) < 16
+
+
+def test_sweep_failing_after_a_written_chunk_leaves_nothing_behind(tmp_path, monkeypatch, capsys):
+    # Nine rows of 299 points: row m=6 starts past the first chunk of rows.
+    scenario = str(_table2_with_max_txn(tmp_path, 300))
+    assert 4 * 299 > cli._CHUNK_ROWS
+    evaluate_row = metrics.evaluate_row
+    written = []
+
+    def failing_row(scenario, weights, m, thetas):
+        if m == 6:
+            written.extend(path.stat().st_size for path in tmp_path.glob("**/.surface.csv.*.tmp"))
+            raise bcconf.ValidationError("row 6 fails")
+        return evaluate_row(scenario, weights, m, thetas)
+
+    earlier = tmp_path / "earlier"
+    assert run_cli("sweep", "--scenario", SCENARIO, "--out", str(earlier)) == 0
+    before = snapshot(earlier)
+    monkeypatch.setattr(metrics, "evaluate_row", failing_row)
+    for out in (tmp_path / "new" / "run", earlier):
+        written.clear()
+        assert run_cli("sweep", "--scenario", scenario, "--out", str(out)) == 2
+        assert "row 6 fails" in capsys.readouterr().err
+        assert len(written) == 1 and written[0] > 0  # the first chunk was out when the row failed
+    assert not (tmp_path / "new").exists()
+    assert snapshot(earlier) == before
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["earlier", "table2_n300.scenario"]
+
+
 def test_compare_reports_zero_gap_on_fixture(tmp_path):
     out = tmp_path / "run"
     assert run_cli("compare", "--scenario", SCENARIO, "--out", str(out)) == 0
@@ -407,8 +523,6 @@ def test_simulate_jitter_off_spellings_match_default(tmp_path):
 
 
 def test_simulate_model_mismatch_exits_4(tmp_path, monkeypatch, capsys):
-    from bcconf import metrics
-
     monkeypatch.setattr(metrics, "latency_row", lambda s, m, thetas: (1e9 for _ in thetas))
     out = tmp_path / "x"
     code = run_cli(
@@ -444,8 +558,6 @@ def count_logged_rounds(monkeypatch):
 
 
 def test_failed_simulate_leaves_earlier_artifacts_as_they_were(tmp_path, monkeypatch, capsys):
-    from bcconf import metrics
-
     out = tmp_path / "run"
     simulate = ("simulate", "--scenario", SCENARIO, "--out", str(out), "--m", "9", "--theta", "12")
     assert run_cli("optimize", "--scenario", SCENARIO, "--out", str(out)) == 0
@@ -488,8 +600,6 @@ def test_failed_simulate_leaves_earlier_artifacts_as_they_were(tmp_path, monkeyp
 
 
 def test_failed_run_removes_every_directory_it_created(tmp_path, monkeypatch):
-    from bcconf import metrics
-
     monkeypatch.setattr(metrics, "latency_row", lambda s, m, thetas: (1e9 for _ in thetas))
     out = tmp_path / "a" / "b"
     assert run_cli("simulate", "--scenario", SCENARIO, "--out", str(out), "--m", "2", "--theta", "2") == 4

@@ -21,7 +21,7 @@ from bcconf import (
     run_simulation,
     security,
 )
-from bcconf.metrics import _cells, evaluate, evaluate_row, latency_row
+from bcconf.metrics import COLUMNS, M_ONLY_COLUMNS, _cells, evaluate, evaluate_row, latency_row
 from bcconf.model import feasible_rows, require_feasible
 from helpers import (
     TABLE2_PATH,
@@ -435,6 +435,29 @@ def test_evaluate_row_matches_evaluate_bit_for_bit():
                 for theta, cells in zip(thetas, row):
                     expected = evaluate(scenario, weights, BlockchainConfig(m, theta))
                     assert [repr(cell) for cell in cells] == [repr(cell) for cell in expected]
+
+
+def test_m_only_cells_are_one_object_across_a_row():
+    # sweep formats these cells once per row and writes that text at every theta of it.
+    assert set(M_ONLY_COLUMNS) <= set(COLUMNS) and len(set(M_ONLY_COLUMNS)) == len(M_ONLY_COLUMNS)
+    positions = [COLUMNS.index(name) for name in M_ONLY_COLUMNS]
+    rng = random.Random(3001)
+    scenarios = [random_scenario(rng, max_m=6, max_n=9) for _ in range(60)]
+    scenarios += [
+        make_scenario(capacities=(7.0,) * 4, max_txn_per_block=6),  # equal capacities
+        make_scenario(capacities=(7.0, 7.0, 3.0), prices=(0.0, 1.0, 1.0)),
+        make_scenario(min_verifiers=2, min_txn_per_block=3, max_txn_per_block=3),  # a singleton grid
+    ]
+    assert scenarios[-1].grid_size == 1
+    rows = 0
+    for scenario in scenarios:
+        ms, thetas = feasible_rows(scenario)
+        weights = random_weights(rng)
+        for m in ms:
+            first, *rest = evaluate_row(scenario, weights, m, thetas)
+            assert all(cells[k] is first[k] for cells in rest for k in positions)
+            rows += 1
+    assert rows > 150
 
 
 def _broken(field, index, value):
