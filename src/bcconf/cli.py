@@ -52,6 +52,7 @@ from .model import (
     QosWeights,
     ScenarioParams,
     ValidationError,
+    feasible_rows,
     load_scenario,
 )
 from .dpos_sim import ModelMismatchError, SimConfig
@@ -308,9 +309,12 @@ _SURFACE_CELLS = itemgetter(*(
 ))
 
 
-def _surface_rows(grid: Iterable[tuple[int, range, Iterator[tuple[float, ...]]]]) -> Iterator[tuple]:
-    """Lazily, each ``surface.csv`` row of ``grid``, with its m-only cells formatted once per grid row."""
-    for m, thetas, row in grid:
+def _surface_rows(
+    scenario: ScenarioParams, weights: QosWeights, rows: Iterable[tuple[int, range]]
+) -> Iterator[tuple]:
+    """Lazily, each ``surface.csv`` row of the region ``rows``, with its m-only cells formatted once per row."""
+    for m, thetas in rows:
+        row = metrics.evaluate_row(scenario, weights, m, thetas)
         first = next(row)  # a feasible row is never empty
         texts = tuple(map(str, _M_ONLY_CELLS(first)))
         for theta, cells in zip(thetas, itertools.chain((first,), row)):
@@ -319,9 +323,10 @@ def _surface_rows(grid: Iterable[tuple[int, range, Iterator[tuple[float, ...]]]]
 
 def _cmd_sweep(args: argparse.Namespace, scenario: ScenarioParams, artifacts: _ArtifactSet) -> None:
     effective, weights = qos.resolve(scenario, args.qos_class, args.weights)
-    # An over-cap grid raises here, before any file exists.
-    grid = optimizer.evaluate_grid(effective, weights, grid_cap=args.grid_cap)
-    _write_table(artifacts.create("surface.csv"), ["m", "theta", *metrics.COLUMNS], _surface_rows(grid))
+    rows = feasible_rows(effective, args.grid_cap)  # an over-cap grid raises here, before any file exists
+    _write_table(
+        artifacts.create("surface.csv"), ["m", "theta", *metrics.COLUMNS], _surface_rows(effective, weights, rows)
+    )
 
 
 def _cmd_compare(args: argparse.Namespace, scenario: ScenarioParams, artifacts: _ArtifactSet) -> None:

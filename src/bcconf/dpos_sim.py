@@ -23,7 +23,7 @@ built.
 One private row generator, ``_runs``, runs the kernel at each configuration
 of a row and holds the one check of its latencies against the closed form
 (:func:`bcconf.metrics.latency_row`). :func:`run` is its one-point case, and
-:func:`sweep_sim` walks it over the feasible grid.
+:func:`sweep_sim` walks it over the region rows.
 
 Randomness comes from Python's Mersenne Twister (``random.Random``) seeded
 from the run configuration, built only when the jitter spread is nonzero;
@@ -315,14 +315,16 @@ def sweep_sim(
     without jitter a deviation above ``SIM_REL_TOL`` raises
     :class:`ModelMismatchError`; with jitter the deviations are only reported.
     """
-    ms, thetas = feasible_rows(scenario, grid_cap)
+    rows = feasible_rows(scenario, grid_cap)
+    m, thetas = rows[0]
     # Validates the run parameters once, before any cell is simulated.
-    SimConfig(scenario, BlockchainConfig(ms.start, thetas.start), rounds=rounds, jitter=jitter, rng_seed=seed)
-    rows = (_runs(scenario, m, thetas, rounds, jitter, seed, False, None) for m in ms)  # no rotation, no log
+    SimConfig(scenario, BlockchainConfig(m, thetas[0]), rounds=rounds, jitter=jitter, rng_seed=seed)
+    # No rotation, no log.
+    runs = (_runs(scenario, m, thetas, rounds, jitter, seed, False, None) for m, thetas in rows)
     return SimSweepReport(
         cells=tuple(
             SimSweepCell(config, analytic, sum(latencies) / len(latencies), max(deviations))
-            for row in rows
+            for row in runs
             for config, analytic, latencies, deviations in row
         )
     )

@@ -661,21 +661,19 @@ def dump_scenario(scenario: ScenarioParams) -> str:
     return yaml.safe_dump(doc, sort_keys=False)
 
 
-def feasible_rows(scenario: ScenarioParams, grid_cap: int = DEFAULT_GRID_CAP) -> tuple[range, range]:
-    """The feasible box as rows: its verifier counts m, and the theta run every row spans.
+def feasible_rows(scenario: ScenarioParams, grid_cap: int = DEFAULT_GRID_CAP) -> tuple[tuple[int, range], ...]:
+    """The feasible region as rows: ``(m, thetas)`` pairs, m ascending, ``thetas`` the row's theta run.
 
-    The one enumeration of the feasible box; row-major order is m outer,
-    theta inner. Raises :class:`GridCapError` if the grid has more than
-    ``grid_cap`` points.
+    The one enumeration of the region, shaped as ``SolverResult.rows``: no
+    row is empty, and every grid walk reads these region rows, not the
+    bounds. Raises :class:`GridCapError` above ``grid_cap`` points.
     """
     if scenario.grid_size > grid_cap:
         raise GridCapError(
             f"feasible grid has {scenario.grid_size} points, above the cap of {grid_cap}"
         )
-    return (
-        range(scenario.min_verifiers, scenario.max_verifiers + 1),
-        range(scenario.min_txn_per_block, scenario.max_txn_per_block + 1),
-    )
+    thetas = range(scenario.min_txn_per_block, scenario.max_txn_per_block + 1)
+    return tuple((m, thetas) for m in range(scenario.min_verifiers, scenario.max_verifiers + 1))
 
 
 def require_feasible(scenario: ScenarioParams, m: int, theta: int) -> None:

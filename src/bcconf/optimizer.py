@@ -1,28 +1,29 @@
 """Configuration search: greedy early-exit sweep and the exhaustive oracle.
 
-The greedy solver walks the integer grid coordinate-wise: for each verifier
-count m it sweeps transactions-per-block upward and stops at the first
-utility increase, then stops the outer loop at the first m whose best
-utility exceeds the previous one. The exhaustive solver enumerates the whole
-feasible box and is the ground-truth oracle the greedy result is compared
-against. Both solvers, the unimodality scan and ``sweep`` evaluate a row
-at a time through :func:`bcconf.metrics.evaluate_row`, which holds every
-evaluation check and does each row's fixed work once; the solvers and the
-scan read only each configuration's last cell, the utility.
+Every walk reads the region rows of :func:`bcconf.model.feasible_rows`,
+``(m, thetas)`` pairs in m order. The greedy solver sweeps each row's theta
+upward and stops at the first utility increase, then stops at the first row
+whose best utility exceeds the previous row's. The exhaustive solver
+enumerates every row and is the ground-truth oracle the greedy result is
+compared against. Both solvers, the unimodality scan and ``sweep`` evaluate
+a row at a time through :func:`bcconf.metrics.evaluate_row`, which holds
+every evaluation check and does each row's fixed work once; the solvers and
+the scan read only each configuration's last cell, the utility.
 
 A solver run (:class:`SolverResult`) is its optimum, the rows it walked and
-their utilities in walk order. A row is an ``(m, thetas)`` pair; the
-exhaustive walk's rows are the feasible box itself, so no configuration is
-kept per point, and ``configs`` rebuilds them when read. Only this module
-builds a run. Comparing the solvers is two calls, the oracle first: the
-gap is greedy's best utility minus the oracle's, never negative.
+their utilities in walk order. The exhaustive walk's rows are the region
+rows themselves, so no configuration is kept per point, and ``configs``
+rebuilds them when read. Only this module builds a run. Comparing the
+solvers is two calls, the oracle first: the gap is greedy's best utility
+minus the oracle's, never negative.
 """
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import metrics
 from .model import (
@@ -89,36 +90,21 @@ class UnimodalityReport:
         return self.rows_unimodal and self.row_minima_unimodal
 
 
-def evaluate_grid(
-    scenario: ScenarioParams, weights: QosWeights, *, grid_cap: int
-) -> Iterator[tuple[int, range, Iterator[tuple[float, ...]]]]:
-    """Lazily, each feasible row: its m, its theta run, and its cells from :func:`bcconf.metrics.evaluate_row`.
-
-    Row-major order, as :func:`bcconf.model.feasible_rows`, whose cap check
-    runs at call time. Lazy, so that consumers keep only what they need of
-    each configuration's cells and the whole grid of them is never held at once.
-    """
-    ms, thetas = feasible_rows(scenario, grid_cap)
-    return ((m, thetas, metrics.evaluate_row(scenario, weights, m, thetas)) for m in ms)
-
-
 def solve_greedy(scenario: ScenarioParams, weights: QosWeights) -> SolverResult:
-    """Coordinate-wise sweep with early exit on the first utility increase.
+    """Coordinate-wise sweep over the region rows with early exit on the first utility increase.
 
-    For each m from the minimum up: evaluate theta upward from its minimum
-    and freeze theta*(m) one step before the first increase (or at the upper
-    bound if utility never increases). Once a verifier count's best utility
-    exceeds the previous one's, return the previous count with its theta*.
+    For each row in m order: evaluate theta upward from the row's first and
+    freeze theta*(m) one step before the first increase (or at the row's
+    last theta if utility never increases). Once a row's best utility
+    exceeds the previous row's, return the previous row's m with its theta*.
     Only a strict increase stops the sweep: on exactly tied row minima greedy
-    moves on to the larger m, where the oracle keeps the smaller one.
+    moves on to the next row, where the oracle keeps the smaller m.
     Each row is evaluated lazily, so no point past the first increase is.
     """
-    thetas = range(scenario.min_txn_per_block, scenario.max_txn_per_block + 1)
     rows: list[tuple[int, range]] = []
     utilities: list[float] = []
-    prev: Optional[tuple[int, float]] = None  # (theta*, utility*) of m - 1
-    result_m = scenario.max_verifiers
-    for m in range(scenario.min_verifiers, scenario.max_verifiers + 1):
+    prev: Optional[tuple[int, int, float]] = None  # (m, theta*, utility*) of the previous row
+    for m, thetas in feasible_rows(scenario, scenario.grid_size):  # the grid cap never refuses greedy
         u_prev = math.inf
         for theta, cells in zip(thetas, metrics.evaluate_row(scenario, weights, m, thetas)):
             u = cells[-1]
@@ -128,16 +114,15 @@ def solve_greedy(scenario: ScenarioParams, weights: QosWeights) -> SolverResult:
                 break
             u_prev = u
         else:
-            # No increase observed: the sweep ends at the upper bound.
+            # No increase observed: the sweep ends at the row's last theta.
             theta_star, u_star = thetas[-1], u_prev
         rows.append((m, range(thetas.start, theta + 1)))  # theta is the row's last evaluated point
-        if prev is not None and u_star > prev[1]:
-            result_m = m - 1
+        if prev is not None and u_star > prev[2]:
             break
-        prev = (theta_star, u_star)
+        prev = (m, theta_star, u_star)
     assert prev is not None
-    best_theta, best_value = prev
-    return SolverResult(BlockchainConfig(result_m, best_theta), best_value, tuple(rows), tuple(utilities))
+    best_m, best_theta, best_value = prev
+    return SolverResult(BlockchainConfig(best_m, best_theta), best_value, tuple(rows), tuple(utilities))
 
 
 def solve_exhaustive(
@@ -146,15 +131,16 @@ def solve_exhaustive(
     """Enumerate every feasible configuration in row-major order.
 
     Returns the global minimizer; ties go to the smaller m, then smaller theta.
-    The result's rows are the feasible box, one per m.
+    The result's rows are the region rows, as :func:`bcconf.model.feasible_rows` gives them.
     """
-    ms, thetas = feasible_rows(scenario, grid_cap)
-    utilities = tuple(cells[-1] for m in ms for cells in metrics.evaluate_row(scenario, weights, m, thetas))
+    rows = feasible_rows(scenario, grid_cap)
+    row_cells = (metrics.evaluate_row(scenario, weights, m, thetas) for m, thetas in rows)
+    utilities = tuple(cells[-1] for row in row_cells for cells in row)
     best = utilities.index(min(utilities))  # the first minimum wins ties
-    row, column = divmod(best, len(thetas))
-    return SolverResult(
-        BlockchainConfig(ms[row], thetas[column]), utilities[best], tuple((m, thetas) for m in ms), utilities
-    )
+    ends = list(itertools.accumulate(len(thetas) for _, thetas in rows))
+    row = bisect.bisect_right(ends, best)  # the first row ending past the optimum holds it
+    m, thetas = rows[row]  # best - ends[row] counts back from the row's end
+    return SolverResult(BlockchainConfig(m, thetas[best - ends[row]]), utilities[best], rows, utilities)
 
 
 def _is_unimodal(values: Sequence[float]) -> bool:
@@ -168,16 +154,22 @@ def _is_unimodal(values: Sequence[float]) -> bool:
     return True
 
 
-def unimodality(values: Sequence[float], width: int) -> UnimodalityReport:
-    """Valley-shape diagnostics of a grid's utilities, given in row-major order in rows of ``width``.
+def unimodality(rows: Sequence[tuple[int, range]], values: Sequence[float]) -> UnimodalityReport:
+    """Valley-shape diagnostics of utilities given in the row-major order of ``rows``, one per point.
 
-    Checks the rows first, stopping at the first one that is not unimodal,
-    then the sequence of row minima.
+    Splits ``values`` at the rows' cumulative ends, then checks the rows
+    first, stopping at the first one that is not unimodal, then the sequence
+    of row minima. Raises :class:`ValidationError` unless the values fill the
+    rows exactly.
     """
-    rows = [values[i:i + width] for i in range(0, len(values), width)]
+    ends = list(itertools.accumulate(len(thetas) for _, thetas in rows))
+    points = ends[-1] if ends else 0
+    if points != len(values):
+        raise ValidationError(f"{len(values)} values do not fill rows of {points} points")
+    split = [values[start:end] for start, end in zip([0, *ends], ends)]
     return UnimodalityReport(
-        rows_unimodal=all(_is_unimodal(row) for row in rows),
-        row_minima_unimodal=_is_unimodal([min(row) for row in rows]),
+        rows_unimodal=all(_is_unimodal(row) for row in split),
+        row_minima_unimodal=_is_unimodal([min(row) for row in split]),
     )
 
 
@@ -185,7 +177,6 @@ def scan_unimodality(
     scenario: ScenarioParams, weights: QosWeights, *, grid_cap: int = DEFAULT_GRID_CAP
 ) -> UnimodalityReport:
     """Full-grid valley-shape check used as the greedy-exactness pre-scan."""
-    width = scenario.max_txn_per_block - scenario.min_txn_per_block + 1
-    values = [cells[-1] for _, _, row in evaluate_grid(scenario, weights, grid_cap=grid_cap) for cells in row]
-    return unimodality(values, width)
-
+    rows = feasible_rows(scenario, grid_cap)
+    values = [cells[-1] for m, thetas in rows for cells in metrics.evaluate_row(scenario, weights, m, thetas)]
+    return unimodality(rows, values)

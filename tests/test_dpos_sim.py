@@ -411,8 +411,7 @@ def run_cells(scenario, rounds, seed, jitter) -> tuple[SimSweepCell, ...]:
     bit for bit, so the sweep is not only checked against its own arithmetic.
     """
     cells = []
-    ms, thetas = feasible_rows(scenario)
-    for config in (BlockchainConfig(m, theta) for m in ms for theta in thetas):
+    for config in (BlockchainConfig(m, theta) for m, thetas in feasible_rows(scenario) for theta in thetas):
         sim = SimConfig(scenario=scenario, config=config, rounds=rounds, jitter=jitter, rng_seed=seed)
         report = run_simulation(sim)
         analytic = latency(scenario, config)

@@ -427,9 +427,8 @@ def test_evaluate_matches_utility_and_the_metric_functions_bit_for_bit():
 
 def test_evaluate_row_matches_evaluate_bit_for_bit():
     for scenario, weight_sets in bit_identity_inputs():
-        ms, thetas = feasible_rows(scenario)
         for weights in weight_sets:
-            for m in ms:
+            for m, thetas in feasible_rows(scenario):
                 row = list(evaluate_row(scenario, weights, m, thetas))
                 assert len(row) == len(thetas)
                 for theta, cells in zip(thetas, row):
@@ -451,9 +450,8 @@ def test_m_only_cells_are_one_object_across_a_row():
     assert scenarios[-1].grid_size == 1
     rows = 0
     for scenario in scenarios:
-        ms, thetas = feasible_rows(scenario)
         weights = random_weights(rng)
-        for m in ms:
+        for m, thetas in feasible_rows(scenario):
             first, *rest = evaluate_row(scenario, weights, m, thetas)
             assert all(cells[k] is first[k] for cells in rest for k in positions)
             rows += 1
@@ -475,12 +473,14 @@ def _walk(scenario, by_rows):
     cells = []
     try:
         if by_rows:
-            ms, thetas = feasible_rows(scenario)
-            for m in ms:
+            for m, thetas in feasible_rows(scenario):
                 cells.extend(evaluate_row(scenario, weights, m, thetas))
         else:
-            ms, thetas = feasible_rows(scenario)
-            cells.extend(evaluate(scenario, weights, BlockchainConfig(m, theta)) for m in ms for theta in thetas)
+            cells.extend(
+                evaluate(scenario, weights, BlockchainConfig(m, theta))
+                for m, thetas in feasible_rows(scenario)
+                for theta in thetas
+            )
     except Exception as exc:  # noqa: BLE001 - the walks must fail alike, whatever the failure
         return repr(cells), type(exc), str(exc)
     return repr(cells), None, None
@@ -597,8 +597,7 @@ def _outcome(walk):
 def test_latency_row_gives_latency_bit_for_bit():
     overflows = 0
     for scenario, _ in row_loop_inputs():
-        ms, thetas = feasible_rows(scenario)
-        for m in ms:
+        for m, thetas in feasible_rows(scenario):
             by_row = _outcome(lambda: latency_row(scenario, m, thetas))
             assert by_row == _outcome(lambda: (latency(scenario, BlockchainConfig(m, theta)) for theta in thetas))
             overflows += by_row[1] is not None
@@ -608,8 +607,7 @@ def test_latency_row_gives_latency_bit_for_bit():
 def test_evaluate_row_and_stages_match_the_point_path_on_random_scenarios():
     failed_rows = 0
     for scenario, weight_sets in row_loop_inputs():
-        ms, thetas = feasible_rows(scenario)
-        for m in ms:
+        for m, thetas in feasible_rows(scenario):
             configs = [BlockchainConfig(m, theta) for theta in thetas]
             terms = _outcome(lambda: (_cells(scenario, m, theta)[1:] for theta in thetas))
             for weights in weight_sets:
@@ -714,8 +712,8 @@ def test_normalized_ratios_stay_in_bounds():
 
 def _grid_utilities(scenario, weights):
     """Every utility of the feasible grid in row-major order, as exact hex strings."""
-    ms, thetas = feasible_rows(scenario)
-    return [cells[-1].hex() for m in ms for cells in evaluate_row(scenario, weights, m, thetas)]
+    rows = feasible_rows(scenario)
+    return [cells[-1].hex() for m, thetas in rows for cells in evaluate_row(scenario, weights, m, thetas)]
 
 
 @pytest.mark.parametrize("factor", (0.25, 2.0, 8.0))

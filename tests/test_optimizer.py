@@ -22,7 +22,7 @@ from bcconf import (
     sweep_sim,
 )
 from bcconf import cli, metrics, optimizer
-from bcconf.model import feasible_rows
+from bcconf.model import DEFAULT_GRID_CAP, feasible_rows
 from bcconf.optimizer import unimodality
 from helpers import (
     ADVERSARIAL_SCENARIO,
@@ -84,9 +84,9 @@ def test_exhaustive_covers_full_grid_row_major():
     expected = tuple(
         BlockchainConfig(m, t) for m in range(2, 11) for t in range(2, 21)
     )
-    ms, thetas = feasible_rows(scenario)
-    assert result.rows == tuple((m, thetas) for m in ms)
-    assert result.configs == expected == tuple(BlockchainConfig(m, t) for m in ms for t in thetas)
+    rows = feasible_rows(scenario)
+    assert result.rows == rows == tuple((m, range(2, 21)) for m in range(2, 11))
+    assert result.configs == expected == tuple(BlockchainConfig(m, t) for m, thetas in rows for t in thetas)
 
 
 def test_exhaustive_memory_is_bounded_per_point():
@@ -194,6 +194,21 @@ def test_unimodality_allows_plateaus_on_both_flanks(values, expected):
     assert optimizer._is_unimodal(values) is expected
 
 
+def test_unimodality_splits_the_values_at_the_row_ends():
+    rows = ((1, range(1, 4)), (2, range(1, 3)), (3, range(1, 2)))  # rows of 3, 2 and 1 points
+    assert unimodality(rows, [3.0, 2.0, 1.0, 5.0, 4.0, 6.0]) == optimizer.UnimodalityReport(True, True)
+    # Row minima 1, 4, 0; split in rows of 3 the minima would be 1, 0.
+    assert unimodality(rows, [3.0, 1.0, 2.0, 5.0, 4.0, 0.0]) == optimizer.UnimodalityReport(True, False)
+    assert unimodality(rows, [1.0, 3.0, 2.0, 2.0, 4.0, 5.0]) == optimizer.UnimodalityReport(False, True)
+
+
+@pytest.mark.parametrize("count", [0, 3, 5, 9])
+def test_unimodality_rejects_values_that_do_not_fill_the_rows(count):
+    rows = ((1, range(1, 5)), (2, range(1, 5)))  # 8 points
+    with pytest.raises(ValidationError, match=f"^{count} values do not fill rows of 8 points$"):
+        unimodality(rows, [float(k) for k in range(count)])
+
+
 # Every entry point that enumerates the feasible grid; a string names a CLI command.
 # No entry point may evaluate a configuration before it refuses. The CLI commands
 # that enumerate no grid must reject --grid-cap as an unknown flag.
@@ -236,6 +251,22 @@ def test_grid_cap_refusal(entry_point, tmp_path, capsys, kernel_calls):
             call(scenario, 170)
         assert kernel_calls == []
         call(scenario, 171)
+
+
+def test_optimize_runs_on_a_grid_above_the_cap(tmp_path):
+    # optimize reads no --grid-cap, and greedy is never refused by the cap: on this grid of two rows
+    # of 600,000 thetas each row's optimum is interior, so greedy stops after a few points per row.
+    scenario = make_scenario(max_txn_per_block=600_000)
+    assert scenario.grid_size == 1_200_000 > DEFAULT_GRID_CAP
+    path = tmp_path / "wide.scenario"
+    path.write_text(dump_scenario(scenario), encoding="utf-8")
+    out = tmp_path / "out"
+    argv = ["optimize", "--scenario", str(path), "--out", str(out), "--weights", "0.98,0.01,0.01"]
+    assert cli.main(argv) == 0
+    with open(out / "result.csv", encoding="utf-8", newline="") as handle:
+        (result,) = csv.DictReader(handle)
+    assert (result["m"], result["theta"]) == ("2", "78")
+    assert int(result["evaluations"]) < 200
 
 
 def test_greedy_never_evaluates_more_than_exhaustive():
@@ -345,11 +376,10 @@ def test_solvers_and_scan_record_the_scalar_utilities(monkeypatch):
             def scalar(config):
                 return metrics.evaluate(scenario, weights, config)[-1]
 
-            ms, thetas = feasible_rows(scenario)
-            grid = [BlockchainConfig(m, theta) for m in ms for theta in thetas]
-            width = scenario.max_txn_per_block - scenario.min_txn_per_block + 1
-            values = [scalar(config) for config in grid]
-            rows = [values[i:i + width] for i in range(0, len(values), width)]
+            region = feasible_rows(scenario)
+            grid = [BlockchainConfig(m, theta) for m, thetas in region for theta in thetas]
+            rows = [[scalar(BlockchainConfig(m, theta)) for theta in thetas] for m, thetas in region]
+            values = [value for row in rows for value in row]
             exhaustive = solve_exhaustive(scenario, weights)
             assert exhaustive.configs == tuple(grid)
             assert exhaustive.utilities == tuple(values)
@@ -369,9 +399,9 @@ def test_unimodality_of_the_exhaustive_utilities_is_the_scan():
     cases = [(random_scenario(rng), random_weights(rng)) for _ in range(150)]
     reports = set()
     for scenario, weights in [*cases, (ADVERSARIAL_SCENARIO, ADVERSARIAL_WEIGHTS)]:
-        width = scenario.max_txn_per_block - scenario.min_txn_per_block + 1
         report = scan_unimodality(scenario, weights)
-        assert unimodality(solve_exhaustive(scenario, weights).utilities, width) == report
+        exhaustive = solve_exhaustive(scenario, weights)
+        assert unimodality(exhaustive.rows, exhaustive.utilities) == report
         reports.add(report)
     assert {report.greedy_exact for report in reports} == {True, False}
 
