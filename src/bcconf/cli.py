@@ -15,7 +15,8 @@ Exit codes: 0 success, 2 validation failure, 3 I/O failure, 4 internal
 consistency failure (simulated latency disagreeing with the closed form).
 
 ``--qos-class`` and ``--weights`` choose each run's verifier box and
-weights through :func:`bcconf.qos.resolve`, which states the precedence.
+weights through :func:`bcconf.qos.resolve`, which states the precedence;
+``simulate`` takes no weights and rejects ``--weights``.
 
 Every CSV table goes through :func:`_write_table`, which writes it in chunks
 of :data:`_CHUNK_ROWS` rows, so no table is held in memory whole. ``sweep``
@@ -115,18 +116,20 @@ def build_parser() -> argparse.ArgumentParser:
         )
         sub.add_argument("--seed", type=int, default=0, help="seed recorded in the manifest and used by simulate")
         sub.add_argument(
-            "--weights",
-            type=_parse_weights_flag,
-            default=None,
-            metavar="L,S,C",
-            help="latency,security,cost weights; overrides the scenario file and mode defaults",
-        )
-        sub.add_argument(
             "--qos-class",
             type=_parse_qos_class_flag,
             default=None,
             metavar="P,S",
             help="priority,security_need pair mapped to an operating mode (overrides the file's qos_class)",
+        )
+
+    def add_weights(sub: argparse.ArgumentParser) -> None:
+        sub.add_argument(
+            "--weights",
+            type=_parse_weights_flag,
+            default=None,
+            metavar="L,S,C",
+            help="latency,security,cost weights; overrides the scenario file and mode defaults",
         )
 
     def add_grid_cap(sub: argparse.ArgumentParser) -> None:
@@ -139,15 +142,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub_optimize = subparsers.add_parser("optimize", help="greedy search; writes result.csv and trace.csv")
     add_common(sub_optimize)
+    add_weights(sub_optimize)
 
     sub_sweep = subparsers.add_parser("sweep", help="evaluate the whole grid; writes surface.csv")
     add_common(sub_sweep)
+    add_weights(sub_sweep)
     add_grid_cap(sub_sweep)
 
     sub_compare = subparsers.add_parser(
         "compare", help="greedy vs exhaustive; writes compare.csv and summary.csv"
     )
     add_common(sub_compare)
+    add_weights(sub_compare)
     add_grid_cap(sub_compare)
 
     sub_simulate = subparsers.add_parser(

@@ -214,18 +214,12 @@ def _simulate(
 
 
 def _runs(
-    scenario: ScenarioParams,
-    m: int,
-    thetas: range,
-    rounds: int,
-    jitter: float,
-    rng_seed: int,
-    rotate_bm: bool,
-    log: Optional[EventLog],
+    sim: SimConfig, m: int, thetas: range, log: Optional[EventLog]
 ) -> Iterator[tuple[BlockchainConfig, float, list[float], list[float]]]:
     """Lazily, ``(config, analytic, latencies, deviations)`` of each configuration (m, theta), theta in ``thetas``.
 
-    The run parameters are already validated. The row's fixed work is done
+    Each configuration runs under ``sim``'s scenario and its validated run
+    parameters; ``sim.config`` is not read. The row's fixed work is done
     once: one :func:`bcconf.metrics.latency_row` call gives the closed forms
     and checks the row's feasibility before anything runs, and every
     configuration times the same verifiers. Per configuration, the closed
@@ -235,17 +229,18 @@ def _runs(
     deviating by more than ``SIM_REL_TOL``, or by NaN, raises
     :class:`ModelMismatchError`. Both name the configuration.
     """
+    scenario = sim.scenario
     analytics = metrics.latency_row(scenario, m, thetas)
     verify_s = scenario.ranked_verify_s[:m]  # one tuple for the row, copied for no configuration
     selected_ids = [profile.id for profile in scenario.ranked_verifiers[:m]]
     for theta, service, analytic in zip(thetas, _service_times(scenario, m, thetas), analytics):
-        latencies = _simulate(service, verify_s, selected_ids, rounds, jitter, rng_seed, rotate_bm, log)
+        latencies = _simulate(service, verify_s, selected_ids, sim.rounds, sim.jitter, sim.rng_seed, sim.rotate_bm, log)
         if analytic <= 0:  # one that underflows to 0 leaves no relative deviation; NaN is a mismatch below
             raise ValidationError(
                 f"config (m={m}, theta={theta}): the closed-form latency must be positive, got {analytic!r}"
             )
         deviations = [abs(latency - analytic) / analytic for latency in latencies]
-        if not jitter:
+        if not sim.jitter:
             for round_index, deviation in enumerate(deviations):
                 if not deviation <= SIM_REL_TOL:  # also true for NaN
                     raise ModelMismatchError(
@@ -268,10 +263,8 @@ def run(sim: SimConfig, log: Optional[EventLog] = None) -> SimReport:
     :class:`ValidationError`, and without jitter a round deviating from it
     by more than ``SIM_REL_TOL`` raises :class:`ModelMismatchError`.
     """
-    m, theta = sim.config.num_verifiers, sim.config.txns_per_block
-    ((_, analytic, latencies, deviations),) = _runs(
-        sim.scenario, m, range(theta, theta + 1), sim.rounds, sim.jitter, sim.rng_seed, sim.rotate_bm, log
-    )
+    theta = sim.config.txns_per_block
+    ((_, analytic, latencies, deviations),) = _runs(sim, sim.config.num_verifiers, range(theta, theta + 1), log)
     return SimReport(tuple(latencies), sum(latencies) / len(latencies), analytic, tuple(deviations))
 
 
@@ -317,10 +310,9 @@ def sweep_sim(
     """
     rows = feasible_rows(scenario, grid_cap)
     m, thetas = rows[0]
-    # Validates the run parameters once, before any cell is simulated.
-    SimConfig(scenario, BlockchainConfig(m, thetas[0]), rounds=rounds, jitter=jitter, rng_seed=seed)
-    # No rotation, no log.
-    runs = (_runs(scenario, m, thetas, rounds, jitter, seed, False, None) for m, thetas in rows)
+    # Validates the run parameters once, before any cell is simulated; no rotation, no log.
+    sim = SimConfig(scenario, BlockchainConfig(m, thetas[0]), rounds=rounds, jitter=jitter, rng_seed=seed)
+    runs = (_runs(sim, m, thetas, None) for m, thetas in rows)
     return SimSweepReport(
         cells=tuple(
             SimSweepCell(config, analytic, sum(latencies) / len(latencies), max(deviations))

@@ -17,13 +17,13 @@ lines and one ``verifiers:`` list of one-line ``- {id: ..., compute_capacity:
 scalars come in three spellings, each with one YAML 1.1 type: a decimal int
 (``12``, ``-3``), a float with digits before its point and an optional signed
 exponent (``400.0``, ``2.0e-05``), and a quantity string (``1 kb``,
-``1.2 Mb/s``). A verifier item written as the shipped files write it (its keys
-in that order, one space after each colon and comma, each value an int or a
-float) is typed by one match; any other item is read pair by pair. A document
-with any other scalar, such as ``010`` or ``1.0e5``, goes through ``yaml.load``
-like every other document, and both routes give the same mapping and the same
-error messages. PyYAML is imported only by that fallback and by
-:func:`dump_scenario`.
+``1.2 Mb/s``). A verifier item must be written as the shipped files write it
+(its keys in that order, one space after each colon and comma, each value an
+int or a float), and is typed by one match. A document with any other item or
+scalar, such as ``{compute_capacity: 5.0, id: 1, ...}``, ``010`` or ``1.0e5``,
+goes through ``yaml.load`` as a whole like every other document, and both
+routes give the same mapping and the same error messages. PyYAML is imported
+only by that fallback and by :func:`dump_scenario`.
 """
 from __future__ import annotations
 
@@ -34,7 +34,7 @@ import os
 import re
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Any, Callable, Container, Optional, TextIO, Union
+from typing import Any, Callable, Optional, TextIO, Union
 
 WEIGHT_SUM_TOL = 1e-9
 DEFAULT_GRID_CAP = 1_000_000
@@ -371,11 +371,8 @@ def _check_keys(
     """Return ``raw`` if it is a mapping with every required key and no unknown one.
 
     ``where`` is the mapping's own path, empty for the document itself; each
-    message names the full path of the offending key. A mapping that holds
-    exactly the required keys is accepted after one pass over them.
+    message names the full path of the offending key.
     """
-    if isinstance(raw, Mapping) and len(raw) == len(required) and all(key in raw for key in required):
-        return raw
     if not isinstance(raw, Mapping):
         if not where:
             raise ParseError("scenario document must be a key/value mapping")
@@ -489,15 +486,8 @@ def _scenario_loader() -> type:
     return _ScenarioLoader
 
 
-def __getattr__(name: str) -> Any:
-    # ``model._ScenarioLoader`` stays readable without importing PyYAML with the module (PEP 562).
-    if name == "_ScenarioLoader":
-        return _scenario_loader()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 def _load_yaml(text: str) -> Any:
-    """``text`` as ``yaml.load`` reads it with ``_ScenarioLoader``; each failure is a :class:`ParseError`."""
+    """``text`` as ``yaml.load`` reads it with ``_scenario_loader()``; each failure is a :class:`ParseError`."""
     import yaml
 
     try:
@@ -514,7 +504,6 @@ def _load_yaml(text: str) -> Any:
 # The line shape that _read_lines accepts; see its docstring.
 _LINE_TEXT = re.compile(r"[\n -~]*")  # printable ASCII and newlines: no tab, '\r' or control character
 _LINE_PAIR = re.compile(r"([a-z_]+): +(.+)")
-_LINE_ITEM = re.compile(r"( *)- +\{(.*)\}")
 _LINE_INT = r"[-+]?(?:0|[1-9][0-9]*)"
 _LINE_FLOAT = r"[-+]?[0-9]+\.[0-9]*(?:[eE][-+][0-9]+)?"
 # Each scalar spelling the line shape allows, with the reader that gives it the value PyYAML gives it.
@@ -530,14 +519,14 @@ _LINE_VERIFIER = re.compile(
 )
 
 
-def _read_pair(text: str, keys: Container[str], mapping: dict) -> bool:
+def _read_pair(text: str, mapping: dict) -> bool:
     """Add ``text``, a ``key: scalar`` pair, to ``mapping``; False, adding nothing, if it leaves the line shape.
 
-    The key must be in ``keys`` and new to ``mapping``, and the scalar must
-    have one of the spellings in ``_LINE_SCALARS``.
+    The key must be one of ``_SCALAR_FIELDS`` and new to ``mapping``, and the
+    scalar must have one of the spellings in ``_LINE_SCALARS``.
     """
     pair = _LINE_PAIR.fullmatch(text)
-    if pair is None or pair[1] not in keys or pair[1] in mapping:
+    if pair is None or pair[1] not in _SCALAR_FIELDS or pair[1] in mapping:
         return False
     for spelling, read in _LINE_SCALARS:
         if spelling.fullmatch(pair[2]):
@@ -550,17 +539,17 @@ def _read_pair(text: str, keys: Container[str], mapping: dict) -> bool:
 
 
 def _read_lines(text: str) -> Optional[dict[str, Any]]:
-    """The document as ``yaml.load(text, Loader=_ScenarioLoader)`` reads it, or None if it leaves the line shape.
+    """The document as ``yaml.load(text, Loader=_scenario_loader())`` reads it, or None if it leaves the line shape.
 
     The line shape is the shipped one: blank and comment lines, top-level
     ``key: scalar`` lines for the scalar fields, and one ``verifiers:`` line
-    followed by at least one ``- {id: ..., compute_capacity: ..., unit_price: ...}``
-    item, all at one indent; any line may end in `` # comment``. Anything else,
-    such as a repeated or unknown key, a scalar in another spelling (``010``,
-    ``1.0e5``, ``.inf``, a null or a bare word), a quote, anchor or tag or a
-    nested section, returns None and is left to PyYAML. An item that
-    ``_LINE_VERIFIER`` matches whole is typed by that one match; any other
-    item is read pair by pair.
+    followed by at least one item, all at one indent, each written as
+    ``_LINE_VERIFIER`` matches it whole and typed by that one match; any line
+    may end in `` # comment``. Anything else, such as a repeated or unknown
+    key, a scalar in another spelling (``010``, ``1.0e5``, ``.inf``, a null or
+    a bare word), an item with its keys in another order or other spacing, a
+    quote, anchor or tag or a nested section, returns None and leaves the whole
+    document to PyYAML.
     """
     if not _LINE_TEXT.fullmatch(text):
         return None
@@ -571,25 +560,21 @@ def _read_lines(text: str) -> Optional[dict[str, Any]]:
         body = line.split(" #", 1)[0].rstrip(" ")
         if not body or body[0] == "#":  # blank, or a comment line: " #" was split off above
             continue
-        verifier = _LINE_VERIFIER.fullmatch(body)
-        item = verifier or _LINE_ITEM.fullmatch(body)
+        item = _LINE_VERIFIER.fullmatch(body)
         if item is not None:
             if items is None or (items and item[1] != indent):
                 return None
             indent = item[1]
             entry: dict[str, Any] = {}
-            if verifier is not None:
-                try:  # a float spelling has a point, an int spelling none
-                    for key, value in zip(_VERIFIER_KEYS, verifier.group(2, 3, 4)):
-                        entry[key] = float(value) if "." in value else int(value)
-                except ValueError:  # an int too long for int(), as in _read_pair
-                    return None
-            elif not all(_read_pair(part.strip(" "), _VERIFIER_KEYS, entry) for part in item[2].split(",")):
+            try:  # a float spelling has a point, an int spelling none
+                for key, value in zip(_VERIFIER_KEYS, item.group(2, 3, 4)):
+                    entry[key] = float(value) if "." in value else int(value)
+            except ValueError:  # an int too long for int(), as in _read_pair
                 return None
             items.append(entry)
         elif body == "verifiers:" and "verifiers" not in doc:
             doc["verifiers"] = items = []
-        elif _read_pair(body, _SCALAR_FIELDS, doc):
+        elif _read_pair(body, doc):
             items = None
         else:
             return None

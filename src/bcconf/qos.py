@@ -19,10 +19,7 @@ from .model import (
     ValidationError,
 )
 
-RESTRICTED = "restricted"
-FULLY_RESTRICTED = "fully_restricted"
-BALANCED = "balanced"
-ECONOMY = "economy"
+RESTRICTED, FULLY_RESTRICTED, BALANCED, ECONOMY = MODE_NAMES
 
 _PIN_MIN = "min"
 _PIN_MAX = "max"
@@ -36,8 +33,6 @@ _QUADRANTS: dict[tuple[str, str], tuple[str, QosWeights, Optional[str]]] = {
     ("high", "high"): (BALANCED, _EQUAL, None),
     ("low", "low"): (ECONOMY, QosWeights(0.1, 0.2, 0.7), None),
 }
-
-assert set(mode for mode, _, _ in _QUADRANTS.values()) == set(MODE_NAMES)
 
 
 def resolve(

@@ -54,6 +54,19 @@ def pyyaml_only():
     return mock.patch.object(model, "_read_lines", lambda text: None)
 
 
+def same_tree(a, b):
+    """Equal in value and in type at every depth, with key order, and NaN equal to NaN."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, dict):
+        return list(a) == list(b) and all(same_tree(a[k], b[k]) for k in a)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(same_tree, a, b))
+    if isinstance(a, float) and math.isnan(a):
+        return math.isnan(b)
+    return a == b
+
+
 def make_scenario(
     *,
     capacities=(10.0, 5.0),

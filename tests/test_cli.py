@@ -110,6 +110,14 @@ def test_invalid_weights_exit_2(tmp_path, capsys):
         assert "_parse_weights_flag" not in err
 
 
+def test_simulate_rejects_weights(tmp_path, capsys):
+    """simulate takes no weights, so --weights is an unknown flag there, not one it parses and then ignores."""
+    out = tmp_path / "run"
+    assert run_cli(*SIMULATE, "--out", str(out), "--weights", "0.5,0.25,0.25") == 2
+    assert "unrecognized arguments: --weights 0.5,0.25,0.25" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_invalid_scenario_content_exits_2(tmp_path):
     bad = tmp_path / "bad.scenario"
     bad.write_text("transaction_size_bits: 1000\n")

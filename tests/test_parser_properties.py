@@ -1,6 +1,5 @@
 """Property tests for the scenario parser: it round-trips, bad input raises only ScenarioError, and
 its line reader reads what PyYAML reads."""
-import math
 
 import pytest
 import yaml
@@ -20,8 +19,8 @@ from bcconf import (
     parse_scenario,
 )
 from bcconf import model
-from bcconf.model import _SCALAR_FIELDS, MODE_NAMES, PRIORITY_LEVELS, SECURITY_LEVELS, _ScenarioLoader
-from helpers import TABLE2_PATH, pyyaml_only
+from bcconf.model import _SCALAR_FIELDS, MODE_NAMES, PRIORITY_LEVELS, SECURITY_LEVELS
+from helpers import TABLE2_PATH, pyyaml_only, same_tree
 
 # Fixed examples keep tier-1 reproducible and within a few seconds.
 PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True)
@@ -150,10 +149,12 @@ def test_bad_documents_raise_only_scenario_errors(text):
 
 # Plain scalars that YAML 1.1 types in surprising ways, as an int, a float or a string. The line
 # reader types the first group itself: signed decimal ints, floats with digits before the point and a
-# signed exponent, and quantities. It leaves the second group to PyYAML, though each is an int, a
-# float or a string there too: octal, hex, binary, underscored and sexagesimal numbers, an unsigned
-# exponent, no digit before the point, infinities and NaNs, and bare words.
-LINE_SCALARS = ("+12", "-3", "2.0e-05", "1.5e+3", "5.", "1.2 Mb/s", "0.5 Mb", "1 kb")
+# signed exponent, and quantities, which only a top-level field may hold. It leaves the second group
+# to PyYAML, though each is an int, a float or a string there too: octal, hex, binary, underscored
+# and sexagesimal numbers, an unsigned exponent, no digit before the point, infinities and NaNs, and
+# bare words.
+LINE_NUMBERS = ("+12", "-3", "2.0e-05", "1.5e+3", "5.")
+LINE_SCALARS = LINE_NUMBERS + ("1.2 Mb/s", "0.5 Mb", "1 kb")
 PYYAML_SCALARS = (
     "010", "0x1F", "0b101", "0o17", "1_000", "1:20", "190:20:30", "1.0e5", "1e3", ".5", "1_0.5", ".inf",
     "-.inf", ".NaN", ".nan", "a - b", "a  b", "a:b", "http://x", "-x", "._",
@@ -178,9 +179,12 @@ SANE = {
 def line_shaped_documents(draw):
     """Documents in the line reader's shape, or one rare step out of it.
 
-    In the shape: tricky scalars, trailing comments, varied spacing, missing
-    keys. Out of it, each about once in a few documents: a repeated or unknown
-    key, an off-shape scalar or spacing, mixed item indents, no items.
+    In the shape: tricky scalars, trailing comments, varied spacing between a
+    top-level key and its value, missing keys, verifier items written as the
+    shipped files write them. Out of it, each about once in a few documents: a
+    repeated or unknown key, an off-shape scalar or spacing, an item with its
+    keys out of order, a key too many or other spacing, mixed item indents, no
+    items.
     """
 
     def odd(rate):  # true about once in ``rate`` draws: hypothesis favours a range's ends, not its middle
@@ -189,35 +193,40 @@ def line_shaped_documents(draw):
     def value(key):
         if odd(80):
             return draw(st.sampled_from(OFF_SHAPE_SCALARS))
-        if key in SANE and not odd(10):
+        if key in SANE and not odd(16):
             return SANE[key]
         return draw(st.sampled_from(TRICKY_SCALARS) | st.integers().map(str) | st.floats().map(repr))
 
-    def pair(key):
-        return f"{key}:{'' if odd(150) else ' ' * draw(st.integers(1, 2))}{value(key)}"
+    def pair(key, spaces):
+        return f"{key}:{'' if odd(150) else ' ' * spaces}{value(key)}"
 
     def trailer():
         if odd(150):
             return "#glued"
         return draw(st.sampled_from(("", "", "  ", " # note", "  #: {x}, 'q'")))
 
+    def shipped(spelling, *others):  # the shipped files' spelling, or rarely another
+        return draw(st.sampled_from(others)) if odd(80) else spelling
+
     keys = list(_SCALAR_FIELDS)
     if odd(8):
         keys.append(draw(st.sampled_from((*_SCALAR_FIELDS, "weights", "id", "zzz"))))
     if odd(6):
         keys.remove(draw(st.sampled_from(keys)))
-    lines = [pair(key) + trailer() for key in keys]
+    lines = [pair(key, draw(st.integers(1, 2))) + trailer() for key in keys]
     indent = draw(st.sampled_from(("", "  ", "    ")))
     items = []
     for i in range(0 if odd(20) else draw(st.integers(min_value=1, max_value=3))):
         entry_keys = ["id", "compute_capacity", "unit_price"]
-        if odd(12):
+        if odd(80):
             entry_keys.append(draw(st.sampled_from(("id", "unit_price", "speed"))))
-        entries = [f"id: {i}" if key == "id" and not odd(4) else pair(key) for key in entry_keys]
-        sep = draw(st.sampled_from((", ", ",", " , ", ",  ")))
-        pad = " " * draw(st.integers(0, 1))
+        if odd(80):
+            entry_keys.reverse()
+        entries = [f"id: {i}" if key == "id" and not odd(12) else pair(key, shipped(1, 2)) for key in entry_keys]
+        sep = shipped(", ", ",", " , ", ",  ")
+        pad = shipped("", " ")
         item_indent = " " + indent if i and odd(12) else indent
-        dash = "-" + " " * draw(st.integers(1, 2))
+        dash = shipped("- ", "-  ")
         items.append(f"{item_indent}{dash}{{{pad}{sep.join(entries)}{pad}}}" + trailer())
     at = draw(st.integers(min_value=0, max_value=len(lines)))
     lines[at:at] = ["verifiers:" + trailer(), *items]
@@ -227,19 +236,6 @@ def line_shaped_documents(draw):
     return "\n".join(lines) + draw(st.sampled_from(("\n", "")))
 
 
-def _same_tree(a, b):
-    """Equal in value and in type at every depth, with key order, and NaN equal to NaN."""
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, dict):
-        return list(a) == list(b) and all(_same_tree(a[k], b[k]) for k in a)
-    if isinstance(a, list):
-        return len(a) == len(b) and all(map(_same_tree, a, b))
-    if isinstance(a, float) and math.isnan(a):
-        return math.isnan(b)
-    return a == b
-
-
 def _outcome(text):
     try:
         return parse_scenario(text)
@@ -247,17 +243,28 @@ def _outcome(text):
         return type(exc), str(exc)
 
 
-@settings(PROPERTY_SETTINGS, max_examples=300)
-@given(line_shaped_documents())
-@example(TABLE2_PATH.read_text(encoding="utf-8"))
-@example("min_verifiers: 010\nmax_verifiers: 0x1F\nbroadcast_coeff: 1.0e5 # str\nverifiers:\n- {id: 1:20, unit_price: .nan}\n")
-def test_line_reader_reads_what_pyyaml_reads(text):
-    raw = model._read_lines(text)
-    if raw is not None:
-        assert _same_tree(raw, yaml.load(text, Loader=_ScenarioLoader))
-    with pyyaml_only():
-        expected = _outcome(text)
-    assert _outcome(text) == expected
+def test_line_reader_reads_what_pyyaml_reads():
+    read = []
+
+    @settings(PROPERTY_SETTINGS, max_examples=300)
+    @given(line_shaped_documents())
+    @example(TABLE2_PATH.read_text(encoding="utf-8"))
+    @example(
+        "min_verifiers: 010\nmax_verifiers: 0x1F\nbroadcast_coeff: 1.0e5 # str\nverifiers:\n- {id: 1:20, unit_price: .nan}\n"
+    )
+    def check(text):
+        raw = model._read_lines(text)
+        if raw is not None:
+            assert same_tree(raw, yaml.load(text, Loader=model._scenario_loader()))
+        with pyyaml_only():
+            expected = _outcome(text)
+        assert _outcome(text) == expected
+        read.append(raw is not None)
+
+    check()
+    # Nearly half the documents stay in the line shape (144 of 302 with hypothesis 6.155); far fewer would leave
+    # the line reader's typing mostly untested.
+    assert 4 * sum(read) >= len(read), f"{sum(read)} of {len(read)} documents read by the line reader"
 
 
 def _whole_document(token):
@@ -271,17 +278,20 @@ def _whole_document(token):
 
 
 def test_line_reader_reads_tricky_scalars_and_leaves_off_shape_ones_to_pyyaml():
-    """A tricky scalar the reader types itself is read as PyYAML reads it. Any other token leaves the line shape,
-    and its whole document parses to what PyYAML alone gives: the same scenario or the same error."""
+    """A tricky scalar the reader types itself is read as PyYAML reads it: any of them in a top-level field, a
+    number in a verifier item. Any other token leaves the line shape, and its whole document parses to what
+    PyYAML alone gives: the same scenario or the same error."""
     for token in TRICKY_SCALARS + OFF_SHAPE_SCALARS:
-        text = f"security_coeff: {token}\nverifiers:\n  - {{id: 0, unit_price: {token}}}\n"
-        raw = model._read_lines(text)
-        if token in LINE_SCALARS:
-            assert raw is not None and _same_tree(raw, yaml.load(text, Loader=_ScenarioLoader)), token
-        else:
-            assert raw is None, token
+        top = f"security_coeff: {token}\nverifiers:\n  - {{id: 0, compute_capacity: 1.0, unit_price: 0.5}}\n"
+        item = f"security_coeff: 1.0\nverifiers:\n  - {{id: 0, compute_capacity: {token}, unit_price: {token}}}\n"
+        for text, read in ((top, LINE_SCALARS), (item, LINE_NUMBERS)):
+            raw = model._read_lines(text)
+            if token in read:
+                assert raw is not None and same_tree(raw, yaml.load(text, Loader=model._scenario_loader())), token
+            else:
+                assert raw is None, token
         doc = _whole_document(token)
-        assert (model._read_lines(doc) is not None) == (token in LINE_SCALARS), token
+        assert (model._read_lines(doc) is not None) == (token in LINE_NUMBERS), token
         with pyyaml_only():
             expected = _outcome(doc)
         assert _outcome(doc) == expected, token
@@ -289,7 +299,7 @@ def test_line_reader_reads_tricky_scalars_and_leaves_off_shape_ones_to_pyyaml():
     assert isinstance(_outcome(_whole_document("1_000")), ScenarioParams)
 
 
-ONE_MATCH, PAIR_BY_PAIR, OFF_SHAPE = "one match", "pair by pair", "off shape"
+ONE_MATCH, OFF_SHAPE = "one match", "off shape"
 
 
 @pytest.mark.parametrize(
@@ -302,7 +312,7 @@ ONE_MATCH, PAIR_BY_PAIR, OFF_SHAPE = "one match", "pair by pair", "off shape"
         ("{id: 1, compute_capacity: 1., unit_price: 2.0e-05}", ONE_MATCH, VerifierProfile(1, 1.0, 2e-05)),
         (
             "{id: 1, compute_capacity: 5 kb, unit_price: 0.5}",
-            PAIR_BY_PAIR,
+            OFF_SHAPE,
             (ParseError, "field 'verifiers[1].compute_capacity': expected a number"),
         ),
         (
@@ -320,32 +330,23 @@ ONE_MATCH, PAIR_BY_PAIR, OFF_SHAPE = "one match", "pair by pair", "off shape"
             ONE_MATCH,
             (ValidationError, "verifier 1: compute_capacity must be positive and finite"),
         ),
-        ("{compute_capacity: 5.0, id: 1, unit_price: 0.5}", PAIR_BY_PAIR, VerifierProfile(1, 5.0, 0.5)),
-        ("{id:  1, compute_capacity: 5.0,  unit_price: 0.5}", PAIR_BY_PAIR, VerifierProfile(1, 5.0, 0.5)),
+        ("{compute_capacity: 5.0, id: 1, unit_price: 0.5}", OFF_SHAPE, VerifierProfile(1, 5.0, 0.5)),
+        ("{id:  1, compute_capacity: 5.0,  unit_price: 0.5}", OFF_SHAPE, VerifierProfile(1, 5.0, 0.5)),
     ],
     ids=[
         "int-capacity", "signed-id", "float-id", "negative-zero-price", "exponent-and-bare-point", "quantity",
         "int-beyond-float", "id-beyond-int-digits", "negative-capacity", "keys-out-of-order", "extra-spaces",
     ],
 )
-def test_verifier_line_edge_cases_read_as_pyyaml_reads_them(item, route, expected, monkeypatch):
+def test_verifier_line_edge_cases_read_as_pyyaml_reads_them(item, route, expected):
     """A verifier item takes the route the table names, and its document reads as under PyYAML alone:
     the same mapping in value, type and key order, and the same scenario, signed zeros included, or error."""
     lines = [f"{key}: {SANE[key]}" for key in _SCALAR_FIELDS]
     doc = "\n".join([*lines, "verifiers:", "  - {id: 0, compute_capacity: 10.0, unit_price: 0.5}", f"  - {item}", ""])
-    pairs = []
-    read_pair = model._read_pair
-
-    def record(text, keys, mapping):
-        pairs.append(text)
-        return read_pair(text, keys, mapping)
-
-    monkeypatch.setattr(model, "_read_pair", record)
     raw = model._read_lines(doc)
-    verifier_pairs = [text for text in pairs if text.split(":")[0] in model._VERIFIER_KEYS]
-    assert (OFF_SHAPE if raw is None else PAIR_BY_PAIR if verifier_pairs else ONE_MATCH) == route
+    assert (OFF_SHAPE if raw is None else ONE_MATCH) == route
     if raw is not None:
-        assert _same_tree(raw, yaml.load(doc, Loader=_ScenarioLoader))
+        assert same_tree(raw, yaml.load(doc, Loader=model._scenario_loader()))
     with pyyaml_only():
         alone = _outcome(doc)
     outcome = _outcome(doc)
