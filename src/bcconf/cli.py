@@ -22,7 +22,10 @@ Every CSV table goes through :func:`_write_table`, which writes it in chunks
 of :data:`_CHUNK_ROWS` rows, so no table is held in memory whole. ``sweep``
 formats the cells that depend on m only
 (:data:`bcconf.metrics.M_ONLY_COLUMNS`) once per grid row and hands them to
-the writer as text.
+the writer as text. Each best-so-far column (``compare.csv``'s two series,
+``trace.csv``'s ``best_so_far``) formats a running minimum only when it is a
+new object, holding just the last one: ``trace.csv`` reuses the text of the
+utility it came from.
 
 :func:`main` builds its argument parser once per process and reuses it.
 """
@@ -208,7 +211,7 @@ class _ArtifactSet:
         self._made_dirs: list[Path] = []  # deepest first
 
     def create(self, name: str) -> TextIO:
-        if not self._files:
+        if not self._files and not self.dir.is_dir():
             self._made_dirs = [d for d in (self.dir, *self.dir.parents) if not d.exists()]
             self.dir.mkdir(parents=True, exist_ok=True)
         handle = open(self.dir / f".{name}.{os.getpid()}.tmp", "w", encoding="utf-8", newline="")
@@ -294,15 +297,40 @@ def _cmd_optimize(args: argparse.Namespace, scenario: ScenarioParams, artifacts:
         "evaluations": result.evaluations,
     }
     _write_table(artifacts.create("result.csv"), record, [tuple(record.values())])
-    points = ((m, theta) for m, thetas in result.rows for theta in thetas)
     _write_table(
-        artifacts.create("trace.csv"),
-        ["iteration", "m", "theta", "utility", "best_so_far"],
-        (
-            (k, m, theta, value, best)
-            for k, (m, theta), value, best in zip(itertools.count(1), points, result.utilities, result.best_so_far())
-        ),
+        artifacts.create("trace.csv"), ["iteration", "m", "theta", "utility", "best_so_far"], _trace_rows(result)
     )
+
+
+def _trace_rows(result: optimizer.SolverResult) -> Iterator[tuple]:
+    """Lazily, each ``trace.csv`` row: its utility is formatted once, and ``best_so_far`` reuses that text.
+
+    The running minimum is always one of the utilities, the object of the row
+    it came from, so when it is this row's utility it takes this row's text,
+    and otherwise keeps the text it had.
+    """
+    points = ((m, theta) for m, thetas in result.rows for theta in thetas)
+    best_text = ""
+    for k, (m, theta), value, best in zip(itertools.count(1), points, result.utilities, result.best_so_far()):
+        text = repr(value)
+        if best is value:
+            best_text = text
+        yield k, m, theta, text, best_text
+
+
+def _best_so_far_texts(result: optimizer.SolverResult) -> Iterator[str]:
+    """Lazily, the text of each value of ``result.best_so_far()``, formatted only when it is a new object.
+
+    A running minimum repeats its object until a smaller utility replaces it,
+    so holding the last object and its text is enough. The test is identity,
+    not equality, so each text is the ``repr`` of its own value.
+    """
+    last: Optional[float] = None
+    text = ""
+    for best in result.best_so_far():
+        if best is not last:
+            last, text = best, repr(best)
+        yield text
 
 
 # Where a point's m-only cells (:data:`bcconf.metrics.M_ONLY_COLUMNS`) sit among its cells.
@@ -339,13 +367,17 @@ def _cmd_compare(args: argparse.Namespace, scenario: ScenarioParams, artifacts: 
     effective, weights = qos.resolve(scenario, args.qos_class, args.weights)
     # The oracle runs first, so an over-cap grid is refused before anything is evaluated.
     exhaustive = optimizer.solve_exhaustive(effective, weights, grid_cap=args.grid_cap)
-    greedy = optimizer.solve_greedy(effective, weights)
+    greedy = optimizer.greedy_of(exhaustive)  # evaluates nothing
     utility_gap = greedy.best_utility - exhaustive.best_utility
-    series = itertools.zip_longest(greedy.best_so_far(), exhaustive.best_so_far(), fillvalue="")
+    # Greedy's walk reads a subset of the oracle's, so its series never outruns the oracle's.
     _write_table(
         artifacts.create("compare.csv"),
         ["iteration", "greedy_best_so_far", "exhaustive_best_so_far"],
-        ((i, *pair) for i, pair in enumerate(series, start=1)),
+        zip(
+            itertools.count(1),
+            itertools.chain(_best_so_far_texts(greedy), itertools.repeat("")),
+            _best_so_far_texts(exhaustive),
+        ),
     )
     summary = {
         "greedy_m": greedy.best_config.num_verifiers,

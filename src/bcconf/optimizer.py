@@ -13,9 +13,13 @@ the scan read only each configuration's last cell, the utility.
 A solver run (:class:`SolverResult`) is its optimum, the rows it walked and
 their utilities in walk order. The exhaustive walk's rows are the region
 rows themselves, so no configuration is kept per point, and ``configs``
-rebuilds them when read. Only this module builds a run. Comparing the
-solvers is two calls, the oracle first: the gap is greedy's best utility
-minus the oracle's, never negative.
+rebuilds them when read. Only this module builds a run.
+
+The greedy walk has two sources of utilities: :func:`solve_greedy`
+evaluates each row as it goes, and :func:`greedy_of` reads them off an
+exhaustive run, evaluating nothing. Comparing the solvers is the oracle,
+then :func:`greedy_of` on its result, so each configuration is evaluated
+once: the gap is greedy's best utility minus the oracle's, never negative.
 """
 from __future__ import annotations
 
@@ -23,7 +27,8 @@ import bisect
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from operator import itemgetter
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import metrics
 from .model import (
@@ -38,7 +43,7 @@ from .model import (
 
 @dataclass(frozen=True)
 class SolverResult:
-    """A solver's optimum and every utility evaluation it made, in order.
+    """A solver's optimum and every utility its walk read, in order.
 
     ``rows`` is the walk: ``(m, thetas)`` pairs, ``thetas`` the range of theta
     evaluated at that m. ``utilities`` holds one value per point of the walk,
@@ -65,7 +70,7 @@ class SolverResult:
 
     @property
     def evaluations(self) -> int:
-        """Number of utility evaluations the solver made."""
+        """Number of points the walk read: one utility each, evaluated unless read off the oracle's."""
         return len(self.utilities)
 
     def best_so_far(self) -> tuple[float, ...]:
@@ -90,24 +95,23 @@ class UnimodalityReport:
         return self.rows_unimodal and self.row_minima_unimodal
 
 
-def solve_greedy(scenario: ScenarioParams, weights: QosWeights) -> SolverResult:
-    """Coordinate-wise sweep over the region rows with early exit on the first utility increase.
+def _greedy_walk(rows: Iterable[tuple[int, range, Iterator[float]]]) -> SolverResult:
+    """The greedy walk over ``(m, thetas, utilities)`` rows, each row's utilities in theta order.
 
-    For each row in m order: evaluate theta upward from the row's first and
-    freeze theta*(m) one step before the first increase (or at the row's
+    For each row in m order: read utilities theta upward from the row's first
+    and freeze theta*(m) one step before the first increase (or at the row's
     last theta if utility never increases). Once a row's best utility
     exceeds the previous row's, return the previous row's m with its theta*.
     Only a strict increase stops the sweep: on exactly tied row minima greedy
     moves on to the next row, where the oracle keeps the smaller m.
-    Each row is evaluated lazily, so no point past the first increase is.
+    No utility past a row's first increase is read, and no row past the stop.
     """
-    rows: list[tuple[int, range]] = []
+    walked: list[tuple[int, range]] = []
     utilities: list[float] = []
     prev: Optional[tuple[int, int, float]] = None  # (m, theta*, utility*) of the previous row
-    for m, thetas in feasible_rows(scenario, scenario.grid_size):  # the grid cap never refuses greedy
+    for m, thetas, row in rows:
         u_prev = math.inf
-        for theta, cells in zip(thetas, metrics.evaluate_row(scenario, weights, m, thetas)):
-            u = cells[-1]
+        for theta, u in zip(thetas, row):
             utilities.append(u)
             if u > u_prev:
                 theta_star, u_star = theta - 1, u_prev
@@ -116,13 +120,41 @@ def solve_greedy(scenario: ScenarioParams, weights: QosWeights) -> SolverResult:
         else:
             # No increase observed: the sweep ends at the row's last theta.
             theta_star, u_star = thetas[-1], u_prev
-        rows.append((m, range(thetas.start, theta + 1)))  # theta is the row's last evaluated point
+        walked.append((m, range(thetas.start, theta + 1)))  # theta is the row's last read point
         if prev is not None and u_star > prev[2]:
             break
         prev = (m, theta_star, u_star)
     assert prev is not None
     best_m, best_theta, best_value = prev
-    return SolverResult(BlockchainConfig(best_m, best_theta), best_value, tuple(rows), tuple(utilities))
+    return SolverResult(BlockchainConfig(best_m, best_theta), best_value, tuple(walked), tuple(utilities))
+
+
+def solve_greedy(scenario: ScenarioParams, weights: QosWeights) -> SolverResult:
+    """Coordinate-wise sweep over the region rows with early exit on the first utility increase.
+
+    Walks as :func:`_greedy_walk` states, evaluating each row lazily, so no
+    point past a row's first increase is evaluated, and no row past the stop.
+    """
+    rows = feasible_rows(scenario, scenario.grid_size)  # the grid cap never refuses greedy
+    return _greedy_walk(
+        (m, thetas, map(itemgetter(-1), metrics.evaluate_row(scenario, weights, m, thetas))) for m, thetas in rows
+    )
+
+
+def greedy_of(oracle: SolverResult) -> SolverResult:
+    """:func:`solve_greedy`'s result read off the exhaustive result ``oracle``, with no evaluation.
+
+    Greedy's walk visits a subset of the region rows the oracle walked, and
+    :func:`bcconf.metrics.evaluate_row` gives both solvers the same cells, so
+    reading each row's utilities from ``oracle.utilities`` gives the same
+    result field for field, every utility bit for bit.
+    """
+    utilities = oracle.utilities
+    starts = itertools.accumulate((len(thetas) for _, thetas in oracle.rows), initial=0)
+    return _greedy_walk(
+        (m, thetas, map(utilities.__getitem__, range(start, start + len(thetas))))
+        for (m, thetas), start in zip(oracle.rows, starts)
+    )
 
 
 def solve_exhaustive(

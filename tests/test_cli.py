@@ -15,7 +15,8 @@ import pytest
 
 import bcconf
 from bcconf import cli, dpos_sim, dump_scenario, metrics, qos
-from helpers import TABLE2_PATH, random_scenario
+from bcconf import BlockchainConfig, QosWeights, SolverResult, load_scenario, solve_exhaustive, solve_greedy
+from helpers import ADVERSARIAL_SCENARIO, ADVERSARIAL_WEIGHTS, TABLE2_PATH, random_scenario, random_weights
 
 SCENARIO = str(TABLE2_PATH)
 
@@ -459,6 +460,59 @@ def test_compare_reports_zero_gap_on_fixture(tmp_path):
     assert series[-1]["greedy_best_so_far"] == ""
 
 
+@pytest.mark.parametrize("adversarial", [False, True], ids=["table2", "adversarial"])
+def test_best_so_far_cells_are_the_repr_of_the_running_minimum(tmp_path, adversarial):
+    scenario, weights = load_scenario(TABLE2_PATH), QosWeights(1 / 3, 1 / 3, 1 / 3)
+    if adversarial:
+        scenario, weights = ADVERSARIAL_SCENARIO, ADVERSARIAL_WEIGHTS
+    path = tmp_path / "case.scenario"
+    path.write_text(dump_scenario(scenario), encoding="utf-8")
+    flags = ("--scenario", str(path), "--out", str(tmp_path), "--weights", ",".join(map(repr, weights.as_tuple())))
+    assert run_cli("optimize", *flags) == 0 and run_cli("compare", *flags) == 0
+    greedy, exhaustive = solve_greedy(scenario, weights), solve_exhaustive(scenario, weights)
+    trace = read_csv(tmp_path / "trace.csv")
+    assert [row["utility"] for row in trace] == list(map(repr, greedy.utilities))
+    assert [row["best_so_far"] for row in trace] == list(map(repr, greedy.best_so_far()))
+    series = read_csv(tmp_path / "compare.csv")
+    assert [row["exhaustive_best_so_far"] for row in series] == list(map(repr, exhaustive.best_so_far()))
+    greedy_cells = [row["greedy_best_so_far"] for row in series]
+    assert greedy_cells == [*map(repr, greedy.best_so_far()), *[""] * (len(series) - greedy.evaluations)]
+
+
+def test_best_so_far_texts_follow_objects_not_equal_values():
+    # Distinct objects of equal value: a later equal utility never takes over the running
+    # minimum, so -0.0 keeps its own text where an equal 0.0 follows it.
+    half, other_half = float("0.5"), float("0.5")
+    zero, negative_zero = float("0.0"), float("-0.0")
+    assert half is not other_half and zero is not negative_zero
+    utilities = (half, other_half, negative_zero, zero, float("0.25"), other_half)
+    result = SolverResult(BlockchainConfig(1, 3), negative_zero, ((1, range(1, 7)),), utilities)
+    expected = list(map(repr, result.best_so_far()))
+    assert expected == ["0.5", "0.5", "-0.0", "-0.0", "-0.0", "-0.0"]
+    assert list(cli._best_so_far_texts(result)) == expected
+    rows = list(cli._trace_rows(result))
+    assert [row[3] for row in rows] == list(map(repr, utilities))
+    assert [row[4] for row in rows] == expected
+
+
+def test_best_so_far_texts_on_random_draws_with_tied_utilities():
+    # Criterion 2's draws, each with its own weights and the zero-weight corners, under which
+    # a row's equal utilities are distinct objects that never take over the running minimum.
+    rng = random.Random(1000003)
+    corners = (QosWeights(1.0, 0.0, 0.0), QosWeights(0.0, 1.0, 0.0), QosWeights(0.0, 0.0, 1.0))
+    ties = 0
+    for _ in range(1000):
+        scenario = random_scenario(rng, max_m=5, max_n=6)
+        for weights in (random_weights(rng), *corners):
+            for result in (solve_exhaustive(scenario, weights), solve_greedy(scenario, weights)):
+                best = result.best_so_far()
+                assert list(cli._best_so_far_texts(result)) == list(map(repr, best))
+                texts = list(zip(map(repr, result.utilities), map(repr, best)))
+                assert [row[3:] for row in cli._trace_rows(result)] == texts
+                ties += sum(u == b and u is not b for u, b in zip(result.utilities, best))
+    assert ties > 0
+
+
 def test_simulate_with_explicit_config(tmp_path):
     out = tmp_path / "run"
     assert run_cli(
@@ -612,6 +666,32 @@ def test_failed_run_removes_every_directory_it_created(tmp_path, monkeypatch):
     out = tmp_path / "a" / "b"
     assert run_cli("simulate", "--scenario", SCENARIO, "--out", str(out), "--m", "2", "--theta", "2") == 4
     assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_run_removes_the_directories_it_created_and_no_other(tmp_path, monkeypatch):
+    monkeypatch.setattr(metrics, "latency_row", lambda s, m, thetas: (1e9 for _ in thetas))
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    out = kept / "a" / "b" / "c"
+    assert run_cli("simulate", "--scenario", SCENARIO, "--out", str(out), "--m", "2", "--theta", "2") == 4
+    assert list(tmp_path.iterdir()) == [kept]
+    assert list(kept.iterdir()) == []
+
+
+def test_failed_run_into_an_existing_directory_leaves_it_in_place(tmp_path, monkeypatch):
+    monkeypatch.setattr(metrics, "latency_row", lambda s, m, thetas: (1e9 for _ in thetas))
+    out = tmp_path / "run"
+    out.mkdir()
+    assert run_cli("simulate", "--scenario", SCENARIO, "--out", str(out), "--m", "2", "--theta", "2") == 4
+    assert out.is_dir() and list(out.iterdir()) == []
+
+
+def test_out_naming_a_file_exits_3(tmp_path, capsys):
+    out = tmp_path / "file"
+    out.write_text("kept\n", encoding="utf-8")
+    assert run_cli("optimize", "--scenario", SCENARIO, "--out", str(out)) == 3
+    assert "error:" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [out] and out.read_text(encoding="utf-8") == "kept\n"
 
 
 @pytest.mark.parametrize(

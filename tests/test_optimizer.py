@@ -16,6 +16,8 @@ from bcconf import (
     VerifierProfile,
     dump_scenario,
     load_scenario,
+    parse_scenario,
+    resolve_qos,
     scan_unimodality,
     solve_exhaustive,
     solve_greedy,
@@ -29,6 +31,7 @@ from helpers import (
     ADVERSARIAL_WEIGHTS,
     TABLE2_PATH,
     bit_identity_inputs,
+    import_benchmark_module,
     make_scenario,
     random_scenario,
     random_weights,
@@ -504,9 +507,12 @@ def test_each_entry_point_evaluates_each_configuration_once(scenario, kernel_cal
     greedy = solve_greedy(scenario, weights).evaluations
     assert len(kernel_calls) == greedy
     kernel_calls.clear()
-    solve_exhaustive(scenario, weights)
+    exhaustive = solve_exhaustive(scenario, weights)
     solve_greedy(scenario, weights)
     assert len(kernel_calls) == grid + greedy
+    kernel_calls.clear()
+    assert optimizer.greedy_of(exhaustive).evaluations == greedy
+    assert kernel_calls == []
 
 
 def test_each_cli_command_evaluates_each_configuration_once(tmp_path, kernel_calls):
@@ -520,4 +526,36 @@ def test_each_cli_command_evaluates_each_configuration_once(tmp_path, kernel_cal
     assert evaluations <= len(kernel_calls) <= evaluations + 1
     kernel_calls.clear()
     assert cli.main(["compare", "--scenario", str(TABLE2_PATH), "--out", str(tmp_path)]) == 0
-    assert len(kernel_calls) == grid + evaluations
+    assert len(kernel_calls) == len(set(kernel_calls)) == grid
+
+
+def assert_same_run(a, b):
+    """Two solver runs equal field for field, every utility bit for bit."""
+    assert (a.best_config, a.best_utility.hex(), a.rows) == (b.best_config, b.best_utility.hex(), b.rows)
+    assert list(map(float.hex, a.utilities)) == list(map(float.hex, b.utilities))
+    assert a.evaluations == b.evaluations
+
+
+CORNER_WEIGHTS = (QosWeights(1.0, 0.0, 0.0), QosWeights(0.0, 1.0, 0.0), QosWeights(0.0, 0.0, 1.0))
+
+
+def test_greedy_read_off_the_oracle_is_solve_greedy():
+    # Criterion 2's draws, each with its own weights and the zero-weight corners.
+    rng = random.Random(1000003)
+    cases = []
+    for _ in range(1000):
+        scenario = random_scenario(rng, max_m=5, max_n=6)
+        cases += [(scenario, weights) for weights in (random_weights(rng), *CORNER_WEIGHTS)]
+    cases += [(ADVERSARIAL_SCENARIO, w) for w in (ADVERSARIAL_WEIGHTS, *CORNER_WEIGHTS)]
+    table2 = load_scenario(TABLE2_PATH)
+    cases += [(table2, w) for w in (EQUAL_WEIGHTS, ADVERSARIAL_WEIGHTS, *CORNER_WEIGHTS)]
+    wide = parse_scenario(import_benchmark_module("workloads").generate_wide_scenario(1))
+    cases.append(resolve_qos(wide))
+    suboptimal = 0
+    for scenario, weights in cases:
+        exhaustive = solve_exhaustive(scenario, weights)
+        greedy = optimizer.greedy_of(exhaustive)
+        assert_same_run(greedy, solve_greedy(scenario, weights))
+        suboptimal += greedy.best_utility > exhaustive.best_utility
+    assert suboptimal > 0  # the cases include walks that stop short of the optimum
+
