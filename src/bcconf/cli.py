@@ -18,14 +18,24 @@ consistency failure (simulated latency disagreeing with the closed form).
 weights through :func:`bcconf.qos.resolve`, which states the precedence;
 ``simulate`` takes no weights and rejects ``--weights``.
 
-Every CSV table goes through :func:`_write_table`, which writes it in chunks
-of :data:`_CHUNK_ROWS` rows, so no table is held in memory whole. ``sweep``
-formats the cells that depend on m only
-(:data:`bcconf.metrics.M_ONLY_COLUMNS`) once per grid row and hands them to
-the writer as text. Each best-so-far column (``compare.csv``'s two series,
-``trace.csv``'s ``best_so_far``) formats a running minimum only when it is a
-new object, holding just the last one: ``trace.csv`` reuses the text of the
-utility it came from.
+Every CSV table goes through :func:`_write_lines`, which writes it in chunks
+of :data:`_CHUNK_ROWS` lines, so no table is held in memory whole; every
+table but ``surface.csv`` makes its lines with :func:`_write_table`'s one
+``%s`` line. ``sweep`` gives each grid row one ``%`` template that already
+holds m and the texts of the cells that depend on m only
+(:data:`bcconf.metrics.M_ONLY_COLUMNS`), so a point fills in only theta, its
+theta-only texts (:data:`bcconf.metrics.THETA_ONLY_COLUMNS`) and its own
+cells. The theta-only texts come from a dict keyed by theta that lives for
+one call and is emptied whenever it holds :data:`_CHUNK_ROWS` thetas: every
+row computes those cells with the same expression, so a text made in one row
+is exact in all of them, each row up to that width reuses the first row's
+texts, and the dict stays bounded. Each best-so-far column
+(``compare.csv``'s two series, ``trace.csv``'s ``best_so_far``) reads the
+running minimum lazily and formats it only when it is a new object, holding
+just the last one: ``trace.csv`` reuses the text of the utility it came
+from. ``sim_report.csv`` formats each run of equal values once: a value
+equal to the one before it with the same sign bit has the same bits and
+reuses its text, and NaN, equal to nothing, never does.
 
 :func:`main` builds its argument parser once per process and reuses it.
 """
@@ -39,6 +49,7 @@ import hashlib
 import io
 import itertools
 import json
+import math
 import os
 import sys
 import time
@@ -249,22 +260,30 @@ class _ArtifactSet:
 _CHUNK_ROWS = 1024
 
 
-def _write_table(handle: TextIO, header: Collection[str], rows: Iterable[tuple]) -> None:
-    """Write a CSV table in chunks of :data:`_CHUNK_ROWS` rows: the header, then each row's cells by ``str``.
+def _write_lines(handle: TextIO, header: Collection[str], lines: Iterable[str]) -> None:
+    """Write a CSV table in chunks of :data:`_CHUNK_ROWS` lines: the header, then each line as it is.
 
-    Each row is a tuple with one cell per header name; a row of any other
-    length raises ``TypeError``. The header goes out with the first chunk, so
-    a table of up to ``_CHUNK_ROWS`` rows is one ``write``, and no table is
-    held in memory whole. The bytes are those the ``csv`` module's writer
-    gives: ``str`` of a float is its ``repr``, a ``str`` cell is written as it
-    is, and no header or cell of these tables needs quoting.
+    Each line is one row's text, its newline included. The header goes out
+    with the first chunk, so a table of up to ``_CHUNK_ROWS`` rows is one
+    ``write``, and no table is held in memory whole.
     """
-    line = ",".join(["%s"] * len(header)) + "\n"
-    lines = map(line.__mod__, rows)
+    lines = iter(lines)
     chunk = [",".join(header) + "\n", *itertools.islice(lines, _CHUNK_ROWS)]
     while chunk:
         handle.write("".join(chunk))
         chunk = list(itertools.islice(lines, _CHUNK_ROWS))
+
+
+def _write_table(handle: TextIO, header: Collection[str], rows: Iterable[tuple]) -> None:
+    """Write a CSV table through :func:`_write_lines`, each row's cells by ``str`` through one ``%s`` line.
+
+    Each row is a tuple with one cell per header name; a row of any other
+    length raises ``TypeError``. The bytes are those the ``csv`` module's
+    writer gives: ``str`` of a float is its ``repr``, a ``str`` cell is
+    written as it is, and no header or cell of these tables needs quoting.
+    """
+    line = ",".join(["%s"] * len(header)) + "\n"
+    _write_lines(handle, header, map(line.__mod__, rows))
 
 
 def _write_manifest(
@@ -311,7 +330,8 @@ def _trace_rows(result: optimizer.SolverResult) -> Iterator[tuple]:
     """
     points = ((m, theta) for m, thetas in result.rows for theta in thetas)
     best_text = ""
-    for k, (m, theta), value, best in zip(itertools.count(1), points, result.utilities, result.best_so_far()):
+    running_min = itertools.accumulate(result.utilities, min)
+    for k, (m, theta), value, best in zip(itertools.count(1), points, result.utilities, running_min):
         text = repr(value)
         if best is value:
             best_text = text
@@ -321,45 +341,60 @@ def _trace_rows(result: optimizer.SolverResult) -> Iterator[tuple]:
 def _best_so_far_texts(result: optimizer.SolverResult) -> Iterator[str]:
     """Lazily, the text of each value of ``result.best_so_far()``, formatted only when it is a new object.
 
-    A running minimum repeats its object until a smaller utility replaces it,
-    so holding the last object and its text is enough. The test is identity,
-    not equality, so each text is the ``repr`` of its own value.
+    The running minimum is read lazily, as ``best_so_far`` computes it, so no
+    tuple as long as the walk is built. It repeats its object until a smaller
+    utility replaces it, so holding the last object and its text is enough.
+    The test is identity, not equality, so each text is the ``repr`` of its
+    own value.
     """
     last: Optional[float] = None
     text = ""
-    for best in result.best_so_far():
+    for best in itertools.accumulate(result.utilities, min):
         if best is not last:
             last, text = best, repr(best)
         yield text
 
 
-# Where a point's m-only cells (:data:`bcconf.metrics.M_ONLY_COLUMNS`) sit among its cells.
-_M_ONLY_CELLS = itemgetter(*map(metrics.COLUMNS.index, metrics.M_ONLY_COLUMNS))
-# A surface.csv row after m and theta, picked from a point's cells followed by
-# the texts of its row's m-only cells: each m-only cell is taken as its text.
-_SURFACE_CELLS = itemgetter(*(
-    len(metrics.COLUMNS) + metrics.M_ONLY_COLUMNS.index(name) if name in metrics.M_ONLY_COLUMNS else k
-    for k, name in enumerate(metrics.COLUMNS)
-))
-
-
-def _surface_rows(
+def _surface_lines(
     scenario: ScenarioParams, weights: QosWeights, rows: Iterable[tuple[int, range]]
-) -> Iterator[tuple]:
-    """Lazily, each ``surface.csv`` row of the region ``rows``, with its m-only cells formatted once per row."""
+) -> Iterator[str]:
+    """Lazily, each ``surface.csv`` line of the region ``rows``, through one ``%`` template per grid row.
+
+    A row's template holds m and the texts of its m-only cells, so a point
+    fills in only theta, the texts of its theta-only cells and its own
+    cells, each by ``str``. The theta-only texts are kept per theta, in a
+    dict emptied whenever it holds :data:`_CHUNK_ROWS` thetas; exact in every
+    row, a text made in one row serves the rest. Every position is derived
+    from :data:`bcconf.metrics.COLUMNS` and the two column sets.
+    """
+    width = len(metrics.COLUMNS)
+    m_only = [k for k, name in enumerate(metrics.COLUMNS) if name in metrics.M_ONLY_COLUMNS]
+    theta_only = [k for k, name in enumerate(metrics.COLUMNS) if name in metrics.THETA_ONLY_COLUMNS]
+    # Row m's template is this % (m, *its m-only cells): each of a point's slots is an escaped "%s".
+    row_template = ",".join(["%s", "%%s", *("%s" if k in m_only else "%%s" for k in range(width))]) + "\n"
+    # A point's slot values, picked from its cells followed by its theta's (theta, *theta-only texts).
+    fill = itemgetter(width, *(
+        width + 1 + theta_only.index(k) if k in theta_only else k for k in range(width) if k not in m_only
+    ))
+    theta_texts: dict[int, tuple] = {}
     for m, thetas in rows:
         row = metrics.evaluate_row(scenario, weights, m, thetas)
-        first = next(row)  # a feasible row is never empty
-        texts = tuple(map(str, _M_ONLY_CELLS(first)))
+        first = next(row)  # a feasible row is never empty; a float's text holds no "%"
+        template = row_template % (m, *(first[k] for k in m_only))
         for theta, cells in zip(thetas, itertools.chain((first,), row)):
-            yield (m, theta, *_SURFACE_CELLS(cells + texts))
+            texts = theta_texts.get(theta)
+            if texts is None:
+                if len(theta_texts) == _CHUNK_ROWS:
+                    theta_texts.clear()
+                texts = theta_texts[theta] = (theta, *(str(cells[k]) for k in theta_only))
+            yield template % fill(cells + texts)
 
 
 def _cmd_sweep(args: argparse.Namespace, scenario: ScenarioParams, artifacts: _ArtifactSet) -> None:
     effective, weights = qos.resolve(scenario, args.qos_class, args.weights)
     rows = feasible_rows(effective, args.grid_cap)  # an over-cap grid raises here, before any file exists
-    _write_table(
-        artifacts.create("surface.csv"), ["m", "theta", *metrics.COLUMNS], _surface_rows(effective, weights, rows)
+    _write_lines(
+        artifacts.create("surface.csv"), ["m", "theta", *metrics.COLUMNS], _surface_lines(effective, weights, rows)
     )
 
 
@@ -441,8 +476,30 @@ def _cmd_simulate(args: argparse.Namespace, scenario: ScenarioParams, artifacts:
     _write_table(
         artifacts.create("sim_report.csv"),
         ["round", "latency_s", "analytic_latency_s", "abs_rel_deviation"],
-        zip(itertools.count(), report.per_round_latency_s, itertools.repeat(analytic), report.abs_rel_deviation),
+        zip(
+            itertools.count(),
+            _equal_run_texts(report.per_round_latency_s),
+            itertools.repeat(analytic),
+            _equal_run_texts(report.abs_rel_deviation),
+        ),
     )
+
+
+def _equal_run_texts(values: Iterable[float]) -> Iterator[str]:
+    """Lazily, the ``repr`` of each value, made once per run of equal values.
+
+    A value equal to the one before it with the same sign bit has the same
+    bits, so it reuses that value's text. Only a zero can equal a value of
+    the other sign, so only a zero compares sign bits; NaN, equal to
+    nothing, is always formatted anew.
+    """
+    copysign = math.copysign
+    last = math.nan
+    text = ""
+    for value in values:
+        if value != last or (not value and copysign(1.0, value) != copysign(1.0, last)):
+            last, text = value, repr(value)
+        yield text
 
 
 _COMMANDS = {

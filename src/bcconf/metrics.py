@@ -25,7 +25,10 @@ The row's fixed work is ``_row``'s, done once per row: the normalization
 read and positive security, with the payment sum whose quotient is the
 cost :func:`cost` returns. The cells of :data:`M_ONLY_COLUMNS` are read or
 made once per row too, so a row yields the same object for each of them at
-every theta; ``sweep`` relies on it to format them once per row.
+every theta; ``sweep`` relies on it to format them once per row. The cells
+of :data:`THETA_ONLY_COLUMNS` depend on theta alone: every row computes them
+with the same expression, so equal thetas give equal bits in every row, and
+``sweep`` formats each of them once per theta rather than once per point.
 Feasibility is checked in :func:`bcconf.model.require_feasible`.
 """
 from __future__ import annotations
@@ -222,6 +225,11 @@ COLUMNS = (
 # The columns that depend on m only: ``_points`` reads them once per row, so
 # :func:`evaluate_row` yields the same object for each at every theta of a row.
 M_ONLY_COLUMNS = ("verify_s", "feedback_s", "security", "security_ratio")
+
+# The columns that depend on theta only: ``_points`` computes them from theta
+# and the scenario alone, with the same expression in every row, so each has
+# the same bits at a given theta whatever the row.
+THETA_ONLY_COLUMNS = ("downlink_s",)
 
 
 def evaluate(scenario: ScenarioParams, weights: QosWeights, config: BlockchainConfig) -> tuple[float, ...]:

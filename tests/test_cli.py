@@ -2,9 +2,11 @@
 import csv
 import hashlib
 import io
+import itertools
 import json
 import os
 import random
+import struct
 import subprocess
 import sys
 import tracemalloc
@@ -355,7 +357,11 @@ def test_sweep_grid_cap_exits_2(tmp_path):
 
 
 def _differential_sweep_scenarios():
-    """50 random scenarios; some with a free fastest verifier, some whose cells print in exponent form."""
+    """50 random scenarios; some with a free fastest verifier, some whose cells print in exponent form.
+
+    Then table2 with rows 1499 and 2999 points wide, more thetas than sweep keeps
+    texts for: the dict of theta-only texts is emptied part-way through rows.
+    """
     rng = random.Random(3002)
     for k in range(50):
         scenario = random_scenario(rng, max_m=6, max_n=9)
@@ -368,31 +374,39 @@ def _differential_sweep_scenarios():
         elif k % 5 == 3:  # the feedback and broadcast stages fall below 1e-4
             scenario = replace(scenario, uplink_rate_bps=1e12, broadcast_coeff=1e-13)
         yield scenario
+    for max_txn in (1500, 3000):
+        yield replace(load_scenario(TABLE2_PATH), max_txn_per_block=max_txn)
 
 
 def test_sweep_surface_is_the_csv_module_over_evaluate(tmp_path):
-    # surface.csv formats each row's m-only cells once; the bytes must be
-    # those of formatting every cell of every point.
+    # surface.csv formats each row's m-only cells once and each theta's theta-only cells once;
+    # the bytes must be those of formatting every cell of every point.
     header = ["m", "theta", *metrics.COLUMNS]
-    seen = {"e-": False, "e+": False, "free": False}
+    seen = {"e-": False, "e+": False, "free": False, "wide rows": False}
     for k, scenario in enumerate(_differential_sweep_scenarios()):
         path = tmp_path / f"s{k}.scenario"
         path.write_text(dump_scenario(scenario), encoding="utf-8")
         out = tmp_path / f"out{k}"
         assert run_cli("sweep", "--scenario", str(path), "--out", str(out)) == 0
         effective, weights = qos.resolve(bcconf.load_scenario(path))
+        thetas = range(effective.min_txn_per_block, effective.max_txn_per_block + 1)
+        seen["wide rows"] |= effective.max_verifiers > effective.min_verifiers and len(thetas) > cli._CHUNK_ROWS
         expected = io.StringIO(newline="")
         writer = csv.writer(expected, lineterminator="\n")
         writer.writerow(header)
         for m in range(effective.min_verifiers, effective.max_verifiers + 1):
-            for theta in range(effective.min_txn_per_block, effective.max_txn_per_block + 1):
+            for theta in thetas:
                 writer.writerow([m, theta, *metrics.evaluate(effective, weights, bcconf.BlockchainConfig(m, theta))])
         text = (out / "surface.csv").read_bytes().decode("utf-8")
-        assert text == expected.getvalue(), k
+        # Line by line, so that a failure names its line without diffing the whole table.
+        for n, (line, expected_line) in enumerate(
+            itertools.zip_longest(text.split("\n"), expected.getvalue().split("\n"))
+        ):
+            assert line == expected_line, (k, n)
         seen["e-"] |= "e-" in text
         seen["e+"] |= "e+" in text
         seen["free"] |= any(row["cost"] == "0.0" for row in csv.DictReader(io.StringIO(text)))
-    assert seen == {"e-": True, "e+": True, "free": True}
+    assert seen == {"e-": True, "e+": True, "free": True, "wide rows": True}
 
 
 def _table2_with_max_txn(tmp_path, max_txn):
@@ -418,6 +432,26 @@ def test_sweep_memory_does_not_grow_with_the_grid(tmp_path):
 
     # table2 has nine verifier counts: 9 * 499 and 9 * 3999 points.
     assert (peak_bytes(4000) - peak_bytes(500)) / (9 * 3500) < 16
+
+
+def test_sweep_memory_does_not_grow_with_the_row_width(tmp_path):
+    # The texts sweep keeps per theta are emptied every _CHUNK_ROWS thetas, so a wider row
+    # holds no more of them.
+    def peak_bytes(max_txn):
+        path = _table2_with_max_txn(tmp_path, max_txn)
+        assert "min_verifiers: 2\n" in path.read_text()
+        path.write_text(path.read_text().replace("min_verifiers: 2\n", "min_verifiers: 9\n"))
+        argv = ("sweep", "--scenario", str(path), "--out", str(tmp_path / "out"))
+        assert run_cli(*argv) == 0  # warm up outside the measurement
+        tracemalloc.start()
+        try:
+            assert run_cli(*argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # Two verifier counts, 9 and 10: 2 * 499 and 2 * 19999 points.
+    assert (peak_bytes(20000) - peak_bytes(500)) / (2 * 19500) < 16
 
 
 def test_sweep_failing_after_a_written_chunk_leaves_nothing_behind(tmp_path, monkeypatch, capsys):
@@ -511,6 +545,45 @@ def test_best_so_far_texts_on_random_draws_with_tied_utilities():
                 assert [row[3:] for row in cli._trace_rows(result)] == texts
                 ties += sum(u == b and u is not b for u, b in zip(result.utilities, best))
     assert ties > 0
+
+
+def test_optimize_and_compare_never_build_the_best_so_far_tuple(tmp_path, monkeypatch):
+    # Both commands read the running minimum lazily; their artifacts stay those of best_so_far().
+    def run_both(out):
+        for command in ("optimize", "compare"):
+            assert run_cli(command, "--scenario", SCENARIO, "--out", str(out)) == 0
+        return hash_files(out, ("result.csv", "trace.csv", "compare.csv", "summary.csv"))
+
+    expected = run_both(tmp_path / "a")
+
+    def refuse(self):
+        raise AssertionError("best_so_far() was called")
+
+    monkeypatch.setattr(SolverResult, "best_so_far", refuse)
+    assert run_both(tmp_path / "b") == expected
+
+
+def test_equal_run_texts_reuse_a_text_only_for_the_same_bits():
+    nan, inf = float("nan"), float("inf")
+    values = [
+        0.0, 0.0, -0.0, -0.0, 0.0, -0.0,  # equal values, alternating signs
+        inf, inf, -inf, -inf, inf, nan, nan, -nan, 0.1 + 0.2, 0.1 + 0.2, 0.3, 5e-324, 5e-324, -5e-324, 1e300, 1e300,
+    ]
+    texts = list(cli._equal_run_texts(values))
+    assert texts == list(map(repr, values))
+    bits = [struct.pack("<d", value) for value in values]
+    for k in range(1, len(values)):
+        # A value reuses the text before it exactly when it has the same bits and is not NaN.
+        assert (texts[k] is texts[k - 1]) == (bits[k] == bits[k - 1] and values[k] == values[k]), k
+    assert list(cli._equal_run_texts([])) == []
+
+
+def test_equal_run_texts_on_a_long_plain_simulation():
+    # A 1000-round run without jitter repeats each value for rounds on end.
+    report = dpos_sim.run(dpos_sim.SimConfig(load_scenario(TABLE2_PATH), BlockchainConfig(9, 12), rounds=1000))
+    for values in (report.per_round_latency_s, report.abs_rel_deviation):
+        assert list(cli._equal_run_texts(values)) == list(map(repr, values))
+        assert len(set(map(repr, values))) < 50
 
 
 def test_simulate_with_explicit_config(tmp_path):

@@ -630,8 +630,9 @@ WRITER_CASES = pytest.mark.parametrize(
          BlockchainConfig(2, 4), 30, 0.1, False, "e+"),
         (ROTATED_M13, BlockchainConfig(13, 5), 30, 0.1, True, None),
         (None, BlockchainConfig(4, 9), 1, 0.2, False, None),
+        (None, BlockchainConfig(9, 12), 1000, 0.0, False, None),  # runs of equal values in sim_report.csv
     ],
-    ids=["table2-jitter-rotate", "table2-plain", "tiny-times", "huge-times", "rotated-m13", "one-round"],
+    ids=["table2-jitter-rotate", "table2-plain", "tiny-times", "huge-times", "rotated-m13", "one-round", "long-plain"],
 )
 
 

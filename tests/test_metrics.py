@@ -21,7 +21,7 @@ from bcconf import (
     run_simulation,
     security,
 )
-from bcconf.metrics import COLUMNS, M_ONLY_COLUMNS, _cells, evaluate, evaluate_row, latency_row
+from bcconf.metrics import COLUMNS, M_ONLY_COLUMNS, THETA_ONLY_COLUMNS, _cells, evaluate, evaluate_row, latency_row
 from bcconf.model import feasible_rows, require_feasible
 from helpers import (
     TABLE2_PATH,
@@ -456,6 +456,26 @@ def test_m_only_cells_are_one_object_across_a_row():
             assert all(cells[k] is first[k] for cells in rest for k in positions)
             rows += 1
     assert rows > 150
+
+
+def test_theta_only_cells_have_the_same_bits_in_every_row():
+    # sweep formats these cells once per theta and writes that text in every row.
+    assert set(THETA_ONLY_COLUMNS) <= set(COLUMNS) and len(set(THETA_ONLY_COLUMNS)) == len(THETA_ONLY_COLUMNS)
+    assert not set(THETA_ONLY_COLUMNS) & set(M_ONLY_COLUMNS)
+    positions = [COLUMNS.index(name) for name in THETA_ONLY_COLUMNS]
+    rng = random.Random(3003)
+    scenarios = [random_scenario(rng, max_m=6, max_n=9) for _ in range(60)]
+    scenarios.append(make_scenario(transaction_size_bits=1e-300, downlink_rate_bps=1e300))  # downlink_s is 0.0
+    repeats = 0
+    for scenario in scenarios:
+        weights = random_weights(rng)
+        seen = {}
+        for m, thetas in feasible_rows(scenario):
+            for theta, cells in zip(thetas, evaluate_row(scenario, weights, m, thetas)):
+                bits = [cells[k].hex() for k in positions]
+                repeats += theta in seen
+                assert seen.setdefault(theta, bits) == bits, (m, theta)
+    assert repeats > 300
 
 
 def _broken(field, index, value):
